@@ -8,7 +8,7 @@ use pm_bench::setup::{
     build_approx_monitor, build_exact_monitor, default_approx_config, generate_dataset,
 };
 use pm_bench::Scale;
-use pm_core::{BaselineMonitor, ContinuousMonitor};
+use pm_core::{Lifetime, Monitor};
 use pm_datagen::DatasetProfile;
 
 fn bench_arrival(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_arrival(c: &mut Criterion) {
             &dataset,
             |b, dataset| {
                 b.iter(|| {
-                    let mut monitor = BaselineMonitor::new(dataset.preferences.clone());
+                    let mut monitor = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
                     for o in dataset.objects.iter().cloned() {
                         monitor.process(o);
                     }
@@ -37,7 +37,7 @@ fn bench_arrival(c: &mut Criterion) {
             &dataset,
             |b, dataset| {
                 b.iter(|| {
-                    let (mut monitor, _) = build_exact_monitor(dataset, 0.55);
+                    let (mut monitor, _) = build_exact_monitor(dataset, 0.55, Lifetime::UNLIMITED);
                     for o in dataset.objects.iter().cloned() {
                         monitor.process(o);
                     }
@@ -50,8 +50,12 @@ fn bench_arrival(c: &mut Criterion) {
             &dataset,
             |b, dataset| {
                 b.iter(|| {
-                    let (mut monitor, _) =
-                        build_approx_monitor(dataset, 0.55, default_approx_config());
+                    let (mut monitor, _) = build_approx_monitor(
+                        dataset,
+                        0.55,
+                        default_approx_config(),
+                        Lifetime::UNLIMITED,
+                    );
                     for o in dataset.objects.iter().cloned() {
                         monitor.process(o);
                     }

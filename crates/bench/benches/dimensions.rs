@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pm_bench::setup::{build_exact_monitor, generate_dataset};
 use pm_bench::Scale;
-use pm_core::{BaselineMonitor, ContinuousMonitor};
+use pm_core::{Lifetime, Monitor};
 use pm_datagen::DatasetProfile;
 
 fn bench_dimensions(c: &mut Criterion) {
@@ -19,7 +19,7 @@ fn bench_dimensions(c: &mut Criterion) {
         let dataset = full.project(d);
         group.bench_with_input(BenchmarkId::new("Baseline", d), &dataset, |b, dataset| {
             b.iter(|| {
-                let mut monitor = BaselineMonitor::new(dataset.preferences.clone());
+                let mut monitor = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
                 for o in dataset.objects.iter().cloned() {
                     monitor.process(o);
                 }
@@ -31,7 +31,7 @@ fn bench_dimensions(c: &mut Criterion) {
             &dataset,
             |b, dataset| {
                 b.iter(|| {
-                    let (mut monitor, _) = build_exact_monitor(dataset, 0.55);
+                    let (mut monitor, _) = build_exact_monitor(dataset, 0.55, Lifetime::UNLIMITED);
                     for o in dataset.objects.iter().cloned() {
                         monitor.process(o);
                     }

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use pm_bench::setup::generate_dataset;
 use pm_bench::Scale;
-use pm_core::{BaselineMonitor, ContinuousMonitor};
+use pm_core::{Lifetime, Monitor};
 use pm_datagen::DatasetProfile;
 use pm_engine::{BackendSpec, EngineConfig, ShardedEngine};
 
@@ -34,7 +34,7 @@ fn bench_engine_shards(c: &mut Criterion) {
     // timed region — only stream processing is measured.
     group.bench_function("single_threaded_baseline", |b| {
         b.iter_batched(
-            || BaselineMonitor::new(dataset.preferences.clone()),
+            || Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None),
             |mut monitor| {
                 for o in objects.iter().cloned() {
                     monitor.process(o);

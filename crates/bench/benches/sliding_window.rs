@@ -5,10 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pm_bench::setup::{
-    build_approx_sw_monitor, build_exact_sw_monitor, default_approx_config, generate_dataset,
+    build_approx_monitor, build_exact_monitor, default_approx_config, generate_dataset,
 };
 use pm_bench::Scale;
-use pm_core::{BaselineSwMonitor, ContinuousMonitor};
+use pm_core::{Lifetime, Monitor};
 use pm_datagen::DatasetProfile;
 
 fn bench_sliding_window(c: &mut Criterion) {
@@ -26,7 +26,8 @@ fn bench_sliding_window(c: &mut Criterion) {
             &window,
             |b, &window| {
                 b.iter(|| {
-                    let mut monitor = BaselineSwMonitor::new(dataset.preferences.clone(), window);
+                    let mut monitor =
+                        Monitor::new(&dataset.preferences, Lifetime::Window(window), None);
                     for o in stream.iter() {
                         monitor.process(o);
                     }
@@ -39,7 +40,8 @@ fn bench_sliding_window(c: &mut Criterion) {
             &window,
             |b, &window| {
                 b.iter(|| {
-                    let (mut monitor, _) = build_exact_sw_monitor(&dataset, 0.55, window);
+                    let (mut monitor, _) =
+                        build_exact_monitor(&dataset, 0.55, Lifetime::Window(window));
                     for o in stream.iter() {
                         monitor.process(o);
                     }
@@ -52,8 +54,12 @@ fn bench_sliding_window(c: &mut Criterion) {
             &window,
             |b, &window| {
                 b.iter(|| {
-                    let (mut monitor, _) =
-                        build_approx_sw_monitor(&dataset, 0.55, default_approx_config(), window);
+                    let (mut monitor, _) = build_approx_monitor(
+                        &dataset,
+                        0.55,
+                        default_approx_config(),
+                        Lifetime::Window(window),
+                    );
                     for o in stream.iter() {
                         monitor.process(o);
                     }

@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pm_bench::setup::{build_exact_sw_monitor, generate_dataset};
+use pm_bench::setup::{build_exact_monitor, generate_dataset};
 use pm_bench::Scale;
-use pm_core::{BaselineSwMonitor, ContinuousMonitor};
+use pm_core::{Lifetime, Monitor};
 use pm_datagen::DatasetProfile;
 
 fn bench_sw_dimensions(c: &mut Criterion) {
@@ -22,7 +22,8 @@ fn bench_sw_dimensions(c: &mut Criterion) {
         let stream = dataset.stream(scale.stream_len);
         group.bench_with_input(BenchmarkId::new("BaselineSW", d), &dataset, |b, dataset| {
             b.iter(|| {
-                let mut monitor = BaselineSwMonitor::new(dataset.preferences.clone(), window);
+                let mut monitor =
+                    Monitor::new(&dataset.preferences, Lifetime::Window(window), None);
                 for o in stream.iter() {
                     monitor.process(o);
                 }
@@ -34,7 +35,8 @@ fn bench_sw_dimensions(c: &mut Criterion) {
             &dataset,
             |b, dataset| {
                 b.iter(|| {
-                    let (mut monitor, _) = build_exact_sw_monitor(dataset, 0.55, window);
+                    let (mut monitor, _) =
+                        build_exact_monitor(dataset, 0.55, Lifetime::Window(window));
                     for o in stream.iter() {
                         monitor.process(o);
                     }

@@ -6,14 +6,14 @@
 use std::time::Instant;
 
 use pm_cluster::{ApproxConfig, ExactMeasure};
-use pm_core::{AccuracyReport, BaselineMonitor, BaselineSwMonitor, ContinuousMonitor};
+use pm_core::{AccuracyReport, Filter, Lifetime, Monitor};
 use pm_datagen::{Dataset, DatasetProfile};
 
 use crate::report::{Cell, Table};
 use crate::scale::Scale;
 use crate::setup::{
-    build_approx_monitor, build_approx_sw_monitor, build_exact_monitor, build_exact_sw_monitor,
-    cluster_dataset, default_approx_config, generate_dataset,
+    build_approx_monitor, build_exact_monitor, cluster_dataset, default_approx_config,
+    generate_dataset,
 };
 
 /// Algorithm labels used across all experiment rows.
@@ -28,6 +28,20 @@ pub const BASELINE_SW: &str = "BaselineSW";
 pub const FTV_SW: &str = "FilterThenVerifySW";
 /// FilterThenVerifyApproxSW label.
 pub const FTVA_SW: &str = "FilterThenVerifyApproxSW";
+
+/// The three algorithms every cost figure compares, on one lifetime: the
+/// unfiltered baseline, FilterThenVerify and FilterThenVerifyApprox, with
+/// the paper's name for each on that lifetime.
+fn contenders(dataset: &Dataset, h: f64, lifetime: Lifetime) -> [(&'static str, Monitor); 3] {
+    let labels = match lifetime {
+        Lifetime::History(_) => [BASELINE, FTV, FTVA],
+        Lifetime::Window(_) => [BASELINE_SW, FTV_SW, FTVA_SW],
+    };
+    let baseline = Monitor::new(&dataset.preferences, lifetime, None);
+    let (ftv, _) = build_exact_monitor(dataset, h, lifetime);
+    let (ftva, _) = build_approx_monitor(dataset, h, default_approx_config(), lifetime);
+    [(labels[0], baseline), (labels[1], ftv), (labels[2], ftva)]
+}
 
 // ---------------------------------------------------------------------------
 // Figures 4 & 5: cumulative cost while |O| grows (append-only).
@@ -48,8 +62,8 @@ pub struct ArrivalRow {
     pub comparisons: u64,
 }
 
-fn run_checkpointed<M: ContinuousMonitor>(
-    monitor: &mut M,
+fn run_checkpointed(
+    monitor: &mut Monitor,
     dataset: &Dataset,
     checkpoints: &[f64],
     algorithm: &'static str,
@@ -82,31 +96,14 @@ fn run_checkpointed<M: ContinuousMonitor>(
 pub fn arrival_experiment(profile: &DatasetProfile, scale: &Scale, h: f64) -> Vec<ArrivalRow> {
     let dataset = generate_dataset(profile, scale);
     let mut rows = Vec::new();
-
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
-    rows.extend(run_checkpointed(
-        &mut baseline,
-        &dataset,
-        &scale.checkpoints,
-        BASELINE,
-    ));
-
-    let (mut ftv, _) = build_exact_monitor(&dataset, h);
-    rows.extend(run_checkpointed(
-        &mut ftv,
-        &dataset,
-        &scale.checkpoints,
-        FTV,
-    ));
-
-    let (mut ftva, _) = build_approx_monitor(&dataset, h, default_approx_config());
-    rows.extend(run_checkpointed(
-        &mut ftva,
-        &dataset,
-        &scale.checkpoints,
-        FTVA,
-    ));
-
+    for (algorithm, mut monitor) in contenders(&dataset, h, Lifetime::UNLIMITED) {
+        rows.extend(run_checkpointed(
+            &mut monitor,
+            &dataset,
+            &scale.checkpoints,
+            algorithm,
+        ));
+    }
     rows
 }
 
@@ -156,8 +153,8 @@ pub struct DimensionRow {
     pub comparisons: u64,
 }
 
-fn run_to_completion<M: ContinuousMonitor>(
-    monitor: &mut M,
+fn run_to_completion(
+    monitor: &mut Monitor,
     objects: impl Iterator<Item = pm_model::Object>,
 ) -> (f64, u64) {
     let start = Instant::now();
@@ -170,6 +167,38 @@ fn run_to_completion<M: ContinuousMonitor>(
     )
 }
 
+/// Total cost of the three algorithms at every d ∈ `dims`, append-only
+/// over the base objects (`window` = `None`) or over the scale's stream
+/// on a sliding window.
+fn dimension_rows(
+    full: &Dataset,
+    scale: &Scale,
+    h: f64,
+    dims: &[usize],
+    window: Option<usize>,
+) -> Vec<DimensionRow> {
+    let mut rows = Vec::new();
+    for &d in dims {
+        let dataset = full.project(d);
+        let lifetime = window.map_or(Lifetime::UNLIMITED, Lifetime::Window);
+        for (algorithm, mut monitor) in contenders(&dataset, h, lifetime) {
+            let (total_ms, comparisons) = match window {
+                None => run_to_completion(&mut monitor, dataset.objects.iter().cloned()),
+                Some(_) => run_to_completion(&mut monitor, dataset.stream(scale.stream_len).iter()),
+            };
+            rows.push(DimensionRow {
+                dataset: dataset.profile_name.clone(),
+                algorithm,
+                dimensions: d,
+                window,
+                total_ms,
+                comparisons,
+            });
+        }
+    }
+    rows
+}
+
 /// Figures 6 (movie) and 7 (publication): total cost at d ∈ `dims`.
 pub fn dimension_experiment(
     profile: &DatasetProfile,
@@ -177,42 +206,7 @@ pub fn dimension_experiment(
     h: f64,
     dims: &[usize],
 ) -> Vec<DimensionRow> {
-    let full = generate_dataset(profile, scale);
-    let mut rows = Vec::new();
-    for &d in dims {
-        let dataset = full.project(d);
-        let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
-        let (ms, cmp) = run_to_completion(&mut baseline, dataset.objects.iter().cloned());
-        rows.push(DimensionRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: BASELINE,
-            dimensions: d,
-            window: None,
-            total_ms: ms,
-            comparisons: cmp,
-        });
-        let (mut ftv, _) = build_exact_monitor(&dataset, h);
-        let (ms, cmp) = run_to_completion(&mut ftv, dataset.objects.iter().cloned());
-        rows.push(DimensionRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: FTV,
-            dimensions: d,
-            window: None,
-            total_ms: ms,
-            comparisons: cmp,
-        });
-        let (mut ftva, _) = build_approx_monitor(&dataset, h, default_approx_config());
-        let (ms, cmp) = run_to_completion(&mut ftva, dataset.objects.iter().cloned());
-        rows.push(DimensionRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: FTVA,
-            dimensions: d,
-            window: None,
-            total_ms: ms,
-            comparisons: cmp,
-        });
-    }
-    rows
+    dimension_rows(&generate_dataset(profile, scale), scale, h, dims, None)
 }
 
 /// Figures 10 (movie) and 11 (publication): sliding-window cost at
@@ -223,47 +217,9 @@ pub fn sliding_dimension_experiment(
     h: f64,
     dims: &[usize],
 ) -> Vec<DimensionRow> {
-    let full = generate_dataset(profile, scale);
     let window = scale.window_sizes.last().copied().unwrap_or(400);
-    let mut rows = Vec::new();
-    for &d in dims {
-        let dataset = full.project(d);
-        let stream = dataset.stream(scale.stream_len);
-
-        let mut baseline = BaselineSwMonitor::new(dataset.preferences.clone(), window);
-        let (ms, cmp) = run_to_completion(&mut baseline, stream.iter());
-        rows.push(DimensionRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: BASELINE_SW,
-            dimensions: d,
-            window: Some(window),
-            total_ms: ms,
-            comparisons: cmp,
-        });
-
-        let (mut ftv, _) = build_exact_sw_monitor(&dataset, h, window);
-        let (ms, cmp) = run_to_completion(&mut ftv, stream.iter());
-        rows.push(DimensionRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: FTV_SW,
-            dimensions: d,
-            window: Some(window),
-            total_ms: ms,
-            comparisons: cmp,
-        });
-
-        let (mut ftva, _) = build_approx_sw_monitor(&dataset, h, default_approx_config(), window);
-        let (ms, cmp) = run_to_completion(&mut ftva, stream.iter());
-        rows.push(DimensionRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: FTVA_SW,
-            dimensions: d,
-            window: Some(window),
-            total_ms: ms,
-            comparisons: cmp,
-        });
-    }
-    rows
+    let full = generate_dataset(profile, scale);
+    dimension_rows(&full, scale, h, dims, Some(window))
 }
 
 /// Renders dimension rows as a table.
@@ -318,7 +274,7 @@ pub fn accuracy_experiment(
     h_values: &[f64],
 ) -> Vec<AccuracyRow> {
     let dataset = generate_dataset(profile, scale);
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
+    let mut baseline = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
     for object in dataset.objects.iter().cloned() {
         baseline.process(object);
     }
@@ -326,7 +282,8 @@ pub fn accuracy_experiment(
 
     let mut rows = Vec::new();
     for &h in h_values {
-        let (mut ftva, summary) = build_approx_monitor(&dataset, h, default_approx_config());
+        let (mut ftva, summary) =
+            build_approx_monitor(&dataset, h, default_approx_config(), Lifetime::UNLIMITED);
         for object in dataset.objects.iter().cloned() {
             ftva.process(object);
         }
@@ -396,35 +353,16 @@ pub fn sliding_experiment(profile: &DatasetProfile, scale: &Scale, h: f64) -> Ve
     let stream = dataset.stream(scale.stream_len);
     let mut rows = Vec::new();
     for &window in &scale.window_sizes {
-        let mut baseline = BaselineSwMonitor::new(dataset.preferences.clone(), window);
-        let (ms, cmp) = run_to_completion(&mut baseline, stream.iter());
-        rows.push(SlidingRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: BASELINE_SW,
-            window,
-            total_ms: ms,
-            comparisons: cmp,
-        });
-
-        let (mut ftv, _) = build_exact_sw_monitor(&dataset, h, window);
-        let (ms, cmp) = run_to_completion(&mut ftv, stream.iter());
-        rows.push(SlidingRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: FTV_SW,
-            window,
-            total_ms: ms,
-            comparisons: cmp,
-        });
-
-        let (mut ftva, _) = build_approx_sw_monitor(&dataset, h, default_approx_config(), window);
-        let (ms, cmp) = run_to_completion(&mut ftva, stream.iter());
-        rows.push(SlidingRow {
-            dataset: dataset.profile_name.clone(),
-            algorithm: FTVA_SW,
-            window,
-            total_ms: ms,
-            comparisons: cmp,
-        });
+        for (algorithm, mut monitor) in contenders(&dataset, h, Lifetime::Window(window)) {
+            let (total_ms, comparisons) = run_to_completion(&mut monitor, stream.iter());
+            rows.push(SlidingRow {
+                dataset: dataset.profile_name.clone(),
+                algorithm,
+                window,
+                total_ms,
+                comparisons,
+            });
+        }
     }
     rows
 }
@@ -480,14 +418,18 @@ pub fn sliding_accuracy_experiment(
     let stream = dataset.stream(scale.stream_len);
     let mut rows = Vec::new();
     for &window in &scale.window_sizes {
-        let mut baseline = BaselineSwMonitor::new(dataset.preferences.clone(), window);
+        let mut baseline = Monitor::new(&dataset.preferences, Lifetime::Window(window), None);
         for object in stream.iter() {
             baseline.process(object);
         }
         let exact = baseline.all_frontiers();
         for &h in h_values {
-            let (mut ftva, _) =
-                build_approx_sw_monitor(&dataset, h, default_approx_config(), window);
+            let (mut ftva, _) = build_approx_monitor(
+                &dataset,
+                h,
+                default_approx_config(),
+                Lifetime::Window(window),
+            );
             for object in stream.iter() {
                 ftva.process(object);
             }
@@ -552,7 +494,7 @@ pub struct AblationRow {
 /// Ablation B: how the θ2 threshold (Alg. 3) trades recall for comparisons.
 pub fn ablation_experiment(profile: &DatasetProfile, scale: &Scale, h: f64) -> Vec<AblationRow> {
     let dataset = generate_dataset(profile, scale);
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
+    let mut baseline = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
     for object in dataset.objects.iter().cloned() {
         baseline.process(object);
     }
@@ -562,8 +504,11 @@ pub fn ablation_experiment(profile: &DatasetProfile, scale: &Scale, h: f64) -> V
     // Ablation A: exact measures.
     for measure in ExactMeasure::ALL {
         let (clusters, summary) = cluster_dataset(&dataset, measure, h);
-        let mut monitor =
-            pm_core::FilterThenVerifyMonitor::new(dataset.preferences.clone(), &clusters);
+        let mut monitor = Monitor::new(
+            &dataset.preferences,
+            Lifetime::UNLIMITED,
+            Some(Filter::clusters(&clusters)),
+        );
         let (ms, cmp) = run_to_completion(&mut monitor, dataset.objects.iter().cloned());
         rows.push(AblationRow {
             dataset: dataset.profile_name.clone(),
@@ -579,7 +524,7 @@ pub fn ablation_experiment(profile: &DatasetProfile, scale: &Scale, h: f64) -> V
     // Ablation B: θ2 sweep for the approximate relations.
     for theta2 in [0.3, 0.5, 0.7] {
         let config = ApproxConfig::new(512, theta2);
-        let (mut monitor, summary) = build_approx_monitor(&dataset, h, config);
+        let (mut monitor, summary) = build_approx_monitor(&dataset, h, config, Lifetime::UNLIMITED);
         let (ms, cmp) = run_to_completion(&mut monitor, dataset.objects.iter().cloned());
         let report = AccuracyReport::compare(&exact_frontiers, &monitor.all_frontiers());
         rows.push(AblationRow {

@@ -4,7 +4,7 @@
 use pm_cluster::{
     cluster_users, ApproxConfig, ApproxMeasure, Cluster, ClusteringConfig, ExactMeasure,
 };
-use pm_core::{FilterThenVerifyMonitor, FilterThenVerifySwMonitor};
+use pm_core::{Filter, Lifetime, Monitor};
 use pm_datagen::{Dataset, DatasetProfile};
 
 use crate::scale::Scale;
@@ -76,63 +76,35 @@ pub fn cluster_dataset_approx(
     (outcome.clusters, summary)
 }
 
-/// Builds a `FilterThenVerify` monitor (exact common preference relations)
-/// for `dataset`, clustering with Jaccard similarity at branch cut `h`.
-pub fn build_exact_monitor(dataset: &Dataset, h: f64) -> (FilterThenVerifyMonitor, ClusterSummary) {
+/// Builds a `FilterThenVerify` / `FilterThenVerifySW` monitor (exact common
+/// preference relations) for `dataset`, clustering with Jaccard similarity
+/// at branch cut `h`.
+pub fn build_exact_monitor(
+    dataset: &Dataset,
+    h: f64,
+    lifetime: Lifetime,
+) -> (Monitor, ClusterSummary) {
     let (clusters, summary) = cluster_dataset(dataset, ExactMeasure::Jaccard, h);
+    let filter = Filter::clusters(&clusters);
     (
-        FilterThenVerifyMonitor::new(dataset.preferences.clone(), &clusters),
+        Monitor::new(&dataset.preferences, lifetime, Some(filter)),
         summary,
     )
 }
 
-/// Builds a `FilterThenVerifyApprox` monitor: approximate clustering
-/// (frequency-vector Jaccard) plus approximate common preference relations
-/// built by Alg. 3 under `config`.
+/// Builds a `FilterThenVerifyApprox` / `FilterThenVerifyApproxSW` monitor:
+/// approximate clustering (frequency-vector Jaccard) plus approximate
+/// common preference relations built by Alg. 3 under `config`.
 pub fn build_approx_monitor(
     dataset: &Dataset,
     h: f64,
     config: ApproxConfig,
-) -> (FilterThenVerifyMonitor, ClusterSummary) {
+    lifetime: Lifetime,
+) -> (Monitor, ClusterSummary) {
     let (clusters, summary) = cluster_dataset_approx(dataset, ApproxMeasure::Jaccard, h);
+    let filter = Filter::clusters(&clusters).approx(config);
     (
-        FilterThenVerifyMonitor::with_approx_clusters(
-            dataset.preferences.clone(),
-            &clusters,
-            config,
-        ),
-        summary,
-    )
-}
-
-/// Builds the sliding-window `FilterThenVerifySW` monitor.
-pub fn build_exact_sw_monitor(
-    dataset: &Dataset,
-    h: f64,
-    window: usize,
-) -> (FilterThenVerifySwMonitor, ClusterSummary) {
-    let (clusters, summary) = cluster_dataset(dataset, ExactMeasure::Jaccard, h);
-    (
-        FilterThenVerifySwMonitor::new(dataset.preferences.clone(), &clusters, window),
-        summary,
-    )
-}
-
-/// Builds the sliding-window `FilterThenVerifyApproxSW` monitor.
-pub fn build_approx_sw_monitor(
-    dataset: &Dataset,
-    h: f64,
-    config: ApproxConfig,
-    window: usize,
-) -> (FilterThenVerifySwMonitor, ClusterSummary) {
-    let (clusters, summary) = cluster_dataset_approx(dataset, ApproxMeasure::Jaccard, h);
-    (
-        FilterThenVerifySwMonitor::with_approx_clusters(
-            dataset.preferences.clone(),
-            &clusters,
-            config,
-            window,
-        ),
+        Monitor::new(&dataset.preferences, lifetime, Some(filter)),
         summary,
     )
 }
@@ -172,10 +144,11 @@ mod tests {
 
     #[test]
     fn monitors_build_and_process() {
-        use pm_core::ContinuousMonitor;
         let (dataset, _) = tiny();
-        let (mut exact, _) = build_exact_monitor(&dataset, 0.4);
-        let (mut approx, _) = build_approx_monitor(&dataset, 0.4, default_approx_config());
+        let lifetime = Lifetime::UNLIMITED;
+        let (mut exact, _) = build_exact_monitor(&dataset, 0.4, lifetime);
+        let (mut approx, _) =
+            build_approx_monitor(&dataset, 0.4, default_approx_config(), lifetime);
         for o in dataset.objects.iter().take(50).cloned() {
             exact.process(o.clone());
             approx.process(o);
@@ -186,10 +159,11 @@ mod tests {
 
     #[test]
     fn sw_monitors_build_and_process() {
-        use pm_core::ContinuousMonitor;
         let (dataset, _) = tiny();
-        let (mut exact, _) = build_exact_sw_monitor(&dataset, 0.4, 50);
-        let (mut approx, _) = build_approx_sw_monitor(&dataset, 0.4, default_approx_config(), 50);
+        let lifetime = Lifetime::Window(50);
+        let (mut exact, _) = build_exact_monitor(&dataset, 0.4, lifetime);
+        let (mut approx, _) =
+            build_approx_monitor(&dataset, 0.4, default_approx_config(), lifetime);
         for o in dataset.stream(120).iter() {
             exact.process(o.clone());
             approx.process(o);

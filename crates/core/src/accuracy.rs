@@ -77,7 +77,7 @@ pub struct AccuracyReport {
 
 impl AccuracyReport {
     /// Compares per-user frontiers: `exact[c]` is the ground-truth frontier
-    /// of user `c` (e.g. from [`crate::BaselineMonitor`]), `approx[c]` the
+    /// of user `c` (e.g. from an unfiltered [`crate::Monitor`]), `approx[c]` the
     /// frontier reported by the approximate monitor.
     ///
     /// # Panics

@@ -1,24 +1,20 @@
-//! The retained object history of the append-only monitors.
+//! The retained object history of an append-only [`crate::Monitor`].
 //!
-//! Append-only monitors never expire objects, so a user registered (or
+//! An append-only monitor never expires objects, so a user registered (or
 //! updated) mid-stream must be backfilled against the past stream — any
 //! past object may be Pareto-optimal under the new preference. On unbounded
-//! streams a verbatim history is unbounded, so [`History`] supports three
+//! streams a verbatim history is unbounded, so [`History`] supports two
 //! retention disciplines ([`HistoryMode`]):
 //!
 //! * **Unlimited** — keep everything; backfill is exact for any preference.
-//! * **Truncate(C)** — keep the newest `C` objects; backfill is
-//!   *best-effort*: the replayed frontier is the exact Pareto frontier of
-//!   the retained suffix, which contains every still-retained member of
-//!   the true frontier but may miss truncated frontier objects and admit
-//!   retained objects that only truncated ones dominated.
 //! * **Compact** — the skyline-union compaction this module implements:
 //!   bounded memory with **exact** backfill for every preference the
 //!   monitor has ever observed.
 //!
 //! # Skyline-union compaction
 //!
-//! Two ideas make compaction exact where truncation is not:
+//! Two ideas make compaction exact where keeping only a recent suffix is
+//! not:
 //!
 //! 1. **Value-duplicate collapsing.** Objects with identical attribute
 //!    values are frontier-equivalent under *any* preference (identical
@@ -53,8 +49,10 @@
 //! inherent: no bounded retention can be exact for arbitrary unseen
 //! preferences, because a user with an empty preference needs every
 //! distinct value vector. An optional hard cap bounds even adversarial
-//! retained sets, trading back truncation's best-effort semantics for the
-//! oldest objects once it bites.
+//! retained sets; once it bites, the oldest retained objects are dropped
+//! and backfill is *best-effort*: the replayed frontier is the exact
+//! frontier of the retained set, which may miss dropped frontier objects
+//! and admit retained objects that only dropped ones dominated.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -77,16 +75,13 @@ const SWEEP_EVERY: usize = 256;
 pub enum HistoryMode {
     /// Keep every ingested object; backfill is exact for any preference.
     Unlimited,
-    /// Keep the newest `C` objects; backfill is best-effort once the cap
-    /// truncates (`Truncate(0)` retains nothing).
-    Truncate(usize),
     /// Skyline-union compaction: keep the objects some observed preference
     /// still places on a frontier (plus all value-duplicates of them);
     /// backfill is exact for every observed preference. The optional `cap`
     /// is a hard bound on retained objects on top — once it bites, the
     /// smallest-id (= oldest, as ids double as arrival timestamps)
-    /// retained objects are dropped and backfill degrades to the same
-    /// best-effort contract as [`HistoryMode::Truncate`].
+    /// retained objects are dropped and backfill degrades to best-effort
+    /// over the retained set.
     Compact {
         /// Optional hard bound on retained objects (`None` = compaction
         /// alone bounds memory).
@@ -95,14 +90,6 @@ pub enum HistoryMode {
 }
 
 impl HistoryMode {
-    /// The mode the pre-compaction `history_limit` API maps to.
-    pub fn from_limit(limit: Option<usize>) -> Self {
-        match limit {
-            Some(limit) => HistoryMode::Truncate(limit),
-            None => HistoryMode::Unlimited,
-        }
-    }
-
     /// Whether this mode runs skyline-union compaction.
     pub fn is_compacting(&self) -> bool {
         matches!(self, HistoryMode::Compact { .. })
@@ -110,11 +97,11 @@ impl HistoryMode {
 }
 
 /// The retained object history of an append-only monitor (see the module
-/// docs for the three retention disciplines).
+/// docs for the two retention disciplines).
 #[derive(Debug, Clone)]
 pub struct History {
     mode: HistoryMode,
-    /// Truncate/Unlimited storage: verbatim objects, oldest first.
+    /// Unlimited storage: verbatim objects, oldest first.
     linear: VecDeque<Object>,
     /// Compact storage: one entry per distinct value vector, mapping it to
     /// every retained object id carrying it (in arrival order). The vector
@@ -145,7 +132,7 @@ pub struct History {
     cap_heap: BinaryHeap<Reverse<(ObjectId, Vec<ValueId>)>>,
     /// Pushes since the last sweep (compact mode).
     pending: usize,
-    /// Lifetime count of objects dropped (truncation, compaction or cap).
+    /// Lifetime count of objects dropped (compaction or cap).
     evicted: u64,
     /// Optional duration histogram for sweeps (nanoseconds); attached by
     /// the host via [`History::set_sweep_timer`]. When absent, sweeps do
@@ -187,7 +174,7 @@ impl History {
     /// `true` when no structurally identical preference was observed
     /// before — the novel case for which earlier sweeps offered no
     /// protection and already-evicted objects cannot be recovered (see
-    /// the module docs). Non-compacting modes ignore the call and return
+    /// the module docs). An unlimited history ignores the call and returns
     /// `false`.
     pub fn observe(&mut self, preference: &Preference) -> bool {
         match self.mode {
@@ -198,7 +185,7 @@ impl History {
                 }
                 novel
             }
-            _ => false,
+            HistoryMode::Unlimited => false,
         }
     }
 
@@ -206,13 +193,6 @@ impl History {
     pub fn push(&mut self, object: Object) {
         match self.mode {
             HistoryMode::Unlimited => self.linear.push_back(object),
-            HistoryMode::Truncate(limit) => {
-                self.linear.push_back(object);
-                while self.linear.len() > limit {
-                    self.linear.pop_front();
-                    self.evicted += 1;
-                }
-            }
             HistoryMode::Compact { cap } => {
                 match self.groups.get_mut(object.values()) {
                     Some(ids) => ids.push_back(object.id()),
@@ -240,7 +220,7 @@ impl History {
     pub fn len(&self) -> usize {
         match self.mode {
             HistoryMode::Compact { .. } => self.retained,
-            _ => self.linear.len(),
+            HistoryMode::Unlimited => self.linear.len(),
         }
     }
 
@@ -254,19 +234,19 @@ impl History {
     pub fn num_groups(&self) -> usize {
         match self.mode {
             HistoryMode::Compact { .. } => self.groups.len(),
-            _ => self.linear.len(),
+            HistoryMode::Unlimited => self.linear.len(),
         }
     }
 
-    /// Lifetime count of objects dropped from the history (truncation,
-    /// compaction sweeps and cap enforcement combined) — the "compaction
-    /// savings" versus an unlimited history.
+    /// Lifetime count of objects dropped from the history (compaction
+    /// sweeps and cap enforcement combined) — the "compaction savings"
+    /// versus an unlimited history.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
 
-    /// Estimated heap bytes held by the retained history. Linear modes pay
-    /// one [`Object`] (id + value vector) per retained object; the compact
+    /// Estimated heap bytes held by the retained history. The unlimited
+    /// mode pays one [`Object`] (id + value vector) per retained object; the compact
     /// mode pays each distinct value vector exactly once (the map key *is*
     /// the group) plus one id per retained object — which is where most of
     /// the memory reduction comes from on streams that repeat value
@@ -301,7 +281,7 @@ impl History {
                     .sum();
                 groups + cap_heap
             }
-            _ => self
+            HistoryMode::Unlimited => self
                 .linear
                 .iter()
                 .map(|o| (size_of::<Object>() + std::mem::size_of_val(o.values())) as u64)
@@ -318,14 +298,14 @@ impl History {
                 .values()
                 .flat_map(|ids| ids.iter().copied())
                 .collect(),
-            _ => self.linear.iter().map(Object::id).collect(),
+            HistoryMode::Unlimited => self.linear.iter().map(Object::id).collect(),
         };
         ids.sort_unstable();
         ids
     }
 
-    /// Iterates over the retained objects for backfill replay. Linear
-    /// modes yield borrowed objects oldest-first; the compacting mode
+    /// Iterates over the retained objects for backfill replay. The
+    /// unlimited mode yields borrowed objects oldest-first; the compacting mode
     /// reconstructs each retained id from its group (order is
     /// insertion-order by group — replay folds to the exact Pareto
     /// frontier of the retained set regardless of order).
@@ -336,14 +316,14 @@ impl History {
                     groups: self.groups.iter(),
                     current: None,
                 },
-                _ => IterInner::Linear(self.linear.iter()),
+                HistoryMode::Unlimited => IterInner::Linear(self.linear.iter()),
             },
         }
     }
 
     /// The retained value groups of a compacting history: each distinct
-    /// value vector with its retained ids (arrival order). `None` for
-    /// linear modes. Backfill replay uses this to dominance-test one
+    /// value vector with its retained ids (arrival order). `None` for an
+    /// unlimited history. Backfill replay uses this to dominance-test one
     /// representative per distinct vector and admit the whole id list on
     /// survival, instead of re-running the frontier scan per duplicate id.
     pub fn grouped(&self) -> Option<impl Iterator<Item = (&[ValueId], &VecDeque<ObjectId>)>> {
@@ -353,14 +333,14 @@ impl History {
                     .iter()
                     .map(|(values, ids)| (values.as_slice(), ids)),
             ),
-            _ => None,
+            HistoryMode::Unlimited => None,
         }
     }
 
     /// Exports the durable state: observed preferences (first-observation
     /// order), retained objects and the sweep/eviction counters. Compact
     /// histories flatten their groups to objects in ascending-id order so
-    /// id-list multiplicity round-trips; linear histories keep arrival
+    /// id-list multiplicity round-trips; unlimited histories keep arrival
     /// order.
     pub fn export_state(&self) -> HistoryState {
         let mut objects: Vec<Object> = self.iter().map(Cow::into_owned).collect();
@@ -415,7 +395,7 @@ impl History {
                         .collect();
                 }
             }
-            _ => self.linear = state.objects.into(),
+            HistoryMode::Unlimited => self.linear = state.objects.into(),
         }
         self.pending = usize::try_from(state.pending).unwrap_or(usize::MAX);
         self.evicted = state.evicted;
@@ -547,14 +527,14 @@ impl History {
 }
 
 /// Iterator over a [`History`]'s retained objects (see [`History::iter`]).
-/// Linear histories yield borrowed objects; compacting histories
+/// Unlimited histories yield borrowed objects; compacting histories
 /// reconstruct each retained id from its value group.
 pub struct HistoryIter<'a> {
     inner: IterInner<'a>,
 }
 
 enum IterInner<'a> {
-    /// Borrowed objects of a truncating/unlimited history, oldest first.
+    /// Borrowed objects of an unlimited history, oldest first.
     Linear(std::collections::vec_deque::Iter<'a, Object>),
     /// Reconstructed objects of a compacting history, group by group.
     Compact {
@@ -589,6 +569,7 @@ impl<'a> Iterator for HistoryIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::obj;
     use pm_model::AttrId;
     use pm_porder::naive_pareto_frontier;
 
@@ -598,10 +579,6 @@ mod tests {
 
     fn a(i: u32) -> AttrId {
         AttrId::new(i)
-    }
-
-    fn obj(id: u64, vals: &[u32]) -> Object {
-        Object::new(ObjectId::new(id), vals.iter().map(|&x| v(x)).collect())
     }
 
     fn chain_pref(attr: u32, order: &[u32]) -> Preference {
@@ -616,30 +593,6 @@ mod tests {
         let mut objects: Vec<Object> = history.iter().map(Cow::into_owned).collect();
         objects.sort_by_key(Object::id);
         objects
-    }
-
-    #[test]
-    fn truncate_drops_oldest_and_counts_evictions() {
-        let mut h = History::new(HistoryMode::Truncate(3));
-        for i in 0..5 {
-            h.push(obj(i, &[i as u32, 0]));
-        }
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.evicted(), 2);
-        assert_eq!(
-            h.retained_ids(),
-            vec![ObjectId::new(2), ObjectId::new(3), ObjectId::new(4)]
-        );
-    }
-
-    #[test]
-    fn truncate_zero_retains_nothing() {
-        let mut h = History::new(HistoryMode::Truncate(0));
-        h.push(obj(0, &[1, 1]));
-        h.push(obj(1, &[2, 2]));
-        assert!(h.is_empty());
-        assert_eq!(h.evicted(), 2);
-        assert!(h.iter().next().is_none());
     }
 
     #[test]
@@ -747,8 +700,8 @@ mod tests {
         );
         assert!(h.observe(&Preference::new(2)), "unseen empty is novel too");
         assert!(h.observe(&chain_pref(1, &[5, 6])), "new attribute is");
-        // Truncating histories never report novelty (they do not compact).
-        let mut t = History::new(HistoryMode::Truncate(4));
+        // Unlimited histories never report novelty (they do not compact).
+        let mut t = History::new(HistoryMode::Unlimited);
         assert!(!t.observe(&p));
     }
 
@@ -941,12 +894,12 @@ mod tests {
     }
 
     #[test]
-    fn export_import_roundtrip_linear_modes() {
-        let mut h = History::new(HistoryMode::Truncate(3));
+    fn export_import_roundtrip_unlimited_mode() {
+        let mut h = History::new(HistoryMode::Unlimited);
         for i in 0..5 {
             h.push(obj(i, &[i as u32, 0]));
         }
-        let mut restored = History::new(HistoryMode::Truncate(3));
+        let mut restored = History::new(HistoryMode::Unlimited);
         restored.import_state(h.export_state());
         assert_eq!(restored.retained_ids(), h.retained_ids());
         assert_eq!(restored.evicted(), h.evicted());

@@ -4,43 +4,55 @@
 //! for many users — the primary contribution of Sultana & Li (EDBT 2018).
 //!
 //! Given a set of users whose preferences are strict partial orders (one per
-//! attribute) and a stream of objects, a monitor answers, for every arriving
-//! object, the set of *target users*: the users for whom the object is
-//! Pareto-optimal (Def. 3.4).
+//! attribute) and a stream of objects, a [`Monitor`] answers, for every
+//! arriving object, the set of *target users*: the users for whom the object
+//! is Pareto-optimal (Def. 3.4).
 //!
-//! Implemented algorithms:
+//! The paper's algorithms are one [`Monitor`] on two orthogonal axes — the
+//! cluster [`Filter`] layer (absent, exact or approximate) and the
+//! [`Lifetime`] of an object (forever, or a sliding window):
 //!
-//! | Paper | Type | Semantics |
-//! |-------|------|-----------|
-//! | Alg. 1 `Baseline` | [`BaselineMonitor`] | append-only, per-user maintenance |
-//! | Alg. 2 `FilterThenVerify` | [`FilterThenVerifyMonitor`] | append-only, shared cluster filter |
-//! | Sec. 6 `FilterThenVerifyApprox` | [`FilterThenVerifyMonitor`] built via [`FilterThenVerifyMonitor::with_approx_clusters`] | append-only, approximate common preferences |
-//! | Alg. 4 `BaselineSW` | [`BaselineSwMonitor`] | sliding window, per-user buffers |
-//! | Alg. 5 `FilterThenVerifySW` | [`FilterThenVerifySwMonitor`] | sliding window, shared cluster buffers |
-//! | Sec. 7+6 `FilterThenVerifyApproxSW` | [`FilterThenVerifySwMonitor`] built via [`FilterThenVerifySwMonitor::with_approx_clusters`] | sliding window, approximate common preferences |
+//! | Paper | `filter` | `lifetime` |
+//! |-------|----------|------------|
+//! | Alg. 1 `Baseline` | `None` | [`Lifetime::History`] |
+//! | Alg. 2 `FilterThenVerify` | exact common preferences | [`Lifetime::History`] |
+//! | Sec. 6 `FilterThenVerifyApprox` | [`Filter::approx`] | [`Lifetime::History`] |
+//! | Alg. 4 `BaselineSW` | `None` | [`Lifetime::Window`] |
+//! | Alg. 5 `FilterThenVerifySW` | exact common preferences | [`Lifetime::Window`] |
+//! | Sec. 7+6 `FilterThenVerifyApproxSW` | [`Filter::approx`] | [`Lifetime::Window`] |
 //!
-//! The [`accuracy`] module computes the precision / recall / F-measure used
-//! by Tables 11 and 12 of the paper to quantify the cost of approximation.
+//! | Module | Contents |
+//! |--------|----------|
+//! | [`monitor`] | [`Monitor`]: arrival, expiry, membership verbs, durable state |
+//! | [`filter`] | [`Filter`]: clusters, virtual preferences, cluster repair |
+//! | [`alive`] | [`Lifetime`] and the alive-object store behind it |
+//! | [`history`] | [`History`]: the retained (optionally compacting) object history |
+//! | `frontier` (private) | the frontier / buffer procedures of Alg. 1, 2 and 4 |
+//! | [`delta`] | [`FrontierDelta`]: canonical per-arrival frontier changes |
+//! | [`stats`], [`timers`] | work counters and optional latency histograms |
+//! | [`accuracy`] | precision / recall / F-measure of Tables 11 and 12 |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod baseline;
+pub mod alive;
 pub mod delta;
-pub mod filter_then_verify;
+pub mod filter;
+mod frontier;
 pub mod history;
 pub mod monitor;
-pub mod sliding_window;
 pub mod stats;
 pub mod timers;
 
+#[cfg(test)]
+mod fixtures;
+
 pub use accuracy::{AccuracyReport, ConfusionMatrix};
-pub use baseline::BaselineMonitor;
+pub use alive::Lifetime;
 pub use delta::FrontierDelta;
-pub use filter_then_verify::FilterThenVerifyMonitor;
+pub use filter::Filter;
 pub use history::{History, HistoryMode};
-pub use monitor::{Arrival, ContinuousMonitor, HistoryState, MonitorState};
-pub use sliding_window::{BaselineSwMonitor, FilterThenVerifySwMonitor};
+pub use monitor::{Arrival, HistoryState, Monitor, MonitorState};
 pub use stats::MonitorStats;
 pub use timers::MonitorTimers;

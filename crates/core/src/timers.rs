@@ -3,7 +3,7 @@
 //! Monitors are pure data structures; the serving layer is what cares how
 //! long each operation takes. [`MonitorTimers`] is a bundle of shared
 //! [`LogHistogram`]s the host passes in via
-//! [`crate::ContinuousMonitor::set_timers`]: each present histogram is
+//! [`crate::Monitor::set_timers`]: each present histogram is
 //! recorded by the monitor at the corresponding point (nanoseconds), and an
 //! absent one costs the monitor nothing — not even a clock read. The
 //! histograms are `Arc`-shared, so a sharded host can hand the same bundle
@@ -17,12 +17,11 @@ use pm_obs::LogHistogram;
 /// `None` slots disable both recording and the clock reads around them.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorTimers {
-    /// One [`crate::ContinuousMonitor::process`] call: comparing an arrived
-    /// object against every user (or cluster) frontier.
+    /// One [`crate::Monitor::process`] call: comparing an arrived object
+    /// against every user (or cluster) frontier.
     pub arrival: Option<Arc<LogHistogram>>,
     /// One backfill replay — the history (or window) scan behind
-    /// [`crate::ContinuousMonitor::add_user`] /
-    /// [`crate::ContinuousMonitor::update_user`].
+    /// [`crate::Monitor::add_user`] / [`crate::Monitor::update_user`].
     pub backfill: Option<Arc<LogHistogram>>,
     /// One history compaction sweep ([`crate::History`] in
     /// [`crate::HistoryMode::Compact`]).

@@ -1,15 +1,10 @@
-//! Backend selection: which `pm-core` monitor each shard runs.
+//! Backend selection: how each shard's [`Monitor`] is configured.
 
 use std::fmt;
 
 use pm_cluster::{ApproxConfig, Clustering, ExactMeasure};
-use pm_core::{
-    BaselineMonitor, BaselineSwMonitor, FilterThenVerifyMonitor, FilterThenVerifySwMonitor,
-    HistoryMode,
-};
+use pm_core::{Filter, HistoryMode, Lifetime, Monitor};
 use pm_porder::Preference;
-
-use crate::shard::BoxedMonitor;
 
 /// Which monitoring algorithm a shard runs over its slice of the user
 /// population.
@@ -25,13 +20,10 @@ use crate::shard::BoxedMonitor;
 pub enum BackendSpec {
     /// Alg. 1: per-user baseline, append-only.
     Baseline {
-        /// Retention discipline of the backfill history.
-        /// [`HistoryMode::Truncate`] keeps the newest `C` objects
-        /// (REGISTER/UPDATE backfill is then best-effort: the replayed
-        /// frontier is the exact frontier of the retained suffix);
+        /// Retention discipline of the backfill history:
         /// [`HistoryMode::Compact`] retains the skyline union over every
-        /// observed preference, keeping backfill exact for all of them at
-        /// a fraction of the memory.
+        /// observed preference, keeping REGISTER/UPDATE backfill exact for
+        /// all of them at a fraction of the memory.
         history: HistoryMode,
     },
     /// Alg. 2: FilterThenVerify with exact common preferences, append-only.
@@ -90,102 +82,78 @@ impl BackendSpec {
         }
     }
 
+    /// The lifetime axis: how long the backend keeps an object alive.
+    pub fn lifetime(&self) -> Lifetime {
+        match *self {
+            BackendSpec::Baseline { history }
+            | BackendSpec::FilterThenVerify { history, .. }
+            | BackendSpec::FilterThenVerifyApprox { history, .. } => Lifetime::History(history),
+            BackendSpec::BaselineSw { window }
+            | BackendSpec::FilterThenVerifySw { window, .. }
+            | BackendSpec::FilterThenVerifyApproxSw { window, .. } => Lifetime::Window(window),
+        }
+    }
+
     /// Builds one shard's monitor over the given (shard-local) preferences.
     ///
-    /// Every monitor constructor compiles its preferences (user-level and
-    /// cluster-level virtual users alike) to the bitset form of
+    /// The monitor compiles its preferences (user-level and cluster-level
+    /// virtual users alike) to the bitset form of
     /// [`pm_porder::CompiledPreference`] before the first arrival, so each
     /// shard's dominance hot path runs on word-indexed bit tests regardless
     /// of the backend chosen here. The FilterThenVerify backends are built
     /// over an incrementally maintained [`Clustering`], so the shard can
     /// serve REGISTER/UNREGISTER with dendrogram-local repair instead of a
     /// full re-clustering.
-    pub fn build(&self, preferences: &[Preference]) -> BoxedMonitor {
-        let prefs = preferences.to_vec();
-        let clustering =
-            |branch_cut: f64| Clustering::new(preferences, ExactMeasure::Jaccard, branch_cut);
-        match *self {
-            BackendSpec::Baseline { history } => {
-                Box::new(BaselineMonitor::with_history(prefs, history))
-            }
-            BackendSpec::FilterThenVerify {
+    pub fn build(&self, preferences: &[Preference]) -> Monitor {
+        let maintained = |branch_cut: f64| {
+            Filter::maintained(Clustering::new(
+                preferences,
+                ExactMeasure::Jaccard,
                 branch_cut,
-                history,
-            } => Box::new(
-                FilterThenVerifyMonitor::with_clustering(prefs, clustering(branch_cut))
-                    .with_history(history),
-            ),
+            ))
+        };
+        let filter = match *self {
+            BackendSpec::Baseline { .. } | BackendSpec::BaselineSw { .. } => None,
+            BackendSpec::FilterThenVerify { branch_cut, .. }
+            | BackendSpec::FilterThenVerifySw { branch_cut, .. } => Some(maintained(branch_cut)),
             BackendSpec::FilterThenVerifyApprox {
-                branch_cut,
-                config,
-                history,
-            } => Box::new(
-                FilterThenVerifyMonitor::with_approx_clustering(
-                    prefs,
-                    clustering(branch_cut),
-                    config,
-                )
-                .with_history(history),
-            ),
-            BackendSpec::BaselineSw { window } => Box::new(BaselineSwMonitor::new(prefs, window)),
-            BackendSpec::FilterThenVerifySw { branch_cut, window } => Box::new(
-                FilterThenVerifySwMonitor::with_clustering(prefs, clustering(branch_cut), window),
-            ),
-            BackendSpec::FilterThenVerifyApproxSw {
-                branch_cut,
-                config,
-                window,
-            } => Box::new(FilterThenVerifySwMonitor::with_approx_clustering(
-                prefs,
-                clustering(branch_cut),
-                config,
-                window,
-            )),
-        }
+                branch_cut, config, ..
+            }
+            | BackendSpec::FilterThenVerifyApproxSw {
+                branch_cut, config, ..
+            } => Some(maintained(branch_cut).approx(config)),
+        };
+        Monitor::new(preferences, self.lifetime(), filter)
     }
 
     /// Whether the backend runs skyline-union history compaction — i.e.
     /// whether its monitors react to
-    /// [`pm_core::ContinuousMonitor::observe_preference`]. The engine uses
-    /// this to skip the engine-global preference broadcast entirely for
-    /// backends where it would be a no-op.
+    /// [`pm_core::Monitor::observe_preference`]. The engine uses this to
+    /// skip the engine-global preference broadcast entirely for backends
+    /// where it would be a no-op.
     pub fn compacts_history(&self) -> bool {
         matches!(
-            self,
-            BackendSpec::Baseline {
-                history: HistoryMode::Compact { .. },
-            } | BackendSpec::FilterThenVerify {
-                history: HistoryMode::Compact { .. },
-                ..
-            } | BackendSpec::FilterThenVerifyApprox {
-                history: HistoryMode::Compact { .. },
-                ..
-            }
+            self.lifetime(),
+            Lifetime::History(HistoryMode::Compact { .. })
         )
     }
 
     /// Whether the backend expires objects from a sliding window.
     pub fn is_sliding(&self) -> bool {
-        matches!(
-            self,
-            BackendSpec::BaselineSw { .. }
-                | BackendSpec::FilterThenVerifySw { .. }
-                | BackendSpec::FilterThenVerifyApproxSw { .. }
-        )
+        matches!(self.lifetime(), Lifetime::Window(_))
     }
 
     /// Parses a backend description, as accepted by `pm-server --backend`.
-    /// The append-only backends accept an optional trailing history
-    /// discipline: a numeric cap `C` retains the newest `C` objects
-    /// (REGISTER/UPDATE backfill is then best-effort), while `compact`
-    /// switches on skyline-union compaction (backfill stays exact for
-    /// every observed preference), optionally followed by a hard cap on
-    /// top. A cap of zero is rejected — it would silently retain nothing.
+    /// The append-only backends accept an optional trailing `compact`,
+    /// which switches on skyline-union compaction of the backfill history
+    /// (backfill stays exact for every observed preference), optionally
+    /// followed by a hard cap on top. A cap or window of zero is rejected —
+    /// it would silently keep nothing alive.
     ///
-    /// * `baseline[:<C> | :compact[:<C>]]`
-    /// * `ftv:<h>[:<C> | :compact[:<C>]]` — e.g. `ftv:0.55`,
-    ///   `ftv:0.55:100000` or `ftv:0.55:compact`
-    /// * `ftv-approx:<h>:<theta1>:<theta2>[:<C> | :compact[:<C>]]`
+    /// * `baseline[:compact[:<C>]]`
+    /// * `ftv:<h>[:compact[:<C>]]` — e.g. `ftv:0.55`, `ftv:0.55:compact`
+    ///   or `ftv:0.55:compact:100000`
+    /// * `ftv-approx:<h>:<theta1>:<theta2>[:compact[:<C>]]`
     /// * `baseline-sw:<W>` — e.g. `baseline-sw:400`
     /// * `ftv-sw:<h>:<W>`
     /// * `ftv-approx-sw:<h>:<theta1>:<theta2>:<W>`
@@ -229,25 +197,30 @@ impl BackendSpec {
                 cap => Ok(cap),
             }
         };
+        // A window must hold at least one object.
+        let window = |i: usize| -> Result<usize, String> {
+            match uint(i)? {
+                0 => Err(format!("backend `{kind}`: window size must be at least 1")),
+                window => Ok(window),
+            }
+        };
         // The optional history discipline starts at position `i`:
-        // `<C>` (truncate), `compact` or `compact:<C>`.
+        // `compact` or `compact:<C>`.
         let history = |i: usize| -> Result<HistoryMode, String> {
             match rest.len() {
                 n if n == i => Ok(HistoryMode::Unlimited),
                 n if n == i + 1 && rest[i] == "compact" => Ok(HistoryMode::Compact { cap: None }),
-                n if n == i + 1 => Ok(HistoryMode::Truncate(cap(i)?)),
                 n if n == i + 2 && rest[i] == "compact" => Ok(HistoryMode::Compact {
                     cap: Some(cap(i + 1)?),
                 }),
-                n if n == i + 2 => Err(format!(
-                    "backend `{kind}`: expected `compact[:<C>]` or a single \
-                     history cap, got `{}:{}`",
-                    rest[i],
-                    rest[i + 1]
+                n if n == i + 1 || n == i + 2 => Err(format!(
+                    "backend `{kind}`: expected `compact[:<C>]`, got `{}` \
+                     (a bare history cap is not supported: use `compact:<C>`)",
+                    rest[i..].join(":")
                 )),
                 n => Err(format!(
                     "backend `{kind}` takes {i} argument(s) plus an optional \
-                     `<C>` or `compact[:<C>]` history suffix, got {n} argument(s)"
+                     `compact[:<C>]` history suffix, got {n} argument(s)"
                 )),
             }
         };
@@ -272,13 +245,13 @@ impl BackendSpec {
             }
             "baseline-sw" => {
                 expect_args(1)?;
-                Ok(BackendSpec::BaselineSw { window: uint(0)? })
+                Ok(BackendSpec::BaselineSw { window: window(0)? })
             }
             "ftv-sw" => {
                 expect_args(2)?;
                 Ok(BackendSpec::FilterThenVerifySw {
                     branch_cut: float(0)?,
-                    window: uint(1)?,
+                    window: window(1)?,
                 })
             }
             "ftv-approx-sw" => {
@@ -286,7 +259,7 @@ impl BackendSpec {
                 Ok(BackendSpec::FilterThenVerifyApproxSw {
                     branch_cut: float(0)?,
                     config: ApproxConfig::new(uint(1)?, float(2)?),
-                    window: uint(3)?,
+                    window: window(3)?,
                 })
             }
             other => Err(format!(
@@ -300,7 +273,6 @@ impl fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let suffix = |history: &HistoryMode| match history {
             HistoryMode::Unlimited => String::new(),
-            HistoryMode::Truncate(limit) => format!(":{limit}"),
             HistoryMode::Compact { cap: None } => ":compact".to_owned(),
             HistoryMode::Compact { cap: Some(cap) } => format!(":compact:{cap}"),
         };
@@ -348,15 +320,12 @@ mod tests {
     fn parse_round_trips_through_display() {
         for text in [
             "baseline",
-            "baseline:100000",
             "baseline:compact",
             "baseline:compact:100000",
             "ftv:0.55",
-            "ftv:0.55:100000",
             "ftv:0.55:compact",
             "ftv:0.55:compact:100000",
             "ftv-approx:0.55:256:0.5",
-            "ftv-approx:0.55:256:0.5:100000",
             "ftv-approx:0.55:256:0.5:compact",
             "ftv-approx:0.55:256:0.5:compact:100000",
             "baseline-sw:400",
@@ -395,18 +364,37 @@ mod tests {
 
     #[test]
     fn zero_and_dangling_history_caps_are_rejected_with_clean_errors() {
-        // A zero cap would silently retain nothing — reject it on every
-        // append-only backend and on the compact hard cap alike.
+        // A zero cap would silently retain nothing — reject it on the
+        // compact hard cap of every append-only backend.
         for text in [
-            "baseline:0",
-            "ftv:0.5:0",
-            "ftv-approx:0.5:64:0.5:0",
             "baseline:compact:0",
             "ftv:0.5:compact:0",
             "ftv-approx:0.5:64:0.5:compact:0",
         ] {
             let err = BackendSpec::parse(text).expect_err(text);
             assert!(err.contains("history cap must be at least 1"), "{err}");
+        }
+        // A bare cap (the truncating history that `compact:<C>` superseded)
+        // is a clean error that says what to write instead.
+        for text in [
+            "baseline:0",
+            "baseline:64",
+            "ftv:0.5:0",
+            "ftv:0.5:64",
+            "ftv-approx:0.5:64:0.5:0",
+            "ftv-approx:0.5:64:0.5:64",
+        ] {
+            let err = BackendSpec::parse(text).expect_err(text);
+            assert!(err.contains("use `compact:<C>`"), "{err}");
+        }
+        // A zero window would panic in the window store — reject it here.
+        for text in [
+            "baseline-sw:0",
+            "ftv-sw:0.5:0",
+            "ftv-approx-sw:0.5:64:0.5:0",
+        ] {
+            let err = BackendSpec::parse(text).expect_err(text);
+            assert!(err.contains("window size must be at least 1"), "{err}");
         }
         // A trailing `:` leaves an empty argument, which is not a cap.
         for text in [
@@ -421,19 +409,6 @@ mod tests {
 
     #[test]
     fn history_disciplines_parse_into_the_append_only_variants() {
-        assert_eq!(
-            BackendSpec::parse("baseline:64"),
-            Ok(BackendSpec::Baseline {
-                history: HistoryMode::Truncate(64)
-            })
-        );
-        assert_eq!(
-            BackendSpec::parse("ftv:0.5:64"),
-            Ok(BackendSpec::FilterThenVerify {
-                branch_cut: 0.5,
-                history: HistoryMode::Truncate(64)
-            })
-        );
         assert_eq!(
             BackendSpec::parse("baseline:compact"),
             Ok(BackendSpec::Baseline {

@@ -81,13 +81,12 @@ OPTIONS:
                          baseline-sw:<W> | ftv-sw:<h>:<W> |
                          ftv-approx-sw:<h>:<t1>:<t2>:<W>   [default: baseline]
                          <H> bounds the append-only backends' backfill
-                         history: a number <C> truncates to the newest <C>
-                         objects (REGISTER/UPDATE backfill becomes
-                         best-effort), `compact` retains the skyline union
-                         over every observed preference (backfill stays
-                         exact for all of them; only a never-before-seen
+                         history: `compact` retains the skyline union over
+                         every observed preference (backfill stays exact
+                         for all of them; only a never-before-seen
                          preference can see a compacted-away object), and
-                         `compact:<C>` adds a hard cap on top
+                         `compact:<C>` adds a hard cap on top (backfill is
+                         best-effort once the cap bites)
     --profile NAME       movie | publication    [default: movie]
     --users N            simulated users        [default: 200]
     --objects N          base objects used to derive preferences [default: 2000]

@@ -17,7 +17,7 @@ use pm_wal::{encode_ingest_batch, encode_register, encode_unregister, encode_upd
 use crate::backend::BackendSpec;
 use crate::metrics::{EngineSnapshot, ShardSnapshot};
 use crate::obs::EngineMetrics;
-use crate::shard::{BoxedMonitor, ShardBatchReply, ShardCmd, ShardWorker};
+use crate::shard::{ShardBatchReply, ShardCmd, ShardWorker};
 
 /// Sizing knobs of a [`ShardedEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,44 +213,10 @@ impl ShardedEngine {
     /// `preferences[i]` is the preference of global user `i`, exactly as for
     /// the single-threaded monitors.
     pub fn new(preferences: Vec<Preference>, config: &EngineConfig, spec: &BackendSpec) -> Self {
-        Self::build_with_factory(
-            preferences,
-            config,
-            |prefs| spec.build(prefs),
-            spec.compacts_history(),
-            &spec.to_string(),
-        )
-    }
-
-    /// Builds an engine with a custom monitor factory.
-    ///
-    /// The factory is invoked once per shard with the shard's users'
-    /// preferences (densely re-indexed: local user `j` is the `j`-th
-    /// preference of the slice) and returns the monitor that shard owns.
-    /// Preference observes are always broadcast (the factory may build
-    /// monitors with compacting histories); [`Self::new`] skips the
-    /// broadcast when the backend spec shows it would be a no-op.
-    pub fn with_factory<F>(preferences: Vec<Preference>, config: &EngineConfig, factory: F) -> Self
-    where
-        F: FnMut(&[Preference]) -> BoxedMonitor,
-    {
-        Self::build_with_factory(preferences, config, factory, true, "custom")
-    }
-
-    fn build_with_factory<F>(
-        preferences: Vec<Preference>,
-        config: &EngineConfig,
-        mut factory: F,
-        broadcast_observes: bool,
-        backend_label: &str,
-    ) -> Self
-    where
-        F: FnMut(&[Preference]) -> BoxedMonitor,
-    {
         assert!(config.shards > 0, "engine needs at least one shard");
         let metrics = config
             .metrics
-            .then(|| Arc::new(EngineMetrics::new(backend_label, config.shards)));
+            .then(|| Arc::new(EngineMetrics::new(&spec.to_string(), config.shards)));
         let num_users = preferences.len();
         let mut population = InternedPopulation::default();
         for (idx, preference) in preferences.iter().enumerate() {
@@ -259,6 +225,7 @@ impl ShardedEngine {
         }
         // Only compacting backends read the full preference list (to seed
         // every shard's universe); skip the deep clone otherwise.
+        let broadcast_observes = spec.compacts_history();
         let all_preferences = broadcast_observes.then(|| preferences.clone());
         let mut shard_users: Vec<Vec<UserId>> = vec![Vec::new(); config.shards];
         let mut shard_prefs: Vec<Vec<Preference>> = vec![Vec::new(); config.shards];
@@ -273,12 +240,7 @@ impl ShardedEngine {
         let mut handles = Vec::with_capacity(config.shards);
         let mut queue_depths = Vec::with_capacity(config.shards);
         for (shard, prefs) in shard_prefs.into_iter().enumerate() {
-            let mut monitor = factory(&prefs);
-            assert_eq!(
-                monitor.num_users(),
-                prefs.len(),
-                "factory must build a monitor over exactly the shard's users"
-            );
+            let mut monitor = spec.build(&prefs);
             // The history-compaction universe is engine-global: every shard
             // observes every user's preference (its own included, which is
             // idempotent), so a preference living on another shard today
@@ -1067,7 +1029,7 @@ impl Drop for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_core::{BaselineMonitor, ContinuousMonitor};
+    use pm_core::{Lifetime, Monitor};
     use pm_model::ValueId;
 
     fn obj(id: u64, vals: &[u32]) -> Object {
@@ -1137,7 +1099,7 @@ mod tests {
     fn engine_matches_single_threaded_baseline_at_every_shard_count() {
         let prefs = population(17);
         let objects = stream(120);
-        let mut oracle = BaselineMonitor::new(prefs.clone());
+        let mut oracle = Monitor::new(&prefs, Lifetime::UNLIMITED, None);
         let expected: Vec<Arrival> = objects.iter().cloned().map(|o| oracle.process(o)).collect();
         for shards in 1..=8 {
             let engine = ShardedEngine::new(
@@ -1194,7 +1156,7 @@ mod tests {
         let second = engine.submit_batch(objects[20..].to_vec());
         let mut got = first.wait();
         got.extend(second.wait());
-        let mut oracle = BaselineMonitor::new(prefs);
+        let mut oracle = Monitor::new(&prefs, Lifetime::UNLIMITED, None);
         let expected: Vec<Arrival> = objects.into_iter().map(|o| oracle.process(o)).collect();
         assert_eq!(got, expected);
         assert_eq!(engine.stats().arrivals, 40);
@@ -1231,7 +1193,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.arrivals, 35);
         assert_eq!(stats.expirations, 25);
-        let mut oracle = pm_core::BaselineSwMonitor::new(prefs.clone(), 10);
+        let mut oracle = Monitor::new(&prefs, Lifetime::Window(10), None);
         for o in stream(35) {
             oracle.process(o);
         }

@@ -9,7 +9,7 @@
 //! exploits exactly that independence:
 //!
 //! * [`ShardedEngine`] hash-partitions the user population across `N` worker
-//!   threads. Every shard owns a complete [`pm_core::ContinuousMonitor`] of
+//!   threads. Every shard owns a complete [`pm_core::Monitor`] of
 //!   any backend ([`BackendSpec`]) restricted to its own users, receives
 //!   every arriving object (objects are broadcast, users are partitioned),
 //!   and reports the target users it is responsible for. The engine fans the
@@ -80,4 +80,3 @@ pub use reactor::{
 };
 pub use response::{render_frame, render_text, Response, WireMode};
 pub use server::{EngineService, ServerConfig};
-pub use shard::BoxedMonitor;

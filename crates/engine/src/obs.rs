@@ -404,7 +404,7 @@ impl EngineMetrics {
     }
 
     /// The monitor-level timer bundle handed to every shard's monitor via
-    /// [`pm_core::ContinuousMonitor::set_timers`]. All shards share the
+    /// [`pm_core::Monitor::set_timers`]. All shards share the
     /// same histograms — recording is lock-free, so no per-shard split or
     /// merge step is needed.
     pub fn timers(&self) -> MonitorTimers {

@@ -1,6 +1,6 @@
 //! Shard worker threads.
 //!
-//! A shard owns one [`ContinuousMonitor`] over a subset of the user
+//! A shard owns one [`Monitor`] over a subset of the user
 //! population and processes commands from its bounded inbox in order.
 //! Because the monitor only knows its local, densely re-indexed users, the
 //! worker translates between local indices and global [`UserId`]s at the
@@ -14,16 +14,10 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pm_core::{ContinuousMonitor, FrontierDelta, MonitorState, MonitorStats};
+use pm_core::{FrontierDelta, Monitor, MonitorState, MonitorStats};
 use pm_model::{Object, ObjectId, UserId};
 use pm_obs::LogHistogram;
 use pm_porder::Preference;
-
-/// A monitor that can be moved onto a shard worker thread.
-///
-/// All monitors in `pm-core` are plain owned data (vectors and hash maps),
-/// so every one of them satisfies this bound.
-pub type BoxedMonitor = Box<dyn ContinuousMonitor + Send>;
 
 /// Commands accepted by a shard worker.
 pub(crate) enum ShardCmd {
@@ -121,7 +115,7 @@ pub(crate) struct ShardBatchReply {
 /// The state moved onto a shard's worker thread.
 pub(crate) struct ShardWorker {
     pub shard: usize,
-    pub monitor: BoxedMonitor,
+    pub monitor: Monitor,
     /// Local user index → global user id (unsorted under churn).
     pub global_users: Vec<UserId>,
     /// Number of batches enqueued but not yet fully processed.

@@ -39,9 +39,8 @@
 //! distinct preferences (each behind its stable
 //! [`pm_porder::Fingerprint`]) and references it by index from every
 //! membership and observed-history occurrence, so snapshot size scales
-//! with *distinct* preferences rather than population size. Legacy
-//! `PMSNAP01` files (every preference spelled out in place) are still
-//! read on recovery. Snapshots are written to a temporary file, fsynced
+//! with *distinct* preferences rather than population size. A file with
+//! any other magic is skipped like a corrupt one. Snapshots are written to a temporary file, fsynced
 //! and renamed into place, so a crash mid-snapshot leaves the previous
 //! one intact; loading tries newest-first and falls back across corrupt
 //! files.
@@ -60,4 +59,4 @@ pub use record::{
     encode_ingest_batch, encode_register, encode_unregister, encode_update, DecodeError,
     EngineState, WalRecord,
 };
-pub use snapshot::{load_latest_snapshot, write_snapshot, write_snapshot_v1, LoadedSnapshot};
+pub use snapshot::{load_latest_snapshot, write_snapshot, LoadedSnapshot};

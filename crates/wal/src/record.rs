@@ -342,83 +342,11 @@ fn dec_stats(d: &mut Dec<'_>) -> Result<pm_core::MonitorStats, DecodeError> {
     Ok(s)
 }
 
-fn enc_monitor(e: &mut Enc, m: &MonitorState) {
-    match &m.history {
-        Some(h) => {
-            e.u8(1);
-            e.usize(h.observed.len());
-            for p in &h.observed {
-                e.preference(p);
-            }
-            e.usize(h.objects.len());
-            for o in &h.objects {
-                e.object(o);
-            }
-            e.u64(h.pending);
-            e.u64(h.evicted);
-        }
-        None => e.u8(0),
-    }
-    match &m.window {
-        Some(objects) => {
-            e.u8(1);
-            e.usize(objects.len());
-            for o in objects {
-                e.object(o);
-            }
-        }
-        None => e.u8(0),
-    }
-    enc_stats(e, &m.stats);
-}
-
-fn dec_monitor(d: &mut Dec<'_>) -> Result<MonitorState, DecodeError> {
-    let history = match d.u8()? {
-        0 => None,
-        1 => {
-            let np = d.len_of(8)?;
-            let mut observed = Vec::with_capacity(np);
-            for _ in 0..np {
-                observed.push(d.preference()?);
-            }
-            let no = d.len_of(12)?;
-            let mut objects = Vec::with_capacity(no);
-            for _ in 0..no {
-                objects.push(d.object()?);
-            }
-            Some(HistoryState {
-                observed,
-                objects,
-                pending: d.u64()?,
-                evicted: d.u64()?,
-            })
-        }
-        tag => return Err(DecodeError::BadTag(tag)),
-    };
-    let window = match d.u8()? {
-        0 => None,
-        1 => {
-            let n = d.len_of(12)?;
-            let mut objects = Vec::with_capacity(n);
-            for _ in 0..n {
-                objects.push(d.object()?);
-            }
-            Some(objects)
-        }
-        tag => return Err(DecodeError::BadTag(tag)),
-    };
-    Ok(MonitorState {
-        history,
-        window,
-        stats: dec_stats(d)?,
-    })
-}
-
-/// The v2 snapshot's preference dedup table, built while encoding: every
+/// The snapshot's preference dedup table, built while encoding: every
 /// preference occurrence (shard memberships and observed-history sets) is
 /// replaced by a `u32` index into one table of distinct preferences keyed
 /// by [`Fingerprint`]. With a shared-preference population the table stays
-/// small while v1 re-encoded each user's preference in full.
+/// small where spelling out each user's preference would not.
 #[derive(Default)]
 struct PrefTable<'a> {
     entries: Vec<(Fingerprint, &'a Preference)>,
@@ -444,7 +372,7 @@ impl<'a> PrefTable<'a> {
     }
 }
 
-fn enc_monitor_v2<'a>(e: &mut Enc, table: &mut PrefTable<'a>, m: &'a MonitorState) {
+fn enc_monitor<'a>(e: &mut Enc, table: &mut PrefTable<'a>, m: &'a MonitorState) {
     match &m.history {
         Some(h) => {
             e.u8(1);
@@ -482,7 +410,7 @@ fn dec_pref_index(d: &mut Dec<'_>, table: &[Preference]) -> Result<Preference, D
         .ok_or(DecodeError::BadIndex(i))
 }
 
-fn dec_monitor_v2(d: &mut Dec<'_>, table: &[Preference]) -> Result<MonitorState, DecodeError> {
+fn dec_monitor(d: &mut Dec<'_>, table: &[Preference]) -> Result<MonitorState, DecodeError> {
     let history = match d.u8()? {
         0 => None,
         1 => {
@@ -542,7 +470,7 @@ impl EngineState {
         }
         body.usize(self.monitors.len());
         for m in &self.monitors {
-            enc_monitor_v2(&mut body, &mut table, m);
+            enc_monitor(&mut body, &mut table, m);
         }
         body.usize(self.query_order.len());
         for id in &self.query_order {
@@ -617,113 +545,7 @@ impl EngineState {
         let nmon = d.len_of(2)?;
         let mut monitors = Vec::with_capacity(nmon);
         for _ in 0..nmon {
-            monitors.push(dec_monitor_v2(&mut d, &table)?);
-        }
-        let norder = d.len_of(8)?;
-        let mut query_order = Vec::with_capacity(norder);
-        for _ in 0..norder {
-            query_order.push(ObjectId::new(d.u64()?));
-        }
-        let ntargets = d.len_of(8)?;
-        let mut query_targets = Vec::with_capacity(ntargets);
-        for _ in 0..ntargets {
-            let id = ObjectId::new(d.u64()?);
-            let n = d.len_of(4)?;
-            let mut users = Vec::with_capacity(n);
-            for _ in 0..n {
-                users.push(UserId::new(d.u32()?));
-            }
-            query_targets.push((id, users));
-        }
-        let state = EngineState {
-            backend,
-            shards,
-            arity,
-            last_lsn,
-            next_id,
-            ingested,
-            registrations,
-            unregistrations,
-            updates,
-            members,
-            monitors,
-            query_order,
-            query_targets,
-        };
-        d.finish()?;
-        Ok(state)
-    }
-
-    /// Encodes the snapshot payload in the legacy (v1, `PMSNAP01`) format,
-    /// with every preference spelled out in place. Kept so tooling and
-    /// tests can produce pre-interning snapshots; recovery still reads
-    /// them via [`EngineState::decode_v1`].
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.str(&self.backend);
-        e.u32(self.shards);
-        e.u32(self.arity);
-        e.u64(self.last_lsn);
-        e.u64(self.next_id);
-        e.u64(self.ingested);
-        e.u64(self.registrations);
-        e.u64(self.unregistrations);
-        e.u64(self.updates);
-        e.usize(self.members.len());
-        for shard in &self.members {
-            e.usize(shard.len());
-            for (user, preference) in shard {
-                e.u32(user.raw());
-                e.preference(preference);
-            }
-        }
-        e.usize(self.monitors.len());
-        for m in &self.monitors {
-            enc_monitor(&mut e, m);
-        }
-        e.usize(self.query_order.len());
-        for id in &self.query_order {
-            e.u64(id.raw());
-        }
-        e.usize(self.query_targets.len());
-        for (id, users) in &self.query_targets {
-            e.u64(id.raw());
-            e.usize(users.len());
-            for u in users {
-                e.u32(u.raw());
-            }
-        }
-        e.buf
-    }
-
-    /// Decodes a legacy (v1) snapshot payload (inverse of
-    /// [`EngineState::encode_v1`]).
-    pub fn decode_v1(payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut d = Dec::new(payload);
-        let backend = d.str()?;
-        let shards = d.u32()?;
-        let arity = d.u32()?;
-        let last_lsn = d.u64()?;
-        let next_id = d.u64()?;
-        let ingested = d.u64()?;
-        let registrations = d.u64()?;
-        let unregistrations = d.u64()?;
-        let updates = d.u64()?;
-        let nshards = d.len_of(8)?;
-        let mut members = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            let n = d.len_of(8)?;
-            let mut shard = Vec::with_capacity(n);
-            for _ in 0..n {
-                let user = UserId::new(d.u32()?);
-                shard.push((user, d.preference()?));
-            }
-            members.push(shard);
-        }
-        let nmon = d.len_of(2)?;
-        let mut monitors = Vec::with_capacity(nmon);
-        for _ in 0..nmon {
-            monitors.push(dec_monitor(&mut d)?);
+            monitors.push(dec_monitor(&mut d, &table)?);
         }
         let norder = d.len_of(8)?;
         let mut query_order = Vec::with_capacity(norder);
@@ -898,40 +720,6 @@ mod tests {
         let state = rich_state();
         let decoded = EngineState::decode(&state.encode()).unwrap();
         assert_state_eq(&decoded, &state);
-    }
-
-    #[test]
-    fn engine_state_v1_roundtrip() {
-        let state = rich_state();
-        let decoded = EngineState::decode_v1(&state.encode_v1()).unwrap();
-        assert_state_eq(&decoded, &state);
-    }
-
-    #[test]
-    fn v2_snapshot_scales_with_distinct_preferences() {
-        // 200 users sharing one preference: the v2 payload should carry the
-        // preference once (plus 4-byte indices), while v1 spells it out per
-        // user. The exact ratio is format detail; "several times smaller"
-        // is the contract.
-        let members: Vec<(UserId, Preference)> =
-            (0..200).map(|i| (UserId::new(i), pref())).collect();
-        let state = EngineState {
-            backend: "baseline".into(),
-            shards: 1,
-            arity: 2,
-            members: vec![members],
-            ..EngineState::default()
-        };
-        let v1 = state.encode_v1();
-        let v2 = state.encode();
-        assert!(
-            v2.len() * 4 < v1.len(),
-            "v2 ({} bytes) should dedup what v1 ({} bytes) repeats",
-            v2.len(),
-            v1.len()
-        );
-        let decoded = EngineState::decode(&v2).unwrap();
-        assert_eq!(decoded.members, state.members);
     }
 
     #[test]

@@ -9,13 +9,9 @@ use std::path::{Path, PathBuf};
 use crate::crc::crc32;
 use crate::record::EngineState;
 
-/// Current snapshot format: payload is [`EngineState::encode`] (one dedup
+/// The snapshot format: payload is [`EngineState::encode`] (one dedup
 /// table of distinct preferences, occurrences as `u32` indices).
-const SNAPSHOT_MAGIC_V2: &[u8; 8] = b"PMSNAP02";
-/// Legacy format written before preference interning: payload is
-/// [`EngineState::encode_v1`] with every preference spelled out in place.
-/// Still read on recovery so pre-refactor snapshots keep loading.
-const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"PMSNAP01";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"PMSNAP02";
 /// Keep this many snapshots around; older ones are pruned after a
 /// successful write (the extras are the fallback when the newest turns
 /// out corrupt).
@@ -45,28 +41,12 @@ fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 
 /// Writes `state` as `snapshot-<last_lsn>.pmsnap` in `dir` (creating the
 /// directory if needed), atomically, then prunes all but the newest two
-/// snapshots (`KEEP_SNAPSHOTS`). Returns the final path. Always writes the
-/// current (v2, interned-table) format.
+/// snapshots (`KEEP_SNAPSHOTS`). Returns the final path.
 pub fn write_snapshot(dir: &Path, state: &EngineState) -> io::Result<PathBuf> {
-    write_snapshot_format(dir, state, SNAPSHOT_MAGIC_V2, state.encode())
-}
-
-/// Writes `state` in the legacy (v1, `PMSNAP01`) format. Exists so compat
-/// tests and downgrade tooling can produce pre-interning snapshot files;
-/// the engine itself always writes v2.
-pub fn write_snapshot_v1(dir: &Path, state: &EngineState) -> io::Result<PathBuf> {
-    write_snapshot_format(dir, state, SNAPSHOT_MAGIC_V1, state.encode_v1())
-}
-
-fn write_snapshot_format(
-    dir: &Path,
-    state: &EngineState,
-    magic: &[u8; 8],
-    payload: Vec<u8>,
-) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
+    let payload = state.encode();
     let mut bytes = Vec::with_capacity(payload.len() + 24);
-    bytes.extend_from_slice(magic);
+    bytes.extend_from_slice(SNAPSHOT_MAGIC);
     bytes.extend_from_slice(&state.last_lsn.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -117,7 +97,7 @@ fn read_snapshot(path: &Path) -> Result<EngineState, String> {
         return Err("bad snapshot magic".into());
     }
     let magic: &[u8; 8] = bytes[..8].try_into().unwrap();
-    if magic != SNAPSHOT_MAGIC_V2 && magic != SNAPSHOT_MAGIC_V1 {
+    if magic != SNAPSHOT_MAGIC {
         return Err("bad snapshot magic".into());
     }
     let lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
@@ -132,12 +112,7 @@ fn read_snapshot(path: &Path) -> Result<EngineState, String> {
     if crc32(payload) != crc {
         return Err("snapshot CRC mismatch".into());
     }
-    let state = if magic == SNAPSHOT_MAGIC_V1 {
-        EngineState::decode_v1(payload)
-    } else {
-        EngineState::decode(payload)
-    }
-    .map_err(|e| format!("undecodable snapshot: {e}"))?;
+    let state = EngineState::decode(payload).map_err(|e| format!("undecodable snapshot: {e}"))?;
     if state.last_lsn != lsn {
         return Err("snapshot LSN header disagrees with payload".into());
     }
@@ -235,38 +210,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_snapshot_still_loads() {
-        use pm_model::{AttrId, UserId, ValueId};
-        use pm_porder::Preference;
-        let dir = test_dir("v1-compat");
-        let mut pref = Preference::new(2);
-        pref.relation_mut(AttrId::new(0))
-            .insert(ValueId::new(0), ValueId::new(1))
-            .unwrap();
-        let mut state = state(7);
-        state.members = vec![vec![
-            (UserId::new(0), pref.clone()),
-            (UserId::new(1), pref.clone()),
-        ]];
-        write_snapshot_v1(&dir, &state).unwrap();
-        let loaded = load_latest_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(loaded.state.last_lsn, 7);
-        assert_eq!(loaded.state.members, state.members);
-        assert_eq!(loaded.skipped, 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_v2_falls_back_to_older_v1() {
-        let dir = test_dir("v2-to-v1");
-        write_snapshot_v1(&dir, &state(5)).unwrap();
+    fn unknown_magic_is_skipped_as_corrupt() {
+        let dir = test_dir("magic");
+        write_snapshot(&dir, &state(5)).unwrap();
         let newest = write_snapshot(&dir, &state(9)).unwrap();
         let mut bytes = fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
+        bytes[..8].copy_from_slice(b"PMSNAP00");
         fs::write(&newest, &bytes).unwrap();
         let loaded = load_latest_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(loaded.state.last_lsn, 5, "fell back to the v1 file");
+        assert_eq!(loaded.state.last_lsn, 5, "fell back to the older file");
         assert_eq!(loaded.skipped, 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run -p pm-examples --bin laptop_recommendation`.
 
-use pm_core::{ContinuousMonitor, FilterThenVerifyMonitor};
+use pm_core::{Filter, Lifetime, Monitor};
 use pm_model::{AttrId, Object, ObjectId, UserId, ValueId};
 use pm_porder::Preference;
 
@@ -87,7 +87,11 @@ fn main() {
         vec![UserId::new(0), UserId::new(1)],
         Preference::common_of(users.iter()),
     )];
-    let mut monitor = FilterThenVerifyMonitor::with_virtual_preferences(users, clusters);
+    let mut monitor = Monitor::new(
+        &users,
+        Lifetime::UNLIMITED,
+        Some(Filter::virtual_users(clusters)),
+    );
 
     for object in inventory() {
         let arrival = monitor.process(object);

@@ -7,7 +7,7 @@
 
 use pm_cluster::ApproxConfig;
 use pm_cluster::{cluster_users, ClusteringConfig, ExactMeasure};
-use pm_core::{AccuracyReport, BaselineMonitor, ContinuousMonitor, FilterThenVerifyMonitor};
+use pm_core::{AccuracyReport, Filter, Lifetime, Monitor};
 use pm_datagen::{Dataset, DatasetProfile};
 
 fn main() {
@@ -41,13 +41,11 @@ fn main() {
     );
 
     // Run the three append-only monitors over the same arrivals.
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
-    let mut ftv = FilterThenVerifyMonitor::new(dataset.preferences.clone(), &outcome.clusters);
-    let mut ftva = FilterThenVerifyMonitor::with_approx_clusters(
-        dataset.preferences.clone(),
-        &outcome.clusters,
-        ApproxConfig::new(512, 0.5),
-    );
+    let monitor = |filter| Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, filter);
+    let clusters = Filter::clusters(&outcome.clusters);
+    let mut baseline = monitor(None);
+    let mut ftv = monitor(Some(clusters.clone()));
+    let mut ftva = monitor(Some(clusters.approx(ApproxConfig::new(512, 0.5))));
     for object in &dataset.objects {
         baseline.process(object.clone());
         ftv.process(object.clone());

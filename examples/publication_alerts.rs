@@ -7,7 +7,7 @@
 
 use pm_bench::setup::{build_approx_monitor, default_approx_config, generate_dataset};
 use pm_bench::Scale;
-use pm_core::ContinuousMonitor;
+use pm_core::Lifetime;
 use pm_datagen::DatasetProfile;
 use pm_model::UserId;
 
@@ -24,7 +24,8 @@ fn main() {
 
     // FilterThenVerifyApprox: approximate clustering plus approximate common
     // preference relations (the configuration the paper recommends).
-    let (mut monitor, summary) = build_approx_monitor(&dataset, 0.55, default_approx_config());
+    let (mut monitor, summary) =
+        build_approx_monitor(&dataset, 0.55, default_approx_config(), Lifetime::UNLIMITED);
     println!(
         "clustered {} authors into {} clusters (largest {})",
         summary.users, summary.clusters, summary.largest

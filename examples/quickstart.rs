@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run -p pm-examples --bin quickstart`.
 
-use pm_core::{BaselineMonitor, ContinuousMonitor};
+use pm_core::{Lifetime, Monitor};
 use pm_model::{Attribute, Domain, Object, ObjectId, Schema, UserId};
 use pm_porder::Preference;
 
@@ -48,7 +48,7 @@ fn main() {
         .prefer(cpu, val(cpu, "dual"), val(cpu, "single"));
 
     // 3. Create a monitor and feed it arriving products.
-    let mut monitor = BaselineMonitor::new(vec![alice, bob]);
+    let mut monitor = Monitor::new(&[alice, bob], Lifetime::UNLIMITED, None);
     let products = [
         ("12-inch Apple single-core", ["10-12.9", "Apple", "single"]),
         ("14-inch Apple dual-core", ["13-15.9", "Apple", "dual"]),

@@ -6,10 +6,10 @@
 //! Run with `cargo run --release -p pm-examples --bin sliding_window_news`.
 
 use pm_bench::setup::{
-    build_approx_sw_monitor, build_exact_sw_monitor, default_approx_config, generate_dataset,
+    build_approx_monitor, build_exact_monitor, default_approx_config, generate_dataset,
 };
 use pm_bench::Scale;
-use pm_core::{AccuracyReport, BaselineSwMonitor, ContinuousMonitor};
+use pm_core::{AccuracyReport, Lifetime, Monitor};
 use pm_datagen::DatasetProfile;
 
 fn main() {
@@ -30,10 +30,11 @@ fn main() {
         dataset.num_users()
     );
 
-    let mut baseline = BaselineSwMonitor::new(dataset.preferences.clone(), window);
-    let (mut ftv, _) = build_exact_sw_monitor(&dataset, 0.55, window);
+    let lifetime = Lifetime::Window(window);
+    let mut baseline = Monitor::new(&dataset.preferences, lifetime, None);
+    let (mut ftv, _) = build_exact_monitor(&dataset, 0.55, lifetime);
     let (mut ftva, summary) =
-        build_approx_sw_monitor(&dataset, 0.55, default_approx_config(), window);
+        build_approx_monitor(&dataset, 0.55, default_approx_config(), lifetime);
     println!(
         "clusters: {} (largest {})",
         summary.clusters, summary.largest

@@ -2,10 +2,7 @@
 //! from `pm-cluster`, monitors from `pm-core`, all exercised together.
 
 use pm_cluster::{cluster_users, ApproxConfig, ClusteringConfig, ExactMeasure};
-use pm_core::{
-    AccuracyReport, BaselineMonitor, BaselineSwMonitor, ContinuousMonitor, FilterThenVerifyMonitor,
-    FilterThenVerifySwMonitor,
-};
+use pm_core::{AccuracyReport, Filter, Lifetime, Monitor};
 use pm_integration_tests::{
     one_cluster, singleton_clusters, small_movie_dataset, small_publication_dataset,
 };
@@ -22,8 +19,12 @@ fn filter_then_verify_equals_baseline_on_generated_movie_data() {
             branch_cut: 0.5,
         },
     );
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
-    let mut ftv = FilterThenVerifyMonitor::new(dataset.preferences.clone(), &outcome.clusters);
+    let mut baseline = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
+    let mut ftv = Monitor::new(
+        &dataset.preferences,
+        Lifetime::UNLIMITED,
+        Some(Filter::clusters(&outcome.clusters)),
+    );
     for object in &dataset.objects {
         let a = baseline.process(object.clone());
         let b = ftv.process(object.clone());
@@ -41,7 +42,7 @@ fn filter_then_verify_equals_baseline_on_generated_movie_data() {
 #[test]
 fn baseline_matches_naive_oracle_on_publication_data() {
     let dataset = small_publication_dataset(3);
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
+    let mut baseline = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
     for object in &dataset.objects {
         baseline.process(object.clone());
     }
@@ -63,11 +64,15 @@ fn approx_monitor_respects_theorem_6_5_and_lemma_6_6() {
         },
     )
     .clusters;
-    let mut exact = FilterThenVerifyMonitor::new(dataset.preferences.clone(), &clusters);
-    let mut approx = FilterThenVerifyMonitor::with_approx_clusters(
-        dataset.preferences.clone(),
-        &clusters,
-        ApproxConfig::new(256, 0.5),
+    let mut exact = Monitor::new(
+        &dataset.preferences,
+        Lifetime::UNLIMITED,
+        Some(Filter::clusters(&clusters)),
+    );
+    let mut approx = Monitor::new(
+        &dataset.preferences,
+        Lifetime::UNLIMITED,
+        Some(Filter::clusters(&clusters).approx(ApproxConfig::new(256, 0.5))),
     );
     for object in &dataset.objects {
         exact.process(object.clone());
@@ -92,7 +97,7 @@ fn approx_monitor_respects_theorem_6_5_and_lemma_6_6() {
 #[test]
 fn approximation_accuracy_is_high_and_precision_dominates_recall() {
     let dataset = small_movie_dataset(23);
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
+    let mut baseline = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
     let clusters = cluster_users(
         &dataset.preferences,
         ClusteringConfig::Exact {
@@ -101,10 +106,10 @@ fn approximation_accuracy_is_high_and_precision_dominates_recall() {
         },
     )
     .clusters;
-    let mut approx = FilterThenVerifyMonitor::with_approx_clusters(
-        dataset.preferences.clone(),
-        &clusters,
-        ApproxConfig::new(512, 0.6),
+    let mut approx = Monitor::new(
+        &dataset.preferences,
+        Lifetime::UNLIMITED,
+        Some(Filter::clusters(&clusters).approx(ApproxConfig::new(512, 0.6))),
     );
     for object in &dataset.objects {
         baseline.process(object.clone());
@@ -123,11 +128,13 @@ fn sliding_window_singleton_clusters_match_baseline_sw() {
     let dataset = small_movie_dataset(31);
     let window = 60;
     let stream: Vec<_> = dataset.stream(500).iter().collect();
-    let mut baseline = BaselineSwMonitor::new(dataset.preferences.clone(), window);
-    let mut ftv = FilterThenVerifySwMonitor::with_virtual_preferences(
-        dataset.preferences.clone(),
-        singleton_clusters(&dataset.preferences),
-        window,
+    let mut baseline = Monitor::new(&dataset.preferences, Lifetime::Window(window), None);
+    let mut ftv = Monitor::new(
+        &dataset.preferences,
+        Lifetime::Window(window),
+        Some(Filter::virtual_users(singleton_clusters(
+            &dataset.preferences,
+        ))),
     );
     for object in stream {
         let a = baseline.process(object.clone());
@@ -147,7 +154,7 @@ fn sliding_window_baseline_matches_windowed_oracle() {
     let dataset = small_publication_dataset(13);
     let window = 40;
     let arrivals: Vec<_> = dataset.stream(160).iter().collect();
-    let mut monitor = BaselineSwMonitor::new(dataset.preferences.clone(), window);
+    let mut monitor = Monitor::new(&dataset.preferences, Lifetime::Window(window), None);
     for (i, object) in arrivals.iter().enumerate() {
         monitor.process(object.clone());
         if (i + 1) % 37 != 0 {
@@ -171,10 +178,10 @@ fn sliding_window_baseline_matches_windowed_oracle() {
 fn sliding_window_cluster_invariants_hold_on_stream() {
     let dataset = small_movie_dataset(17);
     let window = 50;
-    let mut ftv = FilterThenVerifySwMonitor::with_virtual_preferences(
-        dataset.preferences.clone(),
-        one_cluster(&dataset.preferences),
-        window,
+    let mut ftv = Monitor::new(
+        &dataset.preferences,
+        Lifetime::Window(window),
+        Some(Filter::virtual_users(one_cluster(&dataset.preferences))),
     );
     for (i, object) in dataset.stream(400).iter().enumerate() {
         ftv.process(object);
@@ -197,7 +204,7 @@ fn sliding_window_cluster_invariants_hold_on_stream() {
 #[test]
 fn monitors_count_work_consistently() {
     let dataset = small_movie_dataset(41);
-    let mut baseline = BaselineMonitor::new(dataset.preferences.clone());
+    let mut baseline = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
     for object in &dataset.objects {
         baseline.process(object.clone());
     }

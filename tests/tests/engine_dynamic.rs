@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pm_cluster::{Clustering, ExactMeasure};
-use pm_core::{BaselineMonitor, BaselineSwMonitor, ContinuousMonitor, FilterThenVerifySwMonitor};
+use pm_core::{Filter, Lifetime, Monitor};
 use pm_datagen::{Dataset, DatasetProfile};
 use pm_engine::{BackendSpec, EngineConfig, ShardedEngine};
 use pm_model::{Object, ObjectId, UserId};
@@ -111,7 +111,7 @@ fn build_script() -> (Vec<(UserId, Preference)>, Vec<Event>) {
 struct Oracle {
     window: Option<usize>,
     history: Vec<Object>,
-    users: BTreeMap<u32, Box<dyn ContinuousMonitor>>,
+    users: BTreeMap<u32, Monitor>,
 }
 
 impl Oracle {
@@ -124,10 +124,8 @@ impl Oracle {
     }
 
     fn register(&mut self, user: UserId, pref: Preference) {
-        let mut monitor: Box<dyn ContinuousMonitor> = match self.window {
-            Some(w) => Box::new(BaselineSwMonitor::new(vec![pref], w)),
-            None => Box::new(BaselineMonitor::new(vec![pref])),
-        };
+        let lifetime = self.window.map_or(Lifetime::UNLIMITED, Lifetime::Window);
+        let mut monitor = Monitor::new(&[pref], lifetime, None);
         let start = match self.window {
             Some(w) => self.history.len().saturating_sub(w),
             None => 0,
@@ -556,11 +554,15 @@ fn sliding_update_at_every_expiry_boundary_matches_from_start() {
     for window in [1usize, 2, 3, 5, 8] {
         for pos in 0..stream.len() {
             // The churned monitor: update user 1 after `pos` arrivals.
-            let mut churned = BaselineSwMonitor::new(users.clone(), window);
-            let mut ftv = FilterThenVerifySwMonitor::with_clustering(
-                users.clone(),
-                Clustering::new(&users, ExactMeasure::Jaccard, 100.0),
-                window,
+            let mut churned = Monitor::new(&users, Lifetime::Window(window), None);
+            let mut ftv = Monitor::new(
+                &users,
+                Lifetime::Window(window),
+                Some(Filter::maintained(Clustering::new(
+                    &users,
+                    ExactMeasure::Jaccard,
+                    100.0,
+                ))),
             );
             for o in &stream[..pos] {
                 churned.process(o.clone());
@@ -571,7 +573,7 @@ fn sliding_update_at_every_expiry_boundary_matches_from_start() {
             // The from-start monitor holds the final preference throughout.
             let mut final_prefs = users.clone();
             final_prefs[1] = new_pref.clone();
-            let mut from_start = BaselineSwMonitor::new(final_prefs, window);
+            let mut from_start = Monitor::new(&final_prefs, Lifetime::Window(window), None);
             for o in &stream[..pos] {
                 from_start.process(o.clone());
             }

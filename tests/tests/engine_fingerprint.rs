@@ -18,7 +18,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use pm_core::{BaselineMonitor, BaselineSwMonitor, ContinuousMonitor};
+use pm_core::{Lifetime, Monitor};
 use pm_datagen::{Dataset, DatasetProfile};
 use pm_engine::durability::{recover_or_create, DurabilityConfig};
 use pm_engine::{BackendSpec, EngineConfig, EngineService, ShardedEngine};
@@ -60,7 +60,7 @@ fn assert_footprint(engine: &ShardedEngine, population: &BTreeMap<u32, Preferenc
 struct Oracle {
     window: Option<usize>,
     history: Vec<Object>,
-    users: BTreeMap<u32, Box<dyn ContinuousMonitor>>,
+    users: BTreeMap<u32, Monitor>,
 }
 
 impl Oracle {
@@ -73,10 +73,8 @@ impl Oracle {
     }
 
     fn register(&mut self, user: UserId, pref: Preference) {
-        let mut monitor: Box<dyn ContinuousMonitor> = match self.window {
-            Some(w) => Box::new(BaselineSwMonitor::new(vec![pref], w)),
-            None => Box::new(BaselineMonitor::new(vec![pref])),
-        };
+        let lifetime = self.window.map_or(Lifetime::UNLIMITED, Lifetime::Window);
+        let mut monitor = Monitor::new(&[pref], lifetime, None);
         let start = match self.window {
             Some(w) => self.history.len().saturating_sub(w),
             None => 0,

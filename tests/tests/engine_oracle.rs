@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use pm_core::{Arrival, BaselineMonitor, BaselineSwMonitor, ContinuousMonitor};
+use pm_core::{Arrival, Lifetime, Monitor};
 use pm_datagen::{Dataset, DatasetProfile};
 use pm_engine::{BackendSpec, EngineConfig, ShardedEngine};
 use pm_model::{AttrId, Object, ObjectId, UserId, ValueId};
@@ -102,11 +102,11 @@ fn run_engine(engine: &ShardedEngine, stream: &[Object]) -> Vec<Arrival> {
     arrivals
 }
 
-fn assert_engine_matches<M: ContinuousMonitor>(
+fn assert_engine_matches(
     engine: &ShardedEngine,
     stream: &[Object],
     expected: &[Arrival],
-    oracle: &M,
+    oracle: &Monitor,
     label: &str,
 ) {
     let got = run_engine(engine, stream);
@@ -127,7 +127,7 @@ fn assert_engine_matches<M: ContinuousMonitor>(
 fn sharded_engine_matches_baseline_oracle_on_10k_by_1k_stream() {
     let prefs = chain_population(1_000);
     let stream = chain_stream(10_000);
-    let mut oracle = BaselineMonitor::new(prefs.clone());
+    let mut oracle = Monitor::new(&prefs, Lifetime::UNLIMITED, None);
     let expected: Vec<Arrival> = stream.iter().cloned().map(|o| oracle.process(o)).collect();
     // Some objects must target some users, or the test proves nothing.
     assert!(expected.iter().filter(|a| a.has_targets()).count() > 100);
@@ -159,7 +159,7 @@ fn sharded_engine_matches_sliding_window_oracle_on_10k_by_1k_stream() {
     let prefs = chain_population(1_000);
     let stream = chain_stream(10_000);
     let window = 1_000;
-    let mut oracle = BaselineSwMonitor::new(prefs.clone(), window);
+    let mut oracle = Monitor::new(&prefs, Lifetime::Window(window), None);
     let expected: Vec<Arrival> = stream.iter().cloned().map(|o| oracle.process(o)).collect();
     assert!(expected.iter().filter(|a| a.has_targets()).count() > 100);
     let engine = ShardedEngine::new(
@@ -187,11 +187,11 @@ fn every_shard_count_matches_on_movie_profile_data() {
     ] {
         let expected: Vec<Arrival> = match spec {
             BackendSpec::Baseline { .. } => {
-                let mut oracle = BaselineMonitor::new(dataset.preferences.clone());
+                let mut oracle = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
                 stream.iter().cloned().map(|o| oracle.process(o)).collect()
             }
             BackendSpec::BaselineSw { window } => {
-                let mut oracle = BaselineSwMonitor::new(dataset.preferences.clone(), window);
+                let mut oracle = Monitor::new(&dataset.preferences, Lifetime::Window(window), None);
                 stream.iter().cloned().map(|o| oracle.process(o)).collect()
             }
             _ => unreachable!(),
@@ -218,7 +218,7 @@ fn filter_then_verify_backend_matches_baseline_oracle_under_sharding() {
         .with_objects(400)
         .with_interactions(50);
     let dataset = Dataset::generate(&profile, 73);
-    let mut oracle = BaselineMonitor::new(dataset.preferences.clone());
+    let mut oracle = Monitor::new(&dataset.preferences, Lifetime::UNLIMITED, None);
     let expected: Vec<Arrival> = dataset
         .objects
         .iter()
@@ -290,7 +290,7 @@ proptest! {
         objects in objects_strategy(),
         shards in 1usize..=8,
     ) {
-        let mut oracle = BaselineMonitor::new(prefs.clone());
+        let mut oracle = Monitor::new(&prefs, Lifetime::UNLIMITED, None);
         let expected: Vec<Arrival> = objects.iter().cloned().map(|o| oracle.process(o)).collect();
         let engine = ShardedEngine::new(prefs.clone(), &EngineConfig::new(shards), &BackendSpec::baseline());
         let got = run_engine(&engine, &objects);
@@ -311,7 +311,7 @@ proptest! {
         shards in 1usize..=8,
         window in 1usize..12,
     ) {
-        let mut oracle = BaselineSwMonitor::new(prefs.clone(), window);
+        let mut oracle = Monitor::new(&prefs, Lifetime::Window(window), None);
         let expected: Vec<Arrival> = objects.iter().cloned().map(|o| oracle.process(o)).collect();
         let engine = ShardedEngine::new(
             prefs.clone(),

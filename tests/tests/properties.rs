@@ -6,9 +6,7 @@
 use proptest::prelude::*;
 
 use pm_cluster::{Clustering, ExactMeasure};
-use pm_core::{
-    BaselineMonitor, BaselineSwMonitor, ContinuousMonitor, FilterThenVerifyMonitor, HistoryMode,
-};
+use pm_core::{Filter, HistoryMode, Lifetime, Monitor};
 use pm_integration_tests::one_cluster;
 use pm_model::{AttrId, Object, ObjectId, UserId, ValueId};
 use pm_obs::LogHistogram;
@@ -152,7 +150,7 @@ proptest! {
         prefs in proptest::collection::vec(preference_strategy(), 1..4),
         objects in objects_strategy(24),
     ) {
-        let mut monitor = BaselineMonitor::new(prefs.clone());
+        let mut monitor = Monitor::new(&prefs, Lifetime::UNLIMITED, None);
         for object in objects.clone() {
             monitor.process(object);
         }
@@ -170,8 +168,8 @@ proptest! {
         prefs in proptest::collection::vec(preference_strategy(), 1..4),
         objects in objects_strategy(20),
     ) {
-        let mut baseline = BaselineMonitor::new(prefs.clone());
-        let mut ftv = FilterThenVerifyMonitor::with_virtual_preferences(prefs.clone(), one_cluster(&prefs));
+        let mut baseline = Monitor::new(&prefs, Lifetime::UNLIMITED, None);
+        let mut ftv = Monitor::new(&prefs, Lifetime::UNLIMITED, Some(Filter::virtual_users(one_cluster(&prefs))));
         for object in objects {
             let a = baseline.process(object.clone());
             let b = ftv.process(object);
@@ -192,7 +190,7 @@ proptest! {
         prefs in proptest::collection::vec(preference_strategy(), 2..4),
         objects in objects_strategy(20),
     ) {
-        let mut ftv = FilterThenVerifyMonitor::with_virtual_preferences(prefs.clone(), one_cluster(&prefs));
+        let mut ftv = Monitor::new(&prefs, Lifetime::UNLIMITED, Some(Filter::virtual_users(one_cluster(&prefs))));
         for object in objects {
             ftv.process(object);
             let pu = ftv.cluster_frontier(0);
@@ -212,7 +210,7 @@ proptest! {
         objects in objects_strategy(24),
         window in 1usize..10,
     ) {
-        let mut monitor = BaselineSwMonitor::new(prefs.clone(), window);
+        let mut monitor = Monitor::new(&prefs, Lifetime::Window(window), None);
         for (i, object) in objects.iter().enumerate() {
             monitor.process(object.clone());
             let start = (i + 1).saturating_sub(window);
@@ -233,7 +231,7 @@ proptest! {
         objects in objects_strategy(20),
         window in 2usize..8,
     ) {
-        let mut monitor = BaselineSwMonitor::new(prefs.clone(), window);
+        let mut monitor = Monitor::new(&prefs, Lifetime::Window(window), None);
         for (i, object) in objects.iter().enumerate() {
             monitor.process(object.clone());
             let oldest_alive = (i + 1).saturating_sub(window) as u64;
@@ -348,7 +346,7 @@ proptest! {
         objects in objects_strategy(40),
     ) {
         let mut monitor =
-            BaselineMonitor::with_history(prefs.clone(), HistoryMode::Compact { cap: None });
+            Monitor::new(&prefs, Lifetime::History(HistoryMode::Compact { cap: None }), None);
         for object in objects.clone() {
             monitor.process(object);
         }
@@ -392,7 +390,7 @@ proptest! {
             (objects_strategy(10), 0u8..255, 0u8..2), 1..5),
     ) {
         let mut monitor =
-            BaselineMonitor::with_history(initial.clone(), HistoryMode::Compact { cap: None });
+            Monitor::new(&initial, Lifetime::History(HistoryMode::Compact { cap: None }), None);
         let mut prefs = initial.clone();
         let mut history: Vec<Object> = Vec::new();
         let mut next_obj = 0u64;
@@ -504,7 +502,7 @@ proptest! {
     ) {
         let branch_cut = [0.0, 0.4, 100.0][branch];
         let clustering = Clustering::new(&initial, ExactMeasure::Jaccard, branch_cut);
-        let mut ftv = FilterThenVerifyMonitor::with_clustering(initial.clone(), clustering);
+        let mut ftv = Monitor::new(&initial, Lifetime::UNLIMITED, Some(Filter::maintained(clustering)));
         let mut prefs = initial;
         let mut history: Vec<Object> = Vec::new();
         let mut next_obj = 0u64;
@@ -532,7 +530,7 @@ proptest! {
                 prefs.swap_remove(idx);
             }
             // Exactness: frontiers equal a fresh baseline replay.
-            let mut baseline = BaselineMonitor::new(prefs.clone());
+            let mut baseline = Monitor::new(&prefs, Lifetime::UNLIMITED, None);
             for object in &history {
                 baseline.process(object.clone());
             }
