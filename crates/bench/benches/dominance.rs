@@ -72,13 +72,23 @@ fn bench_dominance(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("dominates_batch/compiled", |b| {
+    // The shape of the monitor's frontier scans: one object prepared once,
+    // every other side streamed past it as value codes.
+    group.bench_function("prepared/compiled", |b| {
         let candidate = &dataset.objects[0];
-        let others: Vec<&Object> = dataset.objects.iter().cycle().take(BATCH).collect();
+        let codes: Vec<u32> = dataset
+            .objects
+            .iter()
+            .cycle()
+            .take(BATCH)
+            .flat_map(|other| compiled[0].codes(other))
+            .collect();
         b.iter(|| {
-            compiled[0]
-                .dominates_batch(candidate, others.iter().copied())
-                .len()
+            let prepared = compiled[0].prepare(candidate);
+            codes
+                .chunks_exact(compiled[0].arity())
+                .map(|other| prepared.compare(other) as usize)
+                .sum::<usize>()
         })
     });
     group.finish();

@@ -115,7 +115,8 @@ impl Alive {
     /// The frontier a user holding `preference` from the start would have
     /// over the alive objects. A window replays oldest-first; so does an
     /// unlimited history; a compacting history dominance-tests one
-    /// representative per distinct value vector and, when it survives,
+    /// representative per distinct value vector (oldest group first, see
+    /// [`History::grouped`]) and, when it survives,
     /// admits the whole id list at once (identical objects are
     /// frontier-equivalent, Def. 3.2, and a later dominating arrival evicts
     /// every duplicate in one frontier scan), saving a full comparison pass
@@ -125,9 +126,10 @@ impl Alive {
         preference: &CompiledPreference,
         stats: &mut MonitorStats,
     ) -> Frontier {
-        let mut frontier = Frontier::new();
+        let mut frontier = Frontier::new(preference);
         let mut replay = |frontier: &mut Frontier, object: &Object| {
-            update_frontier(preference, frontier, object, OnIdentical::Stop, stats).is_pareto
+            let prepared = preference.prepare(object);
+            update_frontier(&prepared, frontier, object, OnIdentical::Stop, stats).is_pareto
         };
         match self {
             Alive::Window(window) => {
@@ -141,7 +143,8 @@ impl Alive {
                         let representative = Object::new(ids[0], values.to_vec());
                         if replay(&mut frontier, &representative) {
                             for &id in ids.iter().skip(1) {
-                                frontier.insert(id, Object::new(id, values.to_vec()));
+                                let twin = representative.with_id(id);
+                                frontier.insert(&twin, preference.codes(&twin));
                             }
                         }
                     }
@@ -164,10 +167,10 @@ impl Alive {
         preference: &CompiledPreference,
         stats: &mut MonitorStats,
     ) -> Frontier {
-        let mut buffer = Frontier::new();
+        let mut buffer = Frontier::new(preference);
         if let Alive::Window(window) = self {
             for object in window.iter() {
-                refresh_buffer(preference, &mut buffer, object, stats);
+                refresh_buffer(&preference.prepare(object), &mut buffer, object, stats);
             }
         }
         buffer

@@ -45,18 +45,24 @@ pub(crate) struct Group {
 
 impl Group {
     fn new(members: Vec<UserId>, preference: Preference) -> Self {
+        let compiled = preference.compile();
         Self {
             members,
-            compiled: Arc::new(preference.compile()),
+            frontier: Frontier::new(&compiled),
+            buffer: Frontier::new(&compiled),
+            compiled: Arc::new(compiled),
             preference: Arc::new(preference),
-            frontier: Frontier::new(),
-            buffer: Frontier::new(),
         }
     }
 
+    /// Replaces the group's relation, keeping its frontier and buffer:
+    /// their value codes were issued by the old relation, so both are
+    /// re-encoded under the new one.
     fn set_preference(&mut self, preference: Preference) {
         self.compiled = Arc::new(preference.compile());
         self.preference = Arc::new(preference);
+        self.frontier.recode(&self.compiled);
+        self.buffer.recode(&self.compiled);
     }
 
     pub(crate) fn rename(&mut self, from: UserId, to: UserId) {
@@ -153,7 +159,7 @@ impl Filter {
                 "clustering must cover exactly the monitor's users"
             );
         }
-        self.verify = vec![Frontier::new(); users.len()];
+        self.verify = users.iter().map(|u| Frontier::new(&u.compiled)).collect();
         if let Some(config) = self.approx {
             for group in &mut self.clusters {
                 group.set_preference(approx_common(&group.members, config, users));

@@ -246,7 +246,7 @@ impl History {
     }
 
     /// Estimated heap bytes held by the retained history. The unlimited
-    /// mode pays one [`Object`] (id + value vector) per retained object; the compact
+    /// mode pays one [`Object`] (id + shared value row) per retained object; the compact
     /// mode pays each distinct value vector exactly once (the map key *is*
     /// the group) plus one id per retained object — which is where most of
     /// the memory reduction comes from on streams that repeat value
@@ -281,10 +281,14 @@ impl History {
                     .sum();
                 groups + cap_heap
             }
+            // One object handle plus its shared value row (the two
+            // reference counts in front of the values included).
             HistoryMode::Unlimited => self
                 .linear
                 .iter()
-                .map(|o| (size_of::<Object>() + std::mem::size_of_val(o.values())) as u64)
+                .map(|o| {
+                    (size_of::<Object>() + 2 * size_of::<usize>() + size_of_val(o.values())) as u64
+                })
                 .sum(),
         }
     }
@@ -322,17 +326,23 @@ impl History {
     }
 
     /// The retained value groups of a compacting history: each distinct
-    /// value vector with its retained ids (arrival order). `None` for an
-    /// unlimited history. Backfill replay uses this to dominance-test one
-    /// representative per distinct vector and admit the whole id list on
-    /// survival, instead of re-running the frontier scan per duplicate id.
+    /// value vector with its retained ids (arrival order), oldest group
+    /// first so that what a replay costs does not depend on the map's
+    /// iteration order. `None` for an unlimited history. Backfill replay
+    /// uses this to dominance-test one representative per distinct vector
+    /// and admit the whole id list on survival, instead of re-running the
+    /// frontier scan per duplicate id.
     pub fn grouped(&self) -> Option<impl Iterator<Item = (&[ValueId], &VecDeque<ObjectId>)>> {
         match self.mode {
-            HistoryMode::Compact { .. } => Some(
-                self.groups
+            HistoryMode::Compact { .. } => {
+                let mut groups: Vec<(&[ValueId], &VecDeque<ObjectId>)> = self
+                    .groups
                     .iter()
-                    .map(|(values, ids)| (values.as_slice(), ids)),
-            ),
+                    .map(|(values, ids)| (values.as_slice(), ids))
+                    .collect();
+                groups.sort_unstable_by_key(|(_, ids)| ids[0]);
+                Some(groups.into_iter())
+            }
             HistoryMode::Unlimited => None,
         }
     }

@@ -27,10 +27,26 @@
 //! | [`filter`] | [`Filter`]: clusters, virtual preferences, cluster repair |
 //! | [`alive`] | [`Lifetime`] and the alive-object store behind it |
 //! | [`history`] | [`History`]: the retained (optionally compacting) object history |
-//! | `frontier` (private) | the frontier / buffer procedures of Alg. 1, 2 and 4 |
+//! | `frontier` (private) | the frontier / buffer storage and the scan procedures of Alg. 1, 2 and 4 |
 //! | [`delta`] | [`FrontierDelta`]: canonical per-arrival frontier changes |
 //! | [`stats`], [`timers`] | work counters and optional latency histograms |
 //! | [`accuracy`] | precision / recall / F-measure of Tables 11 and 12 |
+
+//!
+//! # The hot path
+//!
+//! Every procedure above compares *one* object — the arrival, the expired
+//! object, a promotion candidate — with every member of one frontier. A
+//! frontier is therefore stored for exactly that scan: parallel vectors in
+//! ascending object-id (= arrival) order holding the objects, whose value
+//! rows are shared with the window / history and every other frontier, and
+//! flat next to them each member's value *codes* under the frontier's
+//! preference. A scan resolves its one object once
+//! ([`pm_porder::CompiledPreference::prepare`]) and streams the codes past
+//! it ([`pm_porder::Prepared::compare`]), oldest member first. Because
+//! storage order is arrival order, the comparison counter is a pure
+//! function of the script a monitor is driven with, `frontier()` needs no
+//! sort, and Alg. 5's oldest-first mending walks the buffer in place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -28,8 +28,7 @@ use crate::alive::{Alive, Lifetime};
 use crate::delta::{DeltaLog, FrontierDelta};
 use crate::filter::{Filter, Group};
 use crate::frontier::{
-    in_arrival_order, mend_frontier, refresh_buffer, sorted_ids, update_frontier, Frontier,
-    FrontierUpdate, OnIdentical,
+    mend_frontier, refresh_buffer, update_frontier, Frontier, FrontierUpdate, OnIdentical,
 };
 use crate::history::History;
 use crate::stats::MonitorStats;
@@ -255,13 +254,8 @@ fn arrive<'a>(
             Some(_) => OnIdentical::Continue,
             None => OnIdentical::Stop,
         };
-        let update = update_frontier(
-            &group.compiled,
-            &mut group.frontier,
-            object,
-            on_identical,
-            stats,
-        );
+        let prepared = group.compiled.prepare(object);
+        let update = update_frontier(&prepared, &mut group.frontier, object, on_identical, stats);
         match &mut verify {
             None => report(&update, &group.members, object.id(), deltas, &mut targets),
             Some(verify) => {
@@ -271,16 +265,16 @@ fn arrive<'a>(
                     // so o' leaves every member's frontier too (Alg. 2,
                     // lines 4–6).
                     for evicted in &update.evicted {
-                        if own.remove(evicted).is_some() {
+                        if own.remove(*evicted) {
                             deltas.leave(member, *evicted);
                         }
                     }
                     if update.is_pareto {
                         // Verify against the member's own preference
                         // (Alg. 2, line 6).
-                        let compiled = &base.users[member.index()].compiled;
+                        let prepared = base.users[member.index()].compiled.prepare(object);
                         let verified =
-                            update_frontier(compiled, own, object, OnIdentical::Stop, stats);
+                            update_frontier(&prepared, own, object, OnIdentical::Stop, stats);
                         report(&verified, &[member], object.id(), deltas, &mut targets);
                     }
                 }
@@ -289,7 +283,7 @@ fn arrive<'a>(
         // Alg. 4 / Alg. 5 line 15: the buffer is refreshed whether or not
         // the object is Pareto-optimal now.
         if base.alive.expires() {
-            refresh_buffer(&group.compiled, &mut group.buffer, object, stats);
+            refresh_buffer(&prepared, &mut group.buffer, object, stats);
         }
     }
     targets
@@ -308,10 +302,10 @@ fn expire<'a>(
     let stats = &mut base.stats;
     stats.record_expiration();
     for group in groups {
-        let was_pareto = group.frontier.remove(&expired.id()).is_some();
+        let was_pareto = group.frontier.remove(expired.id());
         for &member in &group.members {
             let left = match &mut verify {
-                Some(verify) => verify[member.index()].remove(&expired.id()).is_some(),
+                Some(verify) => verify[member.index()].remove(expired.id()),
                 None => was_pareto,
             };
             if left {
@@ -319,19 +313,21 @@ fn expire<'a>(
             }
         }
         if was_pareto {
-            // Oldest first, so that a promoted object is visible when its
-            // younger dominated peers are checked.
-            for candidate in in_arrival_order(&group.buffer) {
+            let prepared = group.compiled.prepare(expired);
+            // The buffer is in arrival order: oldest first, so that a
+            // promoted object is visible when its younger dominated peers
+            // are checked.
+            for (index, candidate) in group.buffer.objects().iter().enumerate() {
                 if candidate.id() == expired.id() {
                     continue;
                 }
                 stats.record_comparison();
-                if group.compiled.compare(expired, &candidate) != Dominance::Dominates {
+                if prepared.compare(group.buffer.codes(index)) != Dominance::Dominates {
                     continue;
                 }
-                let present = group.frontier.contains_key(&candidate.id());
+                let present = group.frontier.contains(candidate.id());
                 let promoted =
-                    mend_frontier(&group.compiled, &mut group.frontier, &candidate, stats);
+                    mend_frontier(&group.compiled, &mut group.frontier, candidate, stats);
                 for &member in &group.members {
                     let entered = match &mut verify {
                         None => promoted && !present,
@@ -339,9 +335,9 @@ fn expire<'a>(
                         // succeeded — into each member's own frontier.
                         Some(verify) => {
                             let own = &mut verify[member.index()];
-                            let present = own.contains_key(&candidate.id());
+                            let present = own.contains(candidate.id());
                             let compiled = &base.users[member.index()].compiled;
-                            promoted && mend_frontier(compiled, own, &candidate, stats) && !present
+                            promoted && mend_frontier(compiled, own, candidate, stats) && !present
                         }
                     };
                     if entered {
@@ -350,7 +346,7 @@ fn expire<'a>(
                 }
             }
         }
-        group.buffer.remove(&expired.id());
+        group.buffer.remove(expired.id());
     }
 }
 
@@ -418,8 +414,8 @@ impl Monitor {
     /// The current Pareto frontier of `user`, in ascending object-id order.
     pub fn frontier(&self, user: UserId) -> Vec<ObjectId> {
         match &self.layer {
-            Layer::Unfiltered(_) => sorted_ids(&self.group_of(user).frontier),
-            Layer::Filtered(filter) => sorted_ids(&filter.verify[user.index()]),
+            Layer::Unfiltered(_) => self.group_of(user).frontier.ids(),
+            Layer::Filtered(filter) => filter.verify[user.index()].ids(),
         }
     }
 
@@ -677,7 +673,7 @@ impl Monitor {
     /// layer the buffers are per cluster, see [`Self::cluster_buffer`].
     pub fn buffer(&self, user: UserId) -> Vec<ObjectId> {
         match &self.layer {
-            Layer::Unfiltered(_) => sorted_ids(&self.group_of(user).buffer),
+            Layer::Unfiltered(_) => self.group_of(user).buffer.ids(),
             Layer::Filtered(_) => Vec::new(),
         }
     }
@@ -702,12 +698,12 @@ impl Monitor {
 
     /// The cluster-level ("virtual user") frontier `P_U`, sorted by id.
     pub fn cluster_frontier(&self, cluster: usize) -> Vec<ObjectId> {
-        sorted_ids(&self.cluster(cluster).frontier)
+        self.cluster(cluster).frontier.ids()
     }
 
     /// The cluster-level buffer `PB_U`, sorted by id.
     pub fn cluster_buffer(&self, cluster: usize) -> Vec<ObjectId> {
-        sorted_ids(&self.cluster(cluster).buffer)
+        self.cluster(cluster).buffer.ids()
     }
 
     /// The virtual preference used by a cluster (common or approximate).
@@ -1394,6 +1390,64 @@ mod tests {
         survivors.process_all(objects);
         assert_eq!(arrival, survivors.process(o15()));
         assert_eq!(ftv.all_frontiers(), survivors.all_frontiers());
+    }
+
+    /// A REGISTER that joins a cluster replaces the cluster's relation
+    /// while `P_U` is kept (append-only): when the new common relation
+    /// loses a value — and with it shifts every dense index — the kept
+    /// members must be re-encoded, or their stale codes read as other
+    /// values and the filter rejects arrivals it must pass.
+    #[test]
+    fn register_that_shrinks_the_common_universe_re_encodes_the_cluster_frontier() {
+        let mentions = |m: &Monitor, value: u32| {
+            let relation = m.virtual_preference(0).relation(pm_model::AttrId::new(0));
+            relation.values().contains(&pm_model::ValueId::new(value))
+        };
+        // Attribute 0 is the chain 3 ≻ 2 ≻ 1 ≻ 0 for both initial users.
+        let chain = [(0, 3, 2), (0, 2, 1), (0, 1, 0), (1, 1, 0)];
+        let mut wider = chain.to_vec();
+        wider.push((1, 2, 1));
+        let mut users = vec![preference(2, &chain), preference(2, &wider)];
+        let mut ftv = maintained(&users, Lifetime::UNLIMITED, 0.2);
+        assert_eq!(ftv.num_clusters(), 1);
+        assert!(mentions(&ftv, 0));
+        let mut stream = vec![obj(1, &[2, 1]), obj(2, &[0, 2]), obj(3, &[1, 0])];
+        ftv.process_all(stream.clone());
+        assert_eq!(ftv.cluster_frontier(0), ids(&[1, 2]));
+
+        // The newcomer never mentions value 0: it drops out of the common
+        // relation, whose universe shrinks from {0, 1, 2, 3} to {1, 2, 3}.
+        users.push(preference(2, &[(0, 3, 2), (0, 2, 1), (1, 1, 0)]));
+        ftv.add_user(users[2].clone());
+        assert_eq!(ftv.num_clusters(), 1, "the newcomer joins the cluster");
+        assert_eq!(ftv.cluster_members(0).len(), 3);
+        assert!(!mentions(&ftv, 0));
+
+        // Read through stale codes, o1 = ⟨2, 1⟩ would pass for ⟨3, 1⟩ and
+        // dominate o4 = ⟨3, 0⟩, which every member must be told about.
+        for object in [
+            obj(4, &[3, 0]),
+            obj(5, &[0, 1]),
+            obj(6, &[3, 2]),
+            obj(7, &[1, 1]),
+        ] {
+            stream.push(object.clone());
+            let arrival = ftv.process(object.clone());
+            for (u, preference) in users.iter().enumerate() {
+                let oracle = oracle_frontier(preference, &stream);
+                assert_eq!(
+                    ftv.frontier(UserId::from(u)),
+                    oracle,
+                    "user {u} after {object}"
+                );
+                let is_target = arrival.target_users.contains(&UserId::from(u));
+                assert_eq!(
+                    is_target,
+                    oracle.contains(&object.id()),
+                    "user {u}, {object}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! Exactness across recovery matches the backends' own guarantees: every
 //! backend restores exact frontiers and notifications (for the
 //! filter-then-verify family the compact history is lossless for frontier
-//! reconstruction, Lemma 4.6). The `comparisons` *work* counter is the one
-//! exception — frontiers are hash maps and the dominance scan early-exits,
-//! so the number of comparisons an arrival costs depends on iteration
-//! order and differs between any two engine instances, recovered or not
-//! (filter-then-verify additionally re-clusters on re-registration). The
+//! reconstruction, Lemma 4.6). The `comparisons` *work* counter recovers
+//! exactly on the unfiltered backends — frontiers are scanned in storage
+//! (arrival) order, so what an arrival costs is a function of the
+//! frontiers' contents — but not on the filter-then-verify ones, which
+//! re-cluster on re-registration and then filter differently. The
 //! approximate sliding-window variants may also diverge, as clustering
 //! there is incremental.
 //!

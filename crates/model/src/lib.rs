@@ -2,8 +2,8 @@
 //!
 //! Data model shared by every crate in the pareto-monitor workspace:
 //! strongly typed identifiers, attribute schemas with interned categorical
-//! value domains, objects described by one value per attribute, object
-//! catalogs, and append-only / sliding-window object streams.
+//! value domains, objects described by one value per attribute (a shared
+//! immutable row), and append-only / sliding-window object streams.
 //!
 //! The model follows Section 3 of Sultana & Li, *Continuous Monitoring of
 //! Pareto Frontiers on Partially Ordered Attributes for Many Users*
@@ -13,14 +13,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod ids;
 pub mod object;
 pub mod partition;
 pub mod schema;
 pub mod stream;
 
-pub use catalog::ObjectCatalog;
 pub use ids::{AttrId, ObjectId, UserId, ValueId};
 pub use object::Object;
 pub use partition::Partitioner;

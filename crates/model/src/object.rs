@@ -1,22 +1,31 @@
 //! Objects: one categorical value per schema attribute.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::{AttrId, ObjectId, ValueId};
 use crate::schema::Schema;
 
 /// An object `o ∈ O`: an identifier (doubling as arrival timestamp) plus one
 /// interned value per attribute of the schema, in attribute order.
+///
+/// The values are one shared immutable row: cloning an object (into a
+/// window, a history, every frontier it is on) bumps a reference count
+/// instead of copying the row, so a process holds one row per alive object
+/// however many users it is Pareto-optimal for.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Object {
     id: ObjectId,
-    values: Vec<ValueId>,
+    values: Arc<[ValueId]>,
 }
 
 impl Object {
     /// Creates an object from its id and per-attribute values.
     pub fn new(id: ObjectId, values: Vec<ValueId>) -> Self {
-        Self { id, values }
+        Self {
+            id,
+            values: values.into(),
+        }
     }
 
     /// Builds an object by resolving value labels against a schema.
@@ -31,7 +40,7 @@ impl Object {
         for (attr_id, label) in schema.attr_ids().zip(labels) {
             values.push(schema.attribute(attr_id).domain.id_of(label)?);
         }
-        Some(Self { id, values })
+        Some(Self::new(id, values))
     }
 
     /// The object identifier / arrival timestamp.
@@ -79,12 +88,16 @@ impl Object {
         Object::new(self.id, self.values[..k.min(self.values.len())].to_vec())
     }
 
-    /// Returns a copy of this object with a different identifier.
+    /// Returns a copy of this object with a different identifier, sharing
+    /// this object's value row.
     ///
     /// Used when replaying a dataset as a stream (the paper repeats the
     /// object sequence to form its 1M-object streams).
     pub fn with_id(&self, id: ObjectId) -> Object {
-        Object::new(id, self.values.clone())
+        Object {
+            id,
+            values: Arc::clone(&self.values),
+        }
     }
 }
 

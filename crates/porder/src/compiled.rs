@@ -14,11 +14,38 @@
 //! * the similarity measures of Sec. 5 reduce to AND + popcount.
 //!
 //! [`CompiledPreference`] bundles one [`CompiledRelation`] per attribute and
-//! carries the object-dominance test of Def. 3.2 ([`CompiledPreference::compare`],
-//! [`CompiledPreference::dominates`], [`CompiledPreference::dominates_batch`]).
+//! carries the object-dominance test of Def. 3.2 in two forms:
+//!
+//! * **Pairwise** — [`CompiledPreference::compare`] /
+//!   [`CompiledPreference::dominates`] take two objects and resolve both
+//!   sides' values on every call.
+//! * **Prepared** — every scan of the monitoring hot path compares *one*
+//!   fixed object against all members of one frontier, so
+//!   [`CompiledPreference::prepare`] resolves the fixed side once into a
+//!   [`Prepared`]: per attribute its value *code* and one borrowed row of
+//!   the relation's **class matrix**, which says in two bits how the fixed
+//!   value compares with each other value — equal, beats, beaten, unrelated.
+//!   The other side is stored by the caller as codes
+//!   ([`CompiledPreference::codes`]), and [`Prepared::compare`] is then one
+//!   two-bit lookup per attribute, OR-ed into the verdict without a branch:
+//!   no interning load and no row lookup for the other side.
+//!
+//! A value's **code** under a relation ([`CompiledRelation::code`]) is its
+//! dense index when the relation's universe holds it, and otherwise a number
+//! at or above the universe size chosen so that two codes are equal exactly
+//! when the raw values are: "same value" is one integer compare and "outside
+//! the universe, hence unrelated" is a lookup past the universe. Codes are
+//! only meaningful under the relation that issued them — whoever swaps a
+//! relation re-encodes.
+//!
+//! The class matrix holds what the closure and its transpose hold together
+//! (two bits per ordered pair, always dense) and is built lazily by the
+//! first `prepare`: relations that only ever meet the clustering's AND /
+//! popcount path, a compaction universe's pairwise tests or an engine-level
+//! interner never pay for it.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pm_model::{AttrId, Object, ValueId};
 
@@ -78,6 +105,10 @@ pub struct CompiledRelation {
     words_per_row: usize,
     /// Row storage (dense matrix or non-empty rows only).
     rows: Rows,
+    /// The class matrix of the prepared kernel (see [`Self::classes`]),
+    /// built by the first [`CompiledPreference::prepare`] that needs it
+    /// (see the module docs for who never does).
+    classes: OnceLock<Box<[u64]>>,
     /// Number of preference tuples (total popcount), kept for O(1) `len`.
     len: usize,
 }
@@ -188,6 +219,7 @@ impl CompiledRelation {
             universe,
             words_per_row,
             rows,
+            classes: OnceLock::new(),
             len,
         }
     }
@@ -198,16 +230,19 @@ impl CompiledRelation {
     }
 
     /// Approximate heap bytes of this compiled relation (interning tables
-    /// plus row storage). The `Arc`-shared tables are counted here even
-    /// though relations compiled over one shared universe share them, so
-    /// sums over many relations are an upper bound.
+    /// plus row storage, and the class matrix once a
+    /// [`CompiledPreference::prepare`] has built it). The `Arc`-shared
+    /// tables are counted here even though relations compiled over one
+    /// shared universe share them, so sums over many relations are an upper
+    /// bound.
     pub fn approx_bytes(&self) -> usize {
         let tables = self.index_of.len() * 4 + self.universe.len() * 4;
         let rows = match &self.rows {
             Rows::Dense(bits) => bits.len() * 8,
             Rows::Sparse { rows, zeros } => (rows.len() + 1) * zeros.len() * 8 + rows.len() * 16,
         };
-        std::mem::size_of::<Self>() + tables + rows
+        let classes = self.classes.get().map_or(0, |classes| classes.len() * 8);
+        std::mem::size_of::<Self>() + tables + rows + classes
     }
 
     /// The dense index of `v`, if it belongs to the compiled universe.
@@ -243,6 +278,84 @@ impl CompiledRelation {
                 }
             }
         }
+    }
+
+    /// The value code of `v` under this relation: its dense index when the
+    /// universe holds it, else a number at or above [`Self::num_values`].
+    /// Two codes are equal exactly when the values are (see the module
+    /// docs).
+    #[inline]
+    pub fn code(&self, v: ValueId) -> u32 {
+        match self.dense_index(v) {
+            Some(idx) => idx as u32,
+            None => self.outside_code(v.raw()),
+        }
+    }
+
+    /// The code of a raw value outside the universe. At or above the
+    /// universe size `n` a raw value is its own code. That leaves the
+    /// outside values below `n` to place, and the codes that universe
+    /// members at or above `n` would have claimed to place them on — equally
+    /// many, because the universe fills `n` slots in total — so the two are
+    /// paired off by rank.
+    #[cold]
+    fn outside_code(&self, raw: u32) -> u32 {
+        let n = self.universe.len();
+        if raw as usize >= n {
+            return raw;
+        }
+        let members_below = self.universe.partition_point(|u| u.raw() < raw);
+        let rank = raw as usize - members_below;
+        let members_below_n = self.universe.partition_point(|u| u.index() < n);
+        self.universe[members_below_n + rank].raw()
+    }
+
+    /// The class matrix: for every ordered pair of universe values two bits
+    /// saying how the first compares with the second — [`EQUAL`],
+    /// [`BEATS`], [`BEATEN`] or [`UNRELATED`] — 32 pairs to a word,
+    /// [`Self::class_words`] words to a row. Padding past the universe reads
+    /// [`UNRELATED`], like every value outside it.
+    fn classes(&self) -> &[u64] {
+        self.classes.get_or_init(|| {
+            let (n, words) = (self.universe.len(), self.class_words());
+            let mut classes = vec![u64::MAX; n * words];
+            for ix in 0..n {
+                let row = &mut classes[ix * words..(ix + 1) * words];
+                let mut set = |iy: usize, class: u64| {
+                    let shift = (iy % CLASSES_PER_WORD) * 2;
+                    let word = &mut row[iy / CLASSES_PER_WORD];
+                    *word = (*word & !(UNRELATED << shift)) | (class << shift);
+                };
+                set(ix, EQUAL);
+                for iy in 0..n {
+                    if self.bit(ix, iy) {
+                        set(iy, BEATS);
+                    } else if self.bit(iy, ix) {
+                        set(iy, BEATEN);
+                    }
+                }
+            }
+            classes.into_boxed_slice()
+        })
+    }
+
+    /// Width of a class-matrix row in 64-bit words.
+    fn class_words(&self) -> usize {
+        self.universe.len().div_ceil(CLASSES_PER_WORD)
+    }
+
+    /// `value` resolved for the fixed side of a scan, building the class
+    /// matrix on first use.
+    fn side(&self, value: ValueId) -> Side<'_> {
+        let code = self.code(value);
+        let classes = if (code as usize) < self.universe.len() {
+            let words = self.class_words();
+            &self.classes()[code as usize * words..(code as usize + 1) * words]
+        } else {
+            // Outside the universe: unrelated to every other value.
+            &[]
+        };
+        Side { code, classes }
     }
 
     #[inline]
@@ -557,18 +670,42 @@ impl CompiledPreference {
         }
     }
 
-    /// Compares `object` against a batch of others in one call, returning
-    /// one [`Dominance`] per element of `others` (in order). This is the
-    /// shape of the frontier-scan loops in `pm-core`, exposed so callers and
-    /// benches can drive the hot path without per-comparison dispatch.
-    pub fn dominates_batch<'a, I>(&self, object: &Object, others: I) -> Vec<Dominance>
-    where
-        I: IntoIterator<Item = &'a Object>,
-    {
-        others
-            .into_iter()
-            .map(|other| self.compare(object, other))
-            .collect()
+    /// Resolves `object` once for a scan against many others: per attribute
+    /// its value code and the class-matrix row [`Prepared::compare`] looks
+    /// the other side's code up in. Builds the relations' class matrices on
+    /// first use. Only the first `arity()` attributes are considered.
+    pub fn prepare(&self, object: &Object) -> Prepared<'_> {
+        let values = &object.values()[..self.relations.len()];
+        let mut sides = self
+            .relations
+            .iter()
+            .zip(values)
+            .map(|(rel, &value)| rel.side(value));
+        Prepared {
+            sides: if values.len() <= INLINE_SIDES {
+                let mut inline = [Side::EMPTY; INLINE_SIDES];
+                for (slot, side) in inline.iter_mut().zip(&mut sides) {
+                    *slot = side;
+                }
+                Sides::Inline {
+                    len: values.len(),
+                    sides: inline,
+                }
+            } else {
+                Sides::Heap(sides.collect())
+            },
+        }
+    }
+
+    /// The codes of `object`'s first `arity()` values under this
+    /// preference's relations — the form the non-fixed side of
+    /// [`Prepared::compare`] is stored in.
+    #[inline]
+    pub fn codes<'a>(&'a self, object: &'a Object) -> impl Iterator<Item = u32> + 'a {
+        self.relations
+            .iter()
+            .zip(object.values())
+            .map(|(rel, &value)| rel.code(value))
     }
 
     /// Approximate heap bytes across all attribute relations (see
@@ -587,6 +724,107 @@ impl CompiledPreference {
         CompiledPreference {
             relations: self.relations[..k.min(self.relations.len())].to_vec(),
         }
+    }
+}
+
+/// Attributes a [`Prepared`] holds without a heap allocation.
+const INLINE_SIDES: usize = 8;
+
+/// Value pairs per word of the class matrix.
+const CLASSES_PER_WORD: usize = 32;
+
+/// How a fixed value compares with another one, in two bits chosen so that
+/// OR-ing the classes of all attributes *is* the object verdict: equal
+/// attributes do not count, one direction survives alone, both directions —
+/// or a single unrelated pair — make the objects incomparable.
+const EQUAL: u64 = 0;
+const BEATS: u64 = 1;
+const BEATEN: u64 = 2;
+const UNRELATED: u64 = 3;
+
+/// The object verdict by OR-ed class.
+const VERDICTS: [Dominance; 4] = [
+    Dominance::Identical,
+    Dominance::Dominates,
+    Dominance::DominatedBy,
+    Dominance::Incomparable,
+];
+
+/// One attribute of a [`Prepared`] object.
+#[derive(Debug, Clone, Copy)]
+struct Side<'a> {
+    /// The fixed object's value code.
+    code: u32,
+    /// The fixed value's row of the class matrix; empty when the value
+    /// lies outside the universe.
+    classes: &'a [u64],
+}
+
+impl Side<'_> {
+    const EMPTY: Self = Side {
+        code: 0,
+        classes: &[],
+    };
+}
+
+#[derive(Debug, Clone)]
+enum Sides<'a> {
+    Inline {
+        len: usize,
+        sides: [Side<'a>; INLINE_SIDES],
+    },
+    Heap(Vec<Side<'a>>),
+}
+
+/// One object resolved against one [`CompiledPreference`] for a scan
+/// ([`CompiledPreference::prepare`]). Holds up to eight attributes inline,
+/// so preparing allocates nothing for the usual schemas.
+#[derive(Debug, Clone)]
+pub struct Prepared<'a> {
+    sides: Sides<'a>,
+}
+
+impl<'a> Prepared<'a> {
+    #[inline]
+    fn sides(&self) -> &[Side<'a>] {
+        match &self.sides {
+            Sides::Inline { len, sides } => &sides[..*len],
+            Sides::Heap(sides) => sides,
+        }
+    }
+
+    /// The prepared object's own codes, in attribute order.
+    #[inline]
+    pub fn codes(&self) -> impl Iterator<Item = u32> + '_ {
+        self.sides().iter().map(|side| side.code)
+    }
+
+    /// Compares the prepared object with another one given by its `codes`
+    /// under the same preference ([`CompiledPreference::codes`]): the
+    /// verdict of [`CompiledPreference::compare`]`(prepared, other)`.
+    ///
+    /// # Panics
+    /// Panics (debug builds) unless `codes` holds one code per attribute.
+    #[inline]
+    pub fn compare(&self, codes: &[u32]) -> Dominance {
+        let sides = self.sides();
+        debug_assert_eq!(codes.len(), sides.len(), "one code per attribute");
+        let mut verdict = EQUAL;
+        for (side, &other) in sides.iter().zip(codes) {
+            let (word, shift) = (
+                other as usize / CLASSES_PER_WORD,
+                (other as usize % CLASSES_PER_WORD) * 2,
+            );
+            // Codes past the row are outside the universe.
+            let class = match side.classes.get(word) {
+                Some(classes) => (classes >> shift) & UNRELATED,
+                None => UNRELATED,
+            };
+            // The code test only matters for a fixed value outside the
+            // universe, whose row is empty.
+            verdict |= if other == side.code { EQUAL } else { class };
+        }
+        VERDICTS[verdict as usize]
     }
 }
 
@@ -807,14 +1045,18 @@ mod tests {
     }
 
     #[test]
-    fn dominates_batch_matches_pointwise_compare() {
+    fn prepared_compare_matches_pointwise_compare() {
         let mut p = Preference::new(1);
         p.prefer(a(0), v(0), v(1));
         p.prefer(a(0), v(1), v(2));
         let c = p.compile();
         let best = obj(0, &[0]);
         let others = [obj(1, &[1]), obj(2, &[2]), obj(3, &[0]), obj(4, &[7])];
-        let verdicts = c.dominates_batch(&best, others.iter());
+        let prepared = c.prepare(&best);
+        let verdicts: Vec<Dominance> = others
+            .iter()
+            .map(|other| prepared.compare(&c.codes(other).collect::<Vec<u32>>()))
+            .collect();
         assert_eq!(
             verdicts,
             vec![
@@ -824,6 +1066,68 @@ mod tests {
                 Dominance::Incomparable,
             ]
         );
+        assert_eq!(prepared.codes().collect::<Vec<u32>>(), vec![0]);
+    }
+
+    #[test]
+    fn codes_are_equal_exactly_when_the_values_are() {
+        // A universe with holes below its size and members above it, so
+        // outside values below the size must be moved out of the way.
+        let rel = Relation::from_pairs([(v(1), v(4)), (v(4), v(9)), (v(1), v(40))]).unwrap();
+        let c = CompiledRelation::compile(&rel);
+        let n = c.num_values() as u32;
+        assert_eq!(n, 4);
+        let mut seen = std::collections::HashMap::new();
+        for raw in (0..64).chain([u32::MAX - 1, u32::MAX, 1 << 31, (1 << 31) + 9]) {
+            let code = c.code(v(raw));
+            assert_eq!(
+                code < n,
+                c.dense_index(v(raw)).is_some(),
+                "value {raw}: codes below the universe size are dense indices"
+            );
+            if let Some(other) = seen.insert(code, raw) {
+                panic!("values {other} and {raw} share code {code}");
+            }
+        }
+    }
+
+    #[test]
+    fn class_matrix_is_built_by_prepare_only() {
+        let mut p = Preference::new(1);
+        p.prefer(a(0), v(0), v(1));
+        let c = p.compile();
+        let before = c.approx_bytes();
+        assert!(c.dominates(&obj(0, &[0]), &obj(1, &[1])));
+        assert_eq!(
+            c.approx_bytes(),
+            before,
+            "the pairwise form needs no class matrix"
+        );
+        let _ = c.prepare(&obj(0, &[0]));
+        assert!(c.approx_bytes() > before);
+        // An intersection starts without one again.
+        let rel = c.relation(a(0));
+        assert_eq!(
+            rel.intersect(rel).approx_bytes(),
+            before - std::mem::size_of_val(&c)
+        );
+    }
+
+    #[test]
+    fn prepare_beyond_the_inline_arity_falls_back_to_the_heap() {
+        let arity = INLINE_SIDES + 3;
+        let mut p = Preference::new(arity);
+        for attr in 0..arity {
+            p.prefer(a(attr as u32), v(0), v(1));
+        }
+        let c = p.compile();
+        let zeros = obj(0, &vec![0; arity]);
+        let ones = obj(1, &vec![1; arity]);
+        let codes: Vec<u32> = c.codes(&ones).collect();
+        assert_eq!(codes.len(), arity);
+        assert_eq!(c.prepare(&zeros).compare(&codes), Dominance::Dominates);
+        let codes: Vec<u32> = c.codes(&zeros).collect();
+        assert_eq!(c.prepare(&ones).compare(&codes), Dominance::DominatedBy);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! frontier; this file additionally pins what no oracle can — the lossy
 //! Alg. 5 mending of a non-singleton `ftv-sw` / `ftv-approx-sw` clustering
 //! and the Alg. 3 approximation — so a rewrite of `pm-core` has to
-//! reproduce them byte for byte. `comparisons=` is deliberately absent: it
-//! depends on hash-map iteration order.
+//! reproduce them byte for byte. That includes the work counter: frontiers
+//! are scanned in storage (= arrival) order, so `comparisons=` is a pure
+//! function of the script.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p pm-integration-tests`
 //! only on an intentional change of algorithm behaviour.
@@ -257,6 +258,7 @@ fn transcript(backend: &str, initial: &[Preference], steps: &[Step]) -> String {
         monitor.num_users()
     )
     .unwrap();
+    writeln!(out, "comparisons={}", stats.comparisons).unwrap();
     out
 }
 
@@ -285,6 +287,25 @@ fn monitor_transcript_matches_golden_file() {
         rendered, golden,
         "transcript length differs from the golden file"
     );
+}
+
+/// Two monitors driven by the same script do the same work: every scan
+/// order is a function of frontier contents, none of hash-map iteration.
+#[test]
+fn comparisons_are_deterministic_on_every_backend() {
+    let (initial, steps) = build_script();
+    for backend in BACKENDS {
+        let comparisons = |transcript: String| {
+            let line = transcript.lines().last().unwrap().to_owned();
+            assert!(line.starts_with("comparisons="), "{backend}: {line}");
+            line
+        };
+        assert_eq!(
+            comparisons(transcript(backend, &initial, &steps)),
+            comparisons(transcript(backend, &initial, &steps)),
+            "{backend}"
+        );
+    }
 }
 
 /// The window backends expire and Alg. 1 meets identical objects: the

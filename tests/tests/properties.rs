@@ -65,6 +65,61 @@ fn relation_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// Values no relation of [`layout_relation_strategy`] mentions.
+const UNMENTIONED: [u32; 2] = [250, 251];
+
+/// Strategy: a relation in one of the three bit-row layouts the compiled
+/// form has — one-word dense rows, two-word dense rows (a universe wider
+/// than 64 values) and sparse rows (a universe of at least 128 values with
+/// few non-empty rows) — the latter two a fixed spine plus random edges.
+fn layout_relation_strategy() -> impl Strategy<Value = Relation> {
+    let edges = proptest::collection::vec((0..70u32, 0..70u32), 0..30);
+    (0..3u32, edges).prop_map(|(layout, edges)| {
+        let edges: Vec<(u32, u32)> = match layout {
+            0 => edges
+                .into_iter()
+                .map(|(x, y)| (x % DOMAIN, y % DOMAIN))
+                .collect(),
+            // 70 mentioned values: 2i ≻ 2i + 1.
+            1 => (0..35).map(|i| (2 * i, 2 * i + 1)).chain(edges).collect(),
+            // Value 200 beats 0..=130; two more sources beat a few values.
+            _ => (0..=130)
+                .map(|y| (200, y))
+                .chain(edges.into_iter().take(6).map(|(x, y)| (201 + x % 2, y)))
+                .collect(),
+        };
+        let mut rel = Relation::new();
+        for (x, y) in edges {
+            let _ = rel.insert(ValueId::new(x), ValueId::new(y));
+        }
+        rel
+    })
+}
+
+/// Strategy: object values that collide often enough to meet `Identical`
+/// and cover both words of a wide row, the sparse layout's sources, and
+/// values outside every universe.
+fn kernel_value_strategy() -> impl Strategy<Value = u32> {
+    const POOL: [u32; 12] = [
+        63,
+        64,
+        65,
+        69,
+        100,
+        129,
+        130,
+        200,
+        201,
+        202,
+        UNMENTIONED[0],
+        UNMENTIONED[1],
+    ];
+    (0..DOMAIN as usize + POOL.len()).prop_map(|i| match i.checked_sub(DOMAIN as usize) {
+        None => i as u32,
+        Some(pooled) => POOL[pooled],
+    })
+}
+
 fn preference_strategy() -> impl Strategy<Value = Preference> {
     proptest::collection::vec(relation_strategy(), ATTRS).prop_map(Preference::from_relations)
 }
@@ -83,6 +138,19 @@ fn objects_strategy(max: usize) -> impl Strategy<Value = Vec<Object>> {
                 .collect()
         },
     )
+}
+
+/// The spines of [`layout_relation_strategy`] really produce the layouts
+/// the kernel-equivalence property is meant to cover.
+#[test]
+fn layout_spines_are_two_word_and_sparse() {
+    let wide =
+        Relation::from_pairs((0..35).map(|i| (ValueId::new(2 * i), ValueId::new(2 * i + 1))));
+    let wide = CompiledRelation::compile(&wide.unwrap());
+    assert!(wide.num_values() > 64 && wide.row(0).len() == 2 && !wide.is_sparse());
+    let star = Relation::from_pairs((0..=130).map(|y| (ValueId::new(200), ValueId::new(y))));
+    let star = CompiledRelation::compile(&star.unwrap());
+    assert!(star.num_values() >= 128 && star.is_sparse());
 }
 
 proptest! {
@@ -313,9 +381,61 @@ proptest! {
                 prop_assert_eq!(compiled.dominates(a, b), pref.dominates(a, b));
             }
         }
-        let verdicts = compiled.dominates_batch(&objects[0], objects.iter());
-        for (b, verdict) in objects.iter().zip(verdicts) {
-            prop_assert_eq!(verdict, pref.compare(&objects[0], b));
+    }
+
+    /// Kernel equivalence: the prepared form, the pairwise compiled form
+    /// and the uncompiled preference return the same verdict — and the
+    /// flipped one with the sides swapped — on every row layout (one-word
+    /// dense, two-word dense, sparse), with object values inside and
+    /// outside the relations' universes.
+    #[test]
+    fn prepared_kernel_agrees_with_both_pairwise_forms(
+        relations in proptest::collection::vec(layout_relation_strategy(), ATTRS),
+        objects in proptest::collection::vec(
+            proptest::collection::vec(kernel_value_strategy(), ATTRS), 2..10),
+    ) {
+        let pref = Preference::from_relations(relations);
+        let compiled = pref.compile();
+        let objects: Vec<Object> = objects
+            .into_iter()
+            .enumerate()
+            .map(|(i, vals)| Object::new(
+                ObjectId::from(i),
+                vals.into_iter().map(ValueId::new).collect(),
+            ))
+            .collect();
+        let codes: Vec<Vec<u32>> = objects.iter().map(|o| compiled.codes(o).collect()).collect();
+        for (a, codes_a) in objects.iter().zip(&codes) {
+            let prepared = compiled.prepare(a);
+            prop_assert_eq!(&prepared.codes().collect::<Vec<u32>>(), codes_a);
+            for (b, codes_b) in objects.iter().zip(&codes) {
+                let verdict = prepared.compare(codes_b);
+                prop_assert_eq!(verdict, compiled.compare(a, b), "{} vs {}", a, b);
+                prop_assert_eq!(verdict, pref.compare(a, b), "{} vs {}", a, b);
+                prop_assert_eq!(compiled.prepare(b).compare(codes_a), verdict.flip());
+            }
+        }
+        // Values no layout ever mentions: two different ones are
+        // incomparable, the same one on both sides is skipped as equal —
+        // whatever the other attributes say.
+        let base = objects[0].values();
+        let with_first = |id: u64, first: u32| {
+            let mut values = base.to_vec();
+            values[0] = ValueId::new(first);
+            Object::new(ObjectId::new(id), values)
+        };
+        let (x, y, x_twin) = (
+            with_first(100, UNMENTIONED[0]),
+            with_first(101, UNMENTIONED[1]),
+            with_first(102, UNMENTIONED[0]),
+        );
+        let codes_of = |o: &Object| compiled.codes(o).collect::<Vec<u32>>();
+        prop_assert_eq!(compiled.prepare(&x).compare(&codes_of(&y)), Dominance::Incomparable);
+        prop_assert_eq!(compiled.prepare(&x).compare(&codes_of(&x_twin)), Dominance::Identical);
+        for other in &objects {
+            let inside = compiled.prepare(other).compare(&codes_of(&x));
+            prop_assert_eq!(inside, pref.compare(other, &x));
+            prop_assert_eq!(compiled.prepare(&x).compare(&codes_of(other)), inside.flip());
         }
     }
 
