@@ -1,7 +1,7 @@
 //! Dominance hot-path microbenchmark: the hash-map [`pm_porder::Relation`]
 //! form vs the bitset-compiled [`pm_porder::CompiledPreference`] form, on
-//! the movie-profile workload. This is the comparison the `perf-smoke` CI
-//! gate locks in (see `src/bin/perf_smoke.rs` and `bench-baseline.json`).
+//! the movie-profile workload. CI runs it once as a smoke (`-- --test`);
+//! the benchmark's per-layer ladder tracks `porder.dominates_ops_per_s`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 

@@ -1,206 +1,70 @@
-//! Fixed-seed performance smoke harness and regression gate.
+//! Fixed-seed gate on the two performance ratios nothing else in the repo
+//! measures. Claims about throughput, latency and memory are measured with
+//! `benchmark/run.sh` (end-to-end metrics plus the per-layer ladder); this
+//! binary only checks, on every push, two same-run ratios that hold on any
+//! host:
 //!
-//! Measures, on the movie-profile workload with a hard-coded seed:
+//! 1. **Instrumentation overhead.** The plain movie-profile ingest stream
+//!    runs with the metrics bundle on and off, interleaved, each mode
+//!    keeping its best round. Every recording site is a relaxed atomic op,
+//!    so the on/off throughput gap must stay within [`MAX_OVERHEAD`]; a
+//!    larger gap means someone put real work on the hot path.
+//! 2. **Cluster replication efficiency.** A 3-node in-process cluster (real
+//!    TCP nodes behind a `pm-coord` front-end) ingests a replicated object
+//!    stream through the coordinator's wire `INGEST` verb, against a 1-node
+//!    cluster running the identical workload through the same front-end,
+//!    interleaved best-of-N. Every node applies every object, so the
+//!    cluster's aggregate applied-object rate over the 1-node rate is
+//!    core-count independent: only the coordinator's own cost (fan-out
+//!    writes, barrier replies, rollup merges) pulls it down. It must stay at
+//!    or above [`MIN_CLUSTER_INGEST_RATIO`]. The benchmark has no
+//!    coordinator workload, so this is `pm-coord`'s only measure.
 //!
-//! 1. the dominance hot path — `compare`/`dominates` throughput of the
-//!    hash-map [`Preference`] form vs the bitset-compiled
-//!    [`CompiledPreference`] form,
-//! 2. end-to-end engine throughput — objects/sec through a
-//!    [`ShardedEngine`] running the FilterThenVerify backend,
-//! 3. the same stream with **registration churn**: one REGISTER +
-//!    UNREGISTER pair per 10 objects (10% churn), so the perf gate also
-//!    covers the dynamic-membership path (cluster join/repair + frontier
-//!    backfill), and
-//! 4. the same stream with **update churn**: 10% of arrivals preceded by
-//!    an in-place UPDATE of a live user, covering the preference-update
-//!    path (cluster diff / re-AND-fold + frontier replay). NB: this phase
-//!    is *not* directly comparable to the registration-churn figure — it
-//!    permutes the base users' preferences, which also changes the cluster
-//!    structure the INGEST side runs on. The like-for-like claim (measured
-//!    by swapping the verb on this same workload) is that in-place UPDATE
-//!    runs ~20% faster than serving each update as UNREGISTER+REGISTER,
-//!    and
-//! 5. the registration-churn stream again on the **compacting history**
-//!    backend (`ftv:0.4:compact`): REGISTER/UPDATE backfill replays the
-//!    skyline-union retained set instead of the full stream. The report
-//!    carries the retained-history size next to the full-history size; the
-//!    `--check` gate additionally requires the compacted retained set to
-//!    stay under `max_compact_retention_ratio` (0.5 = half) of the full
-//!    history on this fixed-seed workload, so the memory win is regression
-//!    -tested alongside the throughput floors, and
-//! 6. the **instrumentation overhead** of the observability layer: the
-//!    plain ingest stream runs with the metrics bundle on and off,
-//!    interleaved, keeping each mode's best round. Every recording site is
-//!    a relaxed atomic op, so the gate requires the on/off throughput gap
-//!    to stay within `max_instrumentation_overhead` (5%) — a larger gap
-//!    means someone put real work on the hot path. The metrics-on run also
-//!    yields the ingest-batch latency percentiles the report carries, and
-//! 7. **subscriber fan-out** through the full serving stack: the ingest
-//!    stream is driven over TCP through the readiness reactor while ~1k
-//!    subscriber connections (spread across every user) receive their
-//!    `EVENT` delta streams. The clock covers ingestion *and* delivery —
-//!    it stops only once every subscriber has drained its events behind a
-//!    `HEALTH` barrier — so the per-arrival delta diff, the per-mode
-//!    render cache, and the outbox writes are all on the measured path,
-//!    and
-//! 8. the **durability tax and recovery time**: the plain ingest stream
-//!    runs with a write-ahead log attached under the group-commit policy
-//!    (`--wal-sync=batch`) and detached, interleaved like phase 6, and the
-//!    `--check` gate requires the WAL-on throughput to stay within
-//!    `max_wal_overhead` (15%) of WAL-off. The WAL directory the last
-//!    on-round leaves behind is then recovered — genesis snapshot plus a
-//!    full log-tail replay, the worst case for this stream — and the
-//!    wall-clock recovery time must stay under the baseline's
-//!    `max_recovery_ms` ceiling, and
-//! 9. **population scale**: 100,000 users are registered one by one from a
-//!    512-prototype Zipf preference pool (the shared-preference premise of
-//!    Sec. 4 at scale), measuring registration build time, the interner's
-//!    bytes-per-user footprint, churn throughput on the big population,
-//!    and — via two direct `cluster_users` probes at a fixed user count —
-//!    that clustering build time scales with the *distinct-preference*
-//!    count, not the population. Set `PM_SCALE_USERS=1000000` for the 1M
-//!    run on capable hosts; the chosen population is always logged and
-//!    written to the report, never silently capped. This phase writes its
-//!    own report (`BENCH_9.json` by default), and
-//! 10. **cluster scale-out** through the multi-node serving stack: a
-//!     3-node in-process cluster (real TCP nodes behind a `pm-coord`
-//!     front-end, the `pm_coord::harness` topology) ingests the replicated
-//!     object stream through the coordinator's wire `INGEST` verb, against
-//!     a 1-node cluster running the identical workload through the same
-//!     front-end. Replication is write-all with a pipelined barrier, so
-//!     the nodes absorb each batch in parallel and the coordinator's own
-//!     cost — fan-out writes, the extra replies, the rollup merge — is
-//!     the scale-out tax under test. The `--check` gate requires the
-//!     cluster's *per-replica* ingest efficiency (aggregate applied-object
-//!     rate over the 1-node rate, which is core-count independent — every
-//!     node applies every object) to stay at or above
-//!     `min_cluster_ingest_ratio` (0.8); the raw 3-node-vs-1-node stream
-//!     ratio is reported alongside and reads as parity on hosts with
-//!     enough cores to run the replicas in parallel. This phase writes its
-//!     own report (`BENCH_10.json` by default).
-//!
-//! Results are printed as one line per metric and written to a JSON report
-//! (`BENCH_8.json` by default; phases 9 and 10 additionally write
-//! `BENCH_9.json` / `BENCH_10.json`). With `--check <baseline.json>` the
-//! run fails (exit 1) when a throughput metric regresses more than 30%
-//! against the checked-in baseline, when the compiled dominance path is
-//! less than 2x the hash-map path, when compaction retains too much, when
-//! the instrumentation, durability or recovery overheads exceed their
-//! ceilings, when the scale phase blows its registration-time or
-//! bytes-per-user ceiling, or when the cluster phase falls under its
-//! scale-out ratio floor — this is the `perf-smoke` CI gate.
-//!
-//! `--phases <list>` (e.g. `--phases 1,2,9`) runs a subset; every phase
-//! not in the list is logged as SKIPPED (nothing is capped silently) and
-//! its gates are skipped with an explicit message. Phases that compare
-//! against another phase's figures auto-enable their dependency (see
-//! [`PHASE_DEPS`]), each with an explicit log line.
+//! The binary takes no arguments and writes no files. It prints both ratios
+//! and exits 1 when a gate fails:
 //!
 //! ```text
-//! perf_smoke [--out BENCH_8.json] [--scale-out BENCH_9.json]
-//!            [--cluster-out BENCH_10.json]
-//!            [--check bench-baseline.json] [--phases 1,2,...]
+//! cargo run --release -p pm-bench --bin perf_smoke
 //! ```
 
-use std::collections::BTreeSet;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use pm_bench::setup::{cluster_dataset, generate_dataset};
-use pm_bench::workload::{object_pair_indices, value_pair, WORKLOAD_PREFS};
+use pm_bench::setup::generate_dataset;
 use pm_bench::Scale;
-use pm_cluster::ExactMeasure;
 use pm_coord::{spawn_coordinator, spawn_node, ClusterConfig, NodeSpec, TextClient, Topology};
-use pm_datagen::{Dataset, DatasetProfile, ZipfSampler};
+use pm_datagen::{Dataset, DatasetProfile};
 use pm_engine::{BackendSpec, EngineConfig, ShardedEngine};
-use pm_model::{Object, UserId};
-use pm_porder::{CompiledPreference, Preference};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pm_model::{Object, ObjectId};
 
-/// Comparisons per dominance measurement.
-const DOMINANCE_OPS: usize = 2_000_000;
-/// Stream length for the end-to-end engine measurement.
-const ENGINE_OBJECTS: usize = 6_000;
-/// Ingestion batch size.
-const ENGINE_BATCH: usize = 256;
-/// The engine backend under test.
+/// The engine backend both gates run.
 const ENGINE_BACKEND: &str = "ftv:0.4";
-/// The compacting-history variant of the engine backend (phase 5).
-const ENGINE_BACKEND_COMPACT: &str = "ftv:0.4:compact";
-/// Churn phase: one REGISTER/UNREGISTER pair per this many objects (10%).
-const CHURN_PERIOD: usize = 10;
-/// How many registrations stay live before being unregistered again.
-const CHURN_LAG: u32 = 8;
-/// Regression tolerance of the `--check` gate.
-const MAX_REGRESSION: f64 = 0.30;
-/// Required compiled-vs-hash dominance speedup.
-const MIN_SPEEDUP: f64 = 2.0;
-/// Stream length of one instrumentation-overhead round (phase 6). Shorter
-/// than [`ENGINE_OBJECTS`]: the phase runs `2 *`[`OVERHEAD_ROUNDS`] times.
+/// Ingestion batch size of the overhead stream.
+const ENGINE_BATCH: usize = 256;
+/// Stream length of one instrumentation-overhead round.
 const OVERHEAD_OBJECTS: usize = 3_000;
-/// Interleaved (off, on) round pairs of the overhead phase; each mode keeps
+/// Interleaved (off, on) round pairs of the overhead gate; each mode keeps
 /// its best round, so thermal/scheduler drift hits both modes equally.
 const OVERHEAD_ROUNDS: usize = 2;
-/// Overhead ceiling used when the baseline lacks the key.
+/// Ceiling on the metrics-on vs metrics-off throughput gap.
 const MAX_OVERHEAD: f64 = 0.05;
-/// Subscriber connections of the fan-out phase (phase 7). Scaled down if
-/// the file-descriptor limit cannot accommodate ~2 fds per connection.
-const FANOUT_SUBSCRIBERS: usize = 1_000;
-/// Stream length of the fan-out phase: shorter than [`ENGINE_OBJECTS`]
-/// because every arrival is also rendered and delivered ~[`FANOUT_SUBSCRIBERS`]
-/// / users times.
-const FANOUT_OBJECTS: usize = 1_500;
-/// Interleaved (off, on) round pairs of the durability phase (phase 8).
-const WAL_ROUNDS: usize = 2;
-/// WAL-on vs WAL-off throughput-gap ceiling when the baseline lacks the
-/// `max_wal_overhead` key.
-const MAX_WAL_OVERHEAD: f64 = 0.15;
-/// Population of the scale phase (phase 9). Overridable via
-/// `PM_SCALE_USERS` (e.g. `1000000` on capable hosts); the scale ceilings
-/// of the `--check` gate only apply at this calibrated default.
-const SCALE_USERS: usize = 100_000;
-/// Distinct preference prototypes the scale population draws from. The
-/// paper's shared-preference premise (Sec. 4) at scale: many users, few
-/// distinct preferences, Zipf-assigned.
-const SCALE_POOL: usize = 512;
-/// Zipf exponent of the prototype assignment (mild head-heavy skew).
-const SCALE_SKEW: f64 = 1.1;
-/// Backend of the scale phase. Baseline serves every distinct fingerprint
-/// exactly once per arrival, so it isolates the interner's population
-/// independence without a clustering pass over 100k+ users.
-const SCALE_BACKEND: &str = "baseline";
-/// Stream length of the scale churn measurement. Shorter than
-/// [`ENGINE_OBJECTS`]: each arrival fans over ~[`SCALE_POOL`] bucket
-/// frontiers instead of the quick-scale population's handful.
-const SCALE_OBJECTS: usize = 2_000;
-/// Fixed user count of the two clustering probes of phase 9. Held
-/// constant while the distinct-preference count varies, so the probe
-/// pair shows clustering cost tracking *distinct* preferences.
-const SCALE_CLUSTER_USERS: usize = 2_000;
-/// Distinct-preference count of the small clustering probe.
-const SCALE_CLUSTER_SMALL: usize = 16;
-/// Distinct-preference count of the large clustering probe.
-const SCALE_CLUSTER_LARGE: usize = 512;
-/// Nodes of the scale-out cluster (phase 10); the 1-node comparison run
-/// uses the identical coordinator front-end.
+/// Nodes of the scale-out cluster; the 1-node comparison run uses the
+/// identical coordinator front-end.
 const CLUSTER_NODES: usize = 3;
-/// Registered users of the cluster phase, hash-partitioned across the
+/// Registered users of the cluster workload, hash-partitioned across the
 /// nodes by the coordinator.
 const CLUSTER_USERS: usize = 24;
-/// Stream length of one cluster ingest round. Shorter than
-/// [`ENGINE_OBJECTS`]: every batch crosses the wire twice (client to
-/// coordinator, coordinator to every node) and runs twice per round pair.
+/// Stream length of one cluster ingest round: every batch crosses the wire
+/// twice (client to coordinator, coordinator to every node).
 const CLUSTER_OBJECTS: usize = 4_000;
-/// Ingest batch of the cluster phase: larger than [`ENGINE_BATCH`] so the
-/// per-batch coordinator hop is amortised the way a replication client
-/// would batch, keeping the ratio a measure of fan-out, not round trips.
+/// Ingest batch of the cluster workload: large enough that the per-batch
+/// coordinator hop is amortised the way a replication client would batch,
+/// keeping the ratio a measure of fan-out, not round trips.
 const CLUSTER_BATCH: usize = 512;
 /// Interleaved (1-node, 3-node) round pairs; each side keeps its best.
 const CLUSTER_ROUNDS: usize = 2;
-/// Scale-out floor used when the baseline lacks the
-/// `min_cluster_ingest_ratio` key: the cluster's per-replica ingest
-/// efficiency must stay within 20% of the 1-node figure (see
-/// [`ClusterReport::replication_efficiency`]).
+/// Floor on the cluster's per-replica ingest efficiency: within 20% of the
+/// 1-node figure.
 const MIN_CLUSTER_INGEST_RATIO: f64 = 0.8;
 /// Attributes per object of the cluster workload (the harness node
 /// default).
@@ -208,349 +72,16 @@ const CLUSTER_ARITY: usize = 4;
 /// Values per attribute of the cluster workload.
 const CLUSTER_DOMAIN: usize = 6;
 
-/// Display names, indexed by phase number - 1, used by the `--phases`
-/// skip logs so nothing is ever silently omitted.
-const PHASE_NAMES: [&str; 10] = [
-    "dominance",
-    "engine ingest",
-    "registration churn",
-    "update churn",
-    "compacting-history churn",
-    "instrumentation overhead",
-    "subscriber fan-out",
-    "durability & recovery",
-    "population scale",
-    "cluster scale-out",
-];
-
-/// Cross-phase data dependencies: requesting `.0` auto-enables `.1`, with
-/// `.2` logged as the reason. Resolved to a fixpoint in `main`, so chains
-/// compose and nothing is enabled silently. This replaces ad-hoc
-/// `contains`/`insert` special cases: a new dependent phase adds a row
-/// here, not a branch there.
-const PHASE_DEPS: &[(usize, usize, &str)] = &[(
-    5,
-    3,
-    "phase 5 compares against phase 3's full-history figures",
-)];
-
-/// `a / b`, or 0 when the denominator is unset (a skipped phase leaves
-/// its inputs zeroed; the report must stay valid JSON — no NaN).
-fn ratio(a: f64, b: f64) -> f64 {
-    if b > 0.0 {
-        a / b
-    } else {
-        0.0
-    }
-}
-
-struct Report {
-    prefers_hash: f64,
-    prefers_compiled: f64,
-    dominance_hash: f64,
-    dominance_compiled: f64,
-    engine_objects_per_sec: f64,
-    engine_churn_objects_per_sec: f64,
-    engine_update_objects_per_sec: f64,
-    engine_compact_churn_objects_per_sec: f64,
-    compact_retained_objects: u64,
-    compact_full_objects: u64,
-    compact_retained_bytes: u64,
-    compact_full_bytes: u64,
-    engine_metrics_on_objects_per_sec: f64,
-    engine_metrics_off_objects_per_sec: f64,
-    ingest_latency_p50_us: f64,
-    ingest_latency_p95_us: f64,
-    ingest_latency_p99_us: f64,
-    engine_fanout_objects_per_sec: f64,
-    fanout_subscribers: usize,
-    fanout_events_delivered: u64,
-    engine_wal_ingest_objects_per_sec: f64,
-    engine_wal_off_objects_per_sec: f64,
-    recovery_ms: f64,
-    recovery_replayed: u64,
-}
-
-impl Report {
-    fn speedup(&self) -> f64 {
-        ratio(self.dominance_compiled, self.dominance_hash)
-    }
-
-    /// Retained-history memory relative to the full history an unlimited
-    /// backend holds over the identical stream. Bytes, not object counts:
-    /// value-duplicate collapsing stores each distinct vector once with an
-    /// id list, which is most of the win on a stream that repeats vectors —
-    /// skyline-union eviction then trims the id lists themselves.
-    fn retention_ratio(&self) -> f64 {
-        ratio(
-            self.compact_retained_bytes as f64,
-            self.compact_full_bytes as f64,
-        )
-    }
-
-    /// Relative throughput cost of the metrics bundle: how much slower the
-    /// metrics-on stream ran than the metrics-off stream (0 when it ran at
-    /// least as fast — noise can swing either way).
-    fn instrumentation_overhead(&self) -> f64 {
-        (ratio(
-            self.engine_metrics_off_objects_per_sec,
-            self.engine_metrics_on_objects_per_sec,
-        ) - 1.0)
-            .max(0.0)
-    }
-
-    /// Relative throughput cost of the attached WAL under group commit:
-    /// how much slower the WAL-on stream ran than the WAL-off stream.
-    fn wal_overhead(&self) -> f64 {
-        (ratio(
-            self.engine_wal_off_objects_per_sec,
-            self.engine_wal_ingest_objects_per_sec,
-        ) - 1.0)
-            .max(0.0)
-    }
-
-    fn to_json(&self, phases: &BTreeSet<usize>) -> String {
-        let phase_list = phases
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\n  \"schema\": \"pm-perf-smoke/v8\",\n  \"profile\": \"movie\",\n  \"seed\": 42,\n  \
-             \"phases\": \"{phase_list}\",\n  \
-             \"prefers_hash_ops_per_sec\": {:.0},\n  \"prefers_compiled_ops_per_sec\": {:.0},\n  \
-             \"dominance_hash_ops_per_sec\": {:.0},\n  \"dominance_compiled_ops_per_sec\": {:.0},\n  \
-             \"dominance_speedup\": {:.3},\n  \"engine_backend\": \"{}\",\n  \
-             \"engine_objects\": {},\n  \"engine_objects_per_sec\": {:.0},\n  \
-             \"engine_churn_objects_per_sec\": {:.0},\n  \
-             \"engine_update_objects_per_sec\": {:.0},\n  \
-             \"engine_compact_backend\": \"{}\",\n  \
-             \"engine_compact_churn_objects_per_sec\": {:.0},\n  \
-             \"compact_retained_objects\": {},\n  \"compact_full_objects\": {},\n  \
-             \"compact_retained_bytes\": {},\n  \"compact_full_bytes\": {},\n  \
-             \"compact_retention_ratio\": {:.3},\n  \
-             \"engine_metrics_on_objects_per_sec\": {:.0},\n  \
-             \"engine_metrics_off_objects_per_sec\": {:.0},\n  \
-             \"instrumentation_overhead_ratio\": {:.4},\n  \
-             \"ingest_latency_p50_us\": {:.1},\n  \
-             \"ingest_latency_p95_us\": {:.1},\n  \
-             \"ingest_latency_p99_us\": {:.1},\n  \
-             \"engine_fanout_objects_per_sec\": {:.0},\n  \
-             \"fanout_objects\": {},\n  \
-             \"fanout_subscribers\": {},\n  \
-             \"fanout_events_delivered\": {},\n  \
-             \"engine_wal_ingest_objects_per_sec\": {:.0},\n  \
-             \"engine_wal_off_objects_per_sec\": {:.0},\n  \
-             \"wal_overhead_ratio\": {:.4},\n  \
-             \"recovery_ms\": {:.1},\n  \
-             \"recovery_replayed\": {}\n}}\n",
-            self.prefers_hash,
-            self.prefers_compiled,
-            self.dominance_hash,
-            self.dominance_compiled,
-            self.speedup(),
-            ENGINE_BACKEND,
-            ENGINE_OBJECTS,
-            self.engine_objects_per_sec,
-            self.engine_churn_objects_per_sec,
-            self.engine_update_objects_per_sec,
-            ENGINE_BACKEND_COMPACT,
-            self.engine_compact_churn_objects_per_sec,
-            self.compact_retained_objects,
-            self.compact_full_objects,
-            self.compact_retained_bytes,
-            self.compact_full_bytes,
-            self.retention_ratio(),
-            self.engine_metrics_on_objects_per_sec,
-            self.engine_metrics_off_objects_per_sec,
-            self.instrumentation_overhead(),
-            self.ingest_latency_p50_us,
-            self.ingest_latency_p95_us,
-            self.ingest_latency_p99_us,
-            self.engine_fanout_objects_per_sec,
-            FANOUT_OBJECTS,
-            self.fanout_subscribers,
-            self.fanout_events_delivered,
-            self.engine_wal_ingest_objects_per_sec,
-            self.engine_wal_off_objects_per_sec,
-            self.wal_overhead(),
-            self.recovery_ms,
-            self.recovery_replayed,
-        )
-    }
-}
-
-/// Times `ops` invocations of `f` (called with a running index), returning
-/// ops/sec. A black-boxed accumulator keeps the loop from being optimised
-/// away.
-fn ops_per_sec<F: FnMut(usize) -> usize>(ops: usize, mut f: F) -> f64 {
-    let start = Instant::now();
-    let mut acc = 0usize;
-    for i in 0..ops {
-        acc = acc.wrapping_add(f(i));
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    std::hint::black_box(acc);
-    ops as f64 / elapsed
-}
-
-fn measure_dominance(preferences: &[Preference], objects: &[Object]) -> (f64, f64, f64, f64) {
-    let hash: Vec<&Preference> = preferences.iter().take(WORKLOAD_PREFS).collect();
-    let compiled: Vec<CompiledPreference> = hash.iter().map(|p| p.compile()).collect();
-    let pair = |i: usize| {
-        let (a, b) = object_pair_indices(i, objects.len());
-        (&objects[a], &objects[b])
-    };
-
-    // Warm-up passes keep first-touch cache misses out of the timings.
-    for i in 0..DOMINANCE_OPS / 10 {
-        let (a, b) = pair(i);
-        std::hint::black_box(hash[i % hash.len()].compare(a, b));
-        std::hint::black_box(compiled[i % compiled.len()].compare(a, b));
-    }
-
-    let attr = pm_model::AttrId::new(0);
-    let prefers_hash = ops_per_sec(DOMINANCE_OPS, |i| {
-        let rel = hash[i % hash.len()].relation(attr);
-        let (x, y) = value_pair(objects, i);
-        rel.prefers(x, y) as usize
-    });
-    let prefers_compiled = ops_per_sec(DOMINANCE_OPS, |i| {
-        let rel = compiled[i % compiled.len()].relation(attr);
-        let (x, y) = value_pair(objects, i);
-        rel.prefers(x, y) as usize
-    });
-    let dominance_hash = ops_per_sec(DOMINANCE_OPS, |i| {
-        let (a, b) = pair(i);
-        hash[i % hash.len()].compare(a, b) as usize
-    });
-    let dominance_compiled = ops_per_sec(DOMINANCE_OPS, |i| {
-        let (a, b) = pair(i);
-        compiled[i % compiled.len()].compare(a, b) as usize
-    });
-    (
-        prefers_hash,
-        prefers_compiled,
-        dominance_hash,
-        dominance_compiled,
-    )
-}
-
-fn engine_stream(objects: &[Object]) -> Vec<Object> {
-    (0..ENGINE_OBJECTS)
-        .map(|i| {
-            let base = &objects[i % objects.len()];
-            Object::new(pm_model::ObjectId::from(i), base.values().to_vec())
-        })
-        .collect()
-}
-
-fn measure_engine(preferences: Vec<Preference>, objects: &[Object]) -> f64 {
-    let spec = BackendSpec::parse(ENGINE_BACKEND).expect("valid backend spec");
-    let engine = ShardedEngine::new(preferences, &EngineConfig::new(1), &spec);
-    let stream = engine_stream(objects);
-    let start = Instant::now();
-    let mut processed = 0usize;
-    for chunk in stream.chunks(ENGINE_BATCH) {
-        let arrivals = engine.process_batch(chunk.to_vec());
-        processed += arrivals.len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(processed, ENGINE_OBJECTS, "every object must be processed");
-    processed as f64 / elapsed
-}
-
-/// The same stream with 10% registration churn on `backend`: after every
-/// [`CHURN_PERIOD`] objects, one new user registers (preferences cycled
-/// from the dataset, sparse ids above the base population) and the user
-/// registered [`CHURN_LAG`] rounds earlier unregisters, so the population
-/// stays near its base size while the dynamic path — cluster join/repair
-/// plus frontier backfill over the retained history — runs continuously.
-/// Returns the throughput plus the engine's final work counters (which
-/// carry the retained-history gauges). One function serves both the plain
-/// and the compacting phase so the two stay the *identical* workload the
-/// retention-ratio gate compares.
-fn run_churn_workload(dataset: &Dataset, backend: &str) -> (f64, pm_core::MonitorStats) {
-    let spec = BackendSpec::parse(backend).expect("valid backend spec");
-    let engine = ShardedEngine::new(dataset.preferences.clone(), &EngineConfig::new(1), &spec);
-    let stream = engine_stream(&dataset.objects);
-    let base = dataset.num_users() as u32;
-    let churn_per_batch = ENGINE_BATCH / CHURN_PERIOD;
-    let start = Instant::now();
-    let mut processed = 0usize;
-    let mut next_user = base;
-    for chunk in stream.chunks(ENGINE_BATCH) {
-        processed += engine.process_batch(chunk.to_vec()).len();
-        for _ in 0..churn_per_batch {
-            let pref = dataset.preferences[(next_user as usize) % dataset.num_users()].clone();
-            engine
-                .register(UserId::new(1_000_000 + next_user), pref)
-                .expect("register");
-            if next_user >= base + CHURN_LAG {
-                engine
-                    .unregister(UserId::new(1_000_000 + next_user - CHURN_LAG))
-                    .expect("unregister");
-            }
-            next_user += 1;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(processed, ENGINE_OBJECTS, "every object must be processed");
-    assert_eq!(
-        engine.num_users(),
-        dataset.num_users() + CHURN_LAG as usize,
-        "churn must keep the population bounded"
-    );
-    (processed as f64 / elapsed, engine.stats())
-}
-
-/// The same stream with 10% **update churn**: after every [`CHURN_PERIOD`]
-/// objects one live user's preference is replaced in place (preferences
-/// cycled from the dataset, so most updates genuinely change the compiled
-/// relations and exercise the cluster diff), while ids and the population
-/// size never move. This times the in-place path the UPDATE verb serves:
-/// one cluster re-AND-fold or local repair plus one frontier replay —
-/// versus the two repairs and swap-remove renumbering of
-/// UNREGISTER+REGISTER measured by [`run_churn_workload`].
-fn measure_engine_update_churn(dataset: &Dataset) -> f64 {
-    let spec = BackendSpec::parse(ENGINE_BACKEND).expect("valid backend spec");
-    let engine = ShardedEngine::new(dataset.preferences.clone(), &EngineConfig::new(1), &spec);
-    let stream = engine_stream(&dataset.objects);
-    let base = dataset.num_users();
-    let churn_per_batch = ENGINE_BATCH / CHURN_PERIOD;
-    let start = Instant::now();
-    let mut processed = 0usize;
-    let mut round = 0usize;
-    for chunk in stream.chunks(ENGINE_BATCH) {
-        for _ in 0..churn_per_batch {
-            let user = UserId::from(round % base);
-            let pref = dataset.preferences[(round + 13) % base].clone();
-            engine.update(user, pref).expect("update");
-            round += 1;
-        }
-        processed += engine.process_batch(chunk.to_vec()).len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(processed, ENGINE_OBJECTS, "every object must be processed");
-    assert_eq!(
-        engine.num_users(),
-        base,
-        "update churn must not change the population"
-    );
-    processed as f64 / elapsed
-}
-
-/// One metrics-on or metrics-off run of the plain ingest stream (phase 6):
-/// returns throughput and the final engine snapshot, whose ingest-latency
-/// percentiles are nonzero only when the metrics bundle is on.
-fn timed_plain_stream(dataset: &Dataset, metrics: bool) -> (f64, pm_engine::EngineSnapshot) {
+/// One metrics-on or metrics-off run of the plain ingest stream, returning
+/// its throughput in objects/sec.
+fn timed_plain_stream(dataset: &Dataset, metrics: bool) -> f64 {
     let spec = BackendSpec::parse(ENGINE_BACKEND).expect("valid backend spec");
     let config = EngineConfig::new(1).with_metrics(metrics);
     let engine = ShardedEngine::new(dataset.preferences.clone(), &config, &spec);
     let stream: Vec<Object> = (0..OVERHEAD_OBJECTS)
         .map(|i| {
             let base = &dataset.objects[i % dataset.objects.len()];
-            Object::new(pm_model::ObjectId::from(i), base.values().to_vec())
+            Object::new(ObjectId::from(i), base.values().to_vec())
         })
         .collect();
     let start = Instant::now();
@@ -563,453 +94,25 @@ fn timed_plain_stream(dataset: &Dataset, metrics: bool) -> (f64, pm_engine::Engi
         processed, OVERHEAD_OBJECTS,
         "every object must be processed"
     );
-    (processed as f64 / elapsed, engine.snapshot())
-}
-
-/// Phase 6: interleaved (off, on) rounds of the plain stream; each mode
-/// keeps its best round so drift hits both equally. Returns
-/// `(best_on, best_off, p50_us, p95_us, p99_us)`, the percentiles taken
-/// from the best metrics-on round.
-fn measure_instrumentation_overhead(dataset: &Dataset) -> (f64, f64, f64, f64, f64) {
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    let (mut p50, mut p95, mut p99) = (0.0, 0.0, 0.0);
-    for _ in 0..OVERHEAD_ROUNDS {
-        let (off, _) = timed_plain_stream(dataset, false);
-        best_off = best_off.max(off);
-        let (on, snapshot) = timed_plain_stream(dataset, true);
-        if on > best_on {
-            best_on = on;
-            p50 = snapshot.ingest_p50_us;
-            p95 = snapshot.ingest_p95_us;
-            p99 = snapshot.ingest_p99_us;
-        }
-    }
-    (best_on, best_off, p50, p95, p99)
-}
-
-/// Phase 7: the serving stack under subscriber fan-out. One control
-/// connection drives [`FANOUT_OBJECTS`] objects through the wire `INGEST`
-/// verb of a reactor-served engine while subscriber connections — spread
-/// round-robin over every user — hold live `SUBSCRIBE` streams. The clock
-/// runs from the first ingest write until every subscriber has drained its
-/// `EVENT` backlog behind a pipelined `HEALTH` barrier (per-connection
-/// outboxes are FIFO), so delta diffing, rendering, and delivery are all
-/// inside the measurement. Returns `(objects_per_sec, subscribers,
-/// events_delivered)`.
-fn measure_subscriber_fanout(dataset: &Dataset) -> (f64, usize, u64) {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::Arc;
-
-    // Each subscriber costs two descriptors in this one process (client
-    // and server end); raise the soft limit and scale down if refused.
-    let limit = pm_reactor::raise_nofile_limit(8_192).unwrap_or(1_024);
-    let subscribers = FANOUT_SUBSCRIBERS.min((limit.saturating_sub(300) / 2) as usize);
-
-    let spec = BackendSpec::parse(ENGINE_BACKEND).expect("valid backend spec");
-    let engine = ShardedEngine::new(dataset.preferences.clone(), &EngineConfig::new(1), &spec);
-    // Slow-op warnings are disabled: a bench batch is *supposed* to be
-    // saturated, and the log writes would perturb the measurement.
-    let service = Arc::new(
-        pm_engine::EngineService::new(engine, spec, dataset.dimensions(), 16).with_slow_op(None),
-    );
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
-    // The bench measures throughput, not the eviction policy: a roomy
-    // outbox bound keeps slow-reader eviction out of the picture.
-    let config = pm_engine::ReactorConfig {
-        max_outbox: 32 << 20,
-        ..pm_engine::ReactorConfig::default()
-    };
-    std::thread::spawn(move || pm_engine::serve_with(listener, service, config));
-
-    let connect = |request: &str| {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        stream.write_all(request.as_bytes()).expect("send");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("response");
-        assert!(line.starts_with("OK "), "unexpected reply: {line}");
-        (stream, reader)
-    };
-    let (mut control, mut control_reader) = connect("HEALTH\n");
-    let users = dataset.num_users();
-    let mut subs: Vec<(TcpStream, BufReader<TcpStream>)> = (0..subscribers)
-        .map(|i| connect(&format!("SUBSCRIBE {}\n", i % users)))
-        .collect();
-
-    // The wire form of the same recycled object stream the other engine
-    // phases ingest (ids are assigned server-side in arrival order).
-    let rows: Vec<String> = (0..FANOUT_OBJECTS)
-        .map(|i| {
-            let base = &dataset.objects[i % dataset.objects.len()];
-            base.values()
-                .iter()
-                .map(|v| v.raw().to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect();
-
-    let start = Instant::now();
-    let mut line = String::new();
-    for chunk in rows.chunks(ENGINE_BATCH) {
-        control
-            .write_all(format!("INGEST {}\n", chunk.join(";")).as_bytes())
-            .expect("ingest");
-        line.clear();
-        control_reader.read_line(&mut line).expect("ingest reply");
-        assert!(line.starts_with("OK INGESTED"), "unexpected reply: {line}");
-    }
-    // Barrier: every subscriber answers HEALTH only after its event
-    // backlog; writes first so the drains overlap server-side.
-    for (stream, _) in &mut subs {
-        stream.write_all(b"HEALTH\n").expect("barrier");
-    }
-    let mut events = 0u64;
-    for (_, reader) in &mut subs {
-        loop {
-            line.clear();
-            reader.read_line(&mut line).expect("drain");
-            if line.starts_with("OK HEALTH") {
-                break;
-            }
-            assert!(line.starts_with("EVENT "), "unexpected line: {line}");
-            events += 1;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(events > 0, "fan-out must deliver events");
-    (FANOUT_OBJECTS as f64 / elapsed, subscribers, events)
-}
-
-/// One WAL-attached run of the plain ingest stream: builds the service
-/// through `recover_or_create` on a fresh directory (which attaches the
-/// log under `--wal-sync=batch` semantics) and times the identical stream
-/// the WAL-off rounds process. Every batch is appended to the log inside
-/// the shard-dispatch critical section, so the measured gap is the full
-/// durability tax: encoding, the page-cache write, and the group-commit
-/// fsyncs.
-fn timed_wal_stream(dataset: &Dataset, dir: &std::path::Path) -> f64 {
-    let spec = BackendSpec::parse(ENGINE_BACKEND).expect("valid backend spec");
-    let durability = pm_engine::DurabilityConfig {
-        dir: dir.to_path_buf(),
-        sync: pm_wal::SyncPolicy::Batch,
-        snapshot_every: 0,
-    };
-    let (service, report) = pm_engine::durability::recover_or_create(
-        dataset.preferences.clone(),
-        &EngineConfig::new(1),
-        &spec,
-        dataset.dimensions(),
-        16,
-        &durability,
-    )
-    .expect("open WAL dir");
-    assert!(
-        report.is_none(),
-        "the WAL round must start from a fresh dir"
-    );
-    let stream = engine_stream(&dataset.objects);
-    let start = Instant::now();
-    let mut processed = 0usize;
-    for chunk in stream.chunks(ENGINE_BATCH) {
-        processed += service.engine().process_batch(chunk.to_vec()).len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(processed, ENGINE_OBJECTS, "every object must be processed");
     processed as f64 / elapsed
 }
 
-/// Phase 8: interleaved (off, on) rounds of the plain stream — WAL-off
-/// rounds run the bare engine, WAL-on rounds append every ingest batch to
-/// a fresh log under group commit; each mode keeps its best round. The
-/// directory the last on-round leaves behind (genesis snapshot + the full
-/// ingest tail) is then recovered and timed. Returns
-/// `(best_on, best_off, recovery_ms, recovery_replayed)`.
-fn measure_durability(dataset: &Dataset) -> (f64, f64, f64, u64) {
-    let dir = std::env::temp_dir().join(format!("pm-perf-smoke-wal-{}", std::process::id()));
+/// Interleaved (off, on) rounds of the plain stream; returns the best
+/// `(on, off)` throughputs.
+fn measure_instrumentation(dataset: &Dataset) -> (f64, f64) {
     let mut best_off = 0.0f64;
     let mut best_on = 0.0f64;
-    for _ in 0..WAL_ROUNDS {
-        let off = measure_engine(dataset.preferences.clone(), &dataset.objects);
-        best_off = best_off.max(off);
-        let _ = std::fs::remove_dir_all(&dir);
-        best_on = best_on.max(timed_wal_stream(dataset, &dir));
+    for _ in 0..OVERHEAD_ROUNDS {
+        best_off = best_off.max(timed_plain_stream(dataset, false));
+        best_on = best_on.max(timed_plain_stream(dataset, true));
     }
-
-    let spec = BackendSpec::parse(ENGINE_BACKEND).expect("valid backend spec");
-    let durability = pm_engine::DurabilityConfig {
-        dir: dir.clone(),
-        sync: pm_wal::SyncPolicy::Batch,
-        snapshot_every: 0,
-    };
-    let (_service, report) = pm_engine::durability::recover_or_create(
-        dataset.preferences.clone(),
-        &EngineConfig::new(1),
-        &spec,
-        dataset.dimensions(),
-        16,
-        &durability,
-    )
-    .expect("recover WAL dir");
-    let report = report.expect("an ingested WAL dir must produce a recovery report");
-    let _ = std::fs::remove_dir_all(&dir);
-    (
-        best_on,
-        best_off,
-        report.elapsed.as_secs_f64() * 1_000.0,
-        report.replayed,
-    )
+    (best_on, best_off)
 }
 
-/// Phase 9 measurements, written to their own report (`BENCH_9.json`).
-struct ScaleReport {
-    /// Registered population; [`SCALE_USERS`] unless `PM_SCALE_USERS`
-    /// overrode it (always logged and recorded — never silently capped).
-    users: usize,
-    /// Wall-clock time of registering the whole population.
-    register_ms: f64,
-    /// Distinct fingerprints the interner holds after registration.
-    distinct_preferences: u64,
-    /// Estimated preference bytes across the whole population.
-    preference_bytes: u64,
-    /// Ingest throughput with 10% registration churn on the big population.
-    churn_objects_per_sec: f64,
-    /// Wall-clock of `cluster_users` over [`SCALE_CLUSTER_USERS`] users
-    /// drawn from [`SCALE_CLUSTER_SMALL`] distinct preferences.
-    cluster_small_ms: f64,
-    /// Same population size, [`SCALE_CLUSTER_LARGE`] distinct preferences.
-    cluster_large_ms: f64,
-}
-
-impl ScaleReport {
-    /// Estimated preference bytes per registered user — the headline
-    /// number of the interning refactor: it *falls* as the population
-    /// grows, because distinct preferences are stored once.
-    fn bytes_per_user(&self) -> f64 {
-        ratio(self.preference_bytes as f64, self.users as f64)
-    }
-
-    /// Clustering-time ratio of the large probe over the small one at the
-    /// identical user count: > 1 shows the build cost tracking the
-    /// distinct-preference count, not the population.
-    fn cluster_scaling_ratio(&self) -> f64 {
-        ratio(self.cluster_large_ms, self.cluster_small_ms)
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"pm-scale-smoke/v1\",\n  \"profile\": \"movie\",\n  \"seed\": 42,\n  \
-             \"scale_backend\": \"{}\",\n  \
-             \"scale_users\": {},\n  \"scale_pool\": {},\n  \
-             \"scale_register_ms\": {:.1},\n  \
-             \"scale_distinct_preferences\": {},\n  \
-             \"scale_preference_bytes\": {},\n  \
-             \"scale_bytes_per_user\": {:.1},\n  \
-             \"scale_churn_objects_per_sec\": {:.0},\n  \
-             \"cluster_probe_users\": {},\n  \
-             \"cluster_small_distinct\": {},\n  \"cluster_small_ms\": {:.1},\n  \
-             \"cluster_large_distinct\": {},\n  \"cluster_large_ms\": {:.1},\n  \
-             \"cluster_scaling_ratio\": {:.2}\n}}\n",
-            SCALE_BACKEND,
-            self.users,
-            SCALE_POOL,
-            self.register_ms,
-            self.distinct_preferences,
-            self.preference_bytes,
-            self.bytes_per_user(),
-            self.churn_objects_per_sec,
-            SCALE_CLUSTER_USERS,
-            SCALE_CLUSTER_SMALL,
-            self.cluster_small_ms,
-            SCALE_CLUSTER_LARGE,
-            self.cluster_large_ms,
-            self.cluster_scaling_ratio(),
-        )
-    }
-}
-
-/// Phase 9: the interning refactor at population scale. Registers
-/// [`SCALE_USERS`] users (or `PM_SCALE_USERS`) one at a time — never
-/// materialising the population's preferences up front, which at ~25KB per
-/// distinct preference would cost gigabytes — from a [`SCALE_POOL`]-
-/// prototype pool under a Zipf assignment, then measures churn throughput
-/// on the big population and runs the two fixed-population clustering
-/// probes that show build time tracking the distinct-preference count.
-fn measure_scale() -> ScaleReport {
-    let users = match std::env::var("PM_SCALE_USERS") {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0 && n <= 16_000_000)
-            .unwrap_or_else(|| panic!("PM_SCALE_USERS must be in 1..=16000000, got `{v}`")),
-        Err(_) => SCALE_USERS,
-    };
-    println!(
-        "scale population:    {users} users, {SCALE_POOL} prototypes, zipf {SCALE_SKEW} \
-         (PM_SCALE_USERS=1000000 for the 1M run)"
-    );
-
-    // The prototype pool is itself a generated dataset: its users' derived
-    // preferences become the pool, its objects feed the churn stream.
-    let pool_profile = DatasetProfile::movie()
-        .with_users(SCALE_POOL)
-        .with_objects(1_200)
-        .with_interactions(60);
-    let pool = Dataset::generate(&pool_profile, 42);
-    let sampler = ZipfSampler::new(SCALE_POOL, SCALE_SKEW);
-    let mut rng = StdRng::seed_from_u64(42);
-
-    let spec = BackendSpec::parse(SCALE_BACKEND).expect("valid backend spec");
-    let engine = ShardedEngine::new(Vec::new(), &EngineConfig::new(1), &spec);
-    let start = Instant::now();
-    for i in 0..users {
-        let proto = sampler.sample(&mut rng);
-        engine
-            .register(UserId::new(i as u32), pool.preferences[proto].clone())
-            .expect("register");
-    }
-    let register_ms = start.elapsed().as_secs_f64() * 1_000.0;
-    assert_eq!(engine.num_users(), users, "every user must be registered");
-    let (distinct_preferences, preference_bytes) = engine.preference_footprint();
-    assert!(
-        distinct_preferences <= SCALE_POOL as u64,
-        "the interner must collapse the population onto the prototype pool"
-    );
-
-    // The standard churn mix (one REGISTER+UNREGISTER pair per
-    // [`CHURN_PERIOD`] objects) on the big population: each arrival is
-    // served per distinct fingerprint, not per user, which is what makes
-    // this population size tractable at all.
-    let stream: Vec<Object> = (0..SCALE_OBJECTS)
-        .map(|i| {
-            let base = &pool.objects[i % pool.objects.len()];
-            Object::new(pm_model::ObjectId::from(i), base.values().to_vec())
-        })
-        .collect();
-    let churn_per_batch = ENGINE_BATCH / CHURN_PERIOD;
-    let mut next = 0u32;
-    let start = Instant::now();
-    let mut processed = 0usize;
-    for chunk in stream.chunks(ENGINE_BATCH) {
-        processed += engine.process_batch(chunk.to_vec()).len();
-        for _ in 0..churn_per_batch {
-            let pref = pool.preferences[(next as usize) % SCALE_POOL].clone();
-            engine
-                .register(UserId::new(users as u32 + next), pref)
-                .expect("register");
-            if next >= CHURN_LAG {
-                engine
-                    .unregister(UserId::new(users as u32 + next - CHURN_LAG))
-                    .expect("unregister");
-            }
-            next += 1;
-        }
-    }
-    let churn_objects_per_sec = processed as f64 / start.elapsed().as_secs_f64();
-    assert_eq!(processed, SCALE_OBJECTS, "every object must be processed");
-    drop(engine);
-
-    // Clustering probes: the user count is pinned while the distinct-
-    // preference count varies 16x, so the timing pair isolates what the
-    // agglomerative build actually scales with after the fingerprint
-    // bucketing — the number of *distinct* preferences.
-    let probe = |distinct: usize| {
-        let profile = DatasetProfile::movie()
-            .with_users(SCALE_CLUSTER_USERS)
-            .with_objects(1_200)
-            .with_interactions(60)
-            .with_distinct_preferences(distinct, SCALE_SKEW);
-        let data = Dataset::generate(&profile, 42);
-        let start = Instant::now();
-        let (_, summary) = cluster_dataset(&data, ExactMeasure::Jaccard, 0.4);
-        let ms = start.elapsed().as_secs_f64() * 1_000.0;
-        assert_eq!(summary.users, SCALE_CLUSTER_USERS);
-        ms
-    };
-    let cluster_small_ms = probe(SCALE_CLUSTER_SMALL);
-    let cluster_large_ms = probe(SCALE_CLUSTER_LARGE);
-
-    ScaleReport {
-        users,
-        register_ms,
-        distinct_preferences,
-        preference_bytes,
-        churn_objects_per_sec,
-        cluster_small_ms,
-        cluster_large_ms,
-    }
-}
-
-/// Phase 10 measurements, written to their own report (`BENCH_10.json`).
-struct ClusterReport {
-    /// Nodes of the scaled-out run ([`CLUSTER_NODES`]).
-    nodes: usize,
-    /// Ingest throughput of the [`CLUSTER_NODES`]-node cluster through the
-    /// coordinator's wire `INGEST` verb (replicated write-all, pipelined
-    /// barrier).
-    cluster_ingest_objects_per_sec: f64,
-    /// The identical workload on a 1-node cluster behind the identical
-    /// coordinator front-end — the scale-out ratio's denominator, so the
-    /// constant front-end cost cancels out of the gated figure.
-    single_node_ingest_objects_per_sec: f64,
-}
-
-impl ClusterReport {
-    /// Raw 3-node over 1-node stream throughput. Machine-dependent: every
-    /// node ingests every object, so on hosts with at least
-    /// [`CLUSTER_NODES`] cores the replicas absorb the fan-out in parallel
-    /// and this sits near 1.0, while a single-core host serializes N
-    /// engines' work and caps it near `1/N`. Reported, not gated.
-    fn ingest_ratio(&self) -> f64 {
-        ratio(
-            self.cluster_ingest_objects_per_sec,
-            self.single_node_ingest_objects_per_sec,
-        )
-    }
-
-    /// Per-replica ingest efficiency, the gated figure: the cluster's
-    /// aggregate object-application rate (`nodes ×` stream throughput —
-    /// each replicated object is applied on every node) over the 1-node
-    /// rate. Unlike the raw ratio this is core-count independent: parallel
-    /// replicas push it above 1, and even fully serialized replicas hold
-    /// it near 1 unless the coordinator itself (fan-out writes, barrier
-    /// replies, rollup merges) eats the difference — which is exactly the
-    /// regression the `min_cluster_ingest_ratio` floor catches.
-    fn replication_efficiency(&self) -> f64 {
-        ratio(
-            self.nodes as f64 * self.cluster_ingest_objects_per_sec,
-            self.single_node_ingest_objects_per_sec,
-        )
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"pm-cluster-smoke/v1\",\n  \"seed\": 42,\n  \
-             \"cluster_backend\": \"{ENGINE_BACKEND}\",\n  \
-             \"cluster_nodes\": {},\n  \"cluster_users\": {CLUSTER_USERS},\n  \
-             \"cluster_objects\": {CLUSTER_OBJECTS},\n  \
-             \"cluster_batch\": {CLUSTER_BATCH},\n  \
-             \"cluster_ingest_objects_per_sec\": {:.0},\n  \
-             \"single_node_ingest_objects_per_sec\": {:.0},\n  \
-             \"cluster_ingest_ratio\": {:.3},\n  \
-             \"cluster_replication_efficiency\": {:.3}\n}}\n",
-            self.nodes,
-            self.cluster_ingest_objects_per_sec,
-            self.single_node_ingest_objects_per_sec,
-            self.ingest_ratio(),
-            self.replication_efficiency(),
-        )
-    }
-}
-
-/// A chain preference over the phase-10 domain: attribute `a` prefers
-/// `v+1` over `v` for every value except one user-dependent skipped rank,
-/// so each of the [`CLUSTER_USERS`] frontiers genuinely differs and the
-/// nodes do real per-user work on every arrival.
+/// A chain preference over the cluster workload's domain: attribute `a`
+/// prefers `v+1` over `v` for every value except one user-dependent skipped
+/// rank, so each of the [`CLUSTER_USERS`] frontiers genuinely differs and
+/// the nodes do real per-user work on every arrival.
 fn cluster_preference(user: usize) -> String {
     (0..CLUSTER_ARITY)
         .map(|attr| {
@@ -1051,8 +154,8 @@ fn timed_cluster_ingest(nodes: usize) -> f64 {
         BackendSpec::parse(ENGINE_BACKEND).expect("valid backend spec"),
         1,
     );
-    // A saturated bench batch is supposed to be slow; the warning's log
-    // writes would perturb the measurement (as in the fan-out phase).
+    // A saturated bench batch is supposed to be slow; the slow-op warning's
+    // log writes would perturb the measurement.
     spec.slow_op = None;
     let handles: Vec<_> = (0..nodes)
         .map(|_| spawn_node(&spec).expect("spawn node"))
@@ -1102,635 +205,68 @@ fn timed_cluster_ingest(nodes: usize) -> f64 {
     CLUSTER_OBJECTS as f64 / elapsed
 }
 
-/// Phase 10: interleaved (1-node, [`CLUSTER_NODES`]-node) rounds of the
-/// identical replicated workload; each side keeps its best round so drift
-/// hits both equally, like the other paired phases.
-fn measure_cluster_scale_out() -> ClusterReport {
+/// Interleaved (1-node, [`CLUSTER_NODES`]-node) rounds of the identical
+/// replicated workload; returns the best `(cluster, single)` stream
+/// throughputs.
+fn measure_cluster() -> (f64, f64) {
     let mut best_single = 0.0f64;
     let mut best_cluster = 0.0f64;
     for _ in 0..CLUSTER_ROUNDS {
         best_single = best_single.max(timed_cluster_ingest(1));
         best_cluster = best_cluster.max(timed_cluster_ingest(CLUSTER_NODES));
     }
-    ClusterReport {
-        nodes: CLUSTER_NODES,
-        cluster_ingest_objects_per_sec: best_cluster,
-        single_node_ingest_objects_per_sec: best_single,
-    }
+    (best_cluster, best_single)
 }
 
-/// Minimal parser for the flat JSON this harness itself writes: returns the
-/// numeric fields as (key, value) pairs.
-fn parse_flat_json_numbers(text: &str) -> Vec<(String, f64)> {
-    let mut fields = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(number) = value.trim().parse::<f64>() {
-            fields.push((key.to_owned(), number));
-        }
+fn main() -> ExitCode {
+    if std::env::args().len() > 1 {
+        eprintln!("perf_smoke takes no arguments");
+        return ExitCode::from(2);
     }
-    fields
-}
 
-/// Checks the run against the checked-in baseline. Gates whose phase was
-/// not run are skipped with an explicit line — a filtered run can never
-/// silently pass a gate its phases didn't exercise.
-fn check_against_baseline(
-    report: &Report,
-    scale: Option<&ScaleReport>,
-    cluster: Option<&ClusterReport>,
-    phases: &BTreeSet<usize>,
-    baseline_path: &str,
-) -> Result<(), Vec<String>> {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => return Err(vec![format!("cannot read baseline {baseline_path}: {e}")]),
-    };
-    let baseline = parse_flat_json_numbers(&text);
-    let lookup = |key: &str| baseline.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
-    let mut failures = Vec::new();
-    let skipped = |key: &str, phase: usize| {
-        println!(
-            "gate skipped: {key} (phase {phase}, {}, not run)",
-            PHASE_NAMES[phase - 1]
-        );
-    };
+    let dataset = generate_dataset(&DatasetProfile::movie(), &Scale::quick());
+    println!(
+        "perf-smoke: movie profile, seed 42, {} users, {} objects, backend {ENGINE_BACKEND}",
+        dataset.num_users(),
+        dataset.num_objects()
+    );
+    let (on, off) = measure_instrumentation(&dataset);
+    // How much slower the metrics-on stream ran; 0 when it ran at least as
+    // fast (noise can swing either way).
+    let overhead = (off / on - 1.0).max(0.0);
+    let (cluster, single) = measure_cluster();
+    let efficiency = CLUSTER_NODES as f64 * cluster / single;
 
     let gates = [
         (
-            1,
-            "dominance_compiled_ops_per_sec",
-            report.dominance_compiled,
-        ),
-        (2, "engine_objects_per_sec", report.engine_objects_per_sec),
-        (
-            3,
-            "engine_churn_objects_per_sec",
-            report.engine_churn_objects_per_sec,
+            overhead <= MAX_OVERHEAD,
+            format!(
+                "instrumentation overhead {:.1}% (ceiling {:.0}%; metrics on {on:.0} vs \
+                 off {off:.0} objects/sec)",
+                overhead * 100.0,
+                MAX_OVERHEAD * 100.0
+            ),
         ),
         (
-            4,
-            "engine_update_objects_per_sec",
-            report.engine_update_objects_per_sec,
-        ),
-        (
-            5,
-            "engine_compact_churn_objects_per_sec",
-            report.engine_compact_churn_objects_per_sec,
-        ),
-        (
-            7,
-            "engine_fanout_objects_per_sec",
-            report.engine_fanout_objects_per_sec,
-        ),
-        (
-            8,
-            "engine_wal_ingest_objects_per_sec",
-            report.engine_wal_ingest_objects_per_sec,
+            efficiency >= MIN_CLUSTER_INGEST_RATIO,
+            format!(
+                "cluster replication efficiency {efficiency:.2} (floor \
+                 {MIN_CLUSTER_INGEST_RATIO:.2}; {CLUSTER_NODES}-node {cluster:.0} vs 1-node \
+                 {single:.0} objects/sec)"
+            ),
         ),
     ];
-    for (phase, key, current) in gates {
-        if !phases.contains(&phase) {
-            skipped(key, phase);
-            continue;
-        }
-        let Some(expected) = lookup(key) else {
-            failures.push(format!("baseline is missing `{key}`"));
-            continue;
-        };
-        let floor = expected * (1.0 - MAX_REGRESSION);
-        if current < floor {
-            failures.push(format!(
-                "{key} regressed: {current:.0} < {floor:.0} \
-                 (baseline {expected:.0}, tolerance {:.0}%)",
-                MAX_REGRESSION * 100.0
-            ));
-        } else {
-            println!("gate ok: {key} = {current:.0} (>= {floor:.0})");
-        }
+    let mut pass = true;
+    for (ok, line) in gates {
+        println!(
+            "perf-smoke gate: {}: {line}",
+            if ok { "ok" } else { "FAIL" }
+        );
+        pass &= ok;
     }
-
-    if phases.contains(&1) {
-        let min_speedup = lookup("min_dominance_speedup").unwrap_or(MIN_SPEEDUP);
-        if report.speedup() < min_speedup {
-            failures.push(format!(
-                "dominance speedup {:.2}x below required {min_speedup:.2}x",
-                report.speedup()
-            ));
-        } else {
-            println!(
-                "gate ok: dominance_speedup = {:.2}x (>= {min_speedup:.2}x)",
-                report.speedup()
-            );
-        }
+    if pass {
+        ExitCode::SUCCESS
     } else {
-        skipped("dominance_speedup", 1);
-    }
-
-    // Memory-reduction gate: the compacted retained set must stay under the
-    // baseline ratio of the full history on this fixed-seed workload.
-    if phases.contains(&5) {
-        if let Some(max_ratio) = lookup("max_compact_retention_ratio") {
-            if report.retention_ratio() > max_ratio {
-                failures.push(format!(
-                    "compaction retained {} of {} history bytes ({:.1}%), above \
-                     the {:.1}% ceiling",
-                    report.compact_retained_bytes,
-                    report.compact_full_bytes,
-                    report.retention_ratio() * 100.0,
-                    max_ratio * 100.0
-                ));
-            } else {
-                println!(
-                    "gate ok: compact_retention_ratio = {:.3} (<= {max_ratio:.3})",
-                    report.retention_ratio()
-                );
-            }
-        } else {
-            failures.push("baseline is missing `max_compact_retention_ratio`".to_owned());
-        }
-    } else {
-        skipped("max_compact_retention_ratio", 5);
-    }
-
-    // Instrumentation-overhead gate: the metrics bundle must stay within
-    // its documented throughput cost on the identical interleaved stream.
-    if phases.contains(&6) {
-        let max_overhead = lookup("max_instrumentation_overhead").unwrap_or(MAX_OVERHEAD);
-        if report.instrumentation_overhead() > max_overhead {
-            failures.push(format!(
-                "instrumentation overhead {:.1}% above the {:.1}% ceiling \
-                 (metrics on {:.0} vs off {:.0} objects/sec)",
-                report.instrumentation_overhead() * 100.0,
-                max_overhead * 100.0,
-                report.engine_metrics_on_objects_per_sec,
-                report.engine_metrics_off_objects_per_sec,
-            ));
-        } else {
-            println!(
-                "gate ok: instrumentation_overhead = {:.1}% (<= {:.1}%)",
-                report.instrumentation_overhead() * 100.0,
-                max_overhead * 100.0
-            );
-        }
-    } else {
-        skipped("max_instrumentation_overhead", 6);
-    }
-
-    if phases.contains(&8) {
-        // Durability-tax gate: the attached WAL under group commit must
-        // stay within its documented throughput cost on the identical
-        // stream.
-        let max_wal_overhead = lookup("max_wal_overhead").unwrap_or(MAX_WAL_OVERHEAD);
-        if report.wal_overhead() > max_wal_overhead {
-            failures.push(format!(
-                "WAL overhead {:.1}% above the {:.1}% ceiling \
-                 (WAL on {:.0} vs off {:.0} objects/sec)",
-                report.wal_overhead() * 100.0,
-                max_wal_overhead * 100.0,
-                report.engine_wal_ingest_objects_per_sec,
-                report.engine_wal_off_objects_per_sec,
-            ));
-        } else {
-            println!(
-                "gate ok: wal_overhead = {:.1}% (<= {:.1}%)",
-                report.wal_overhead() * 100.0,
-                max_wal_overhead * 100.0
-            );
-        }
-
-        // Recovery-time gate: genesis snapshot + full log-tail replay of
-        // this fixed stream must finish under the baseline ceiling.
-        if let Some(max_recovery_ms) = lookup("max_recovery_ms") {
-            if report.recovery_ms > max_recovery_ms {
-                failures.push(format!(
-                    "recovery took {:.1} ms ({} records replayed), above the \
-                     {max_recovery_ms:.0} ms ceiling",
-                    report.recovery_ms, report.recovery_replayed
-                ));
-            } else {
-                println!(
-                    "gate ok: recovery_ms = {:.1} (<= {max_recovery_ms:.0})",
-                    report.recovery_ms
-                );
-            }
-        } else {
-            failures.push("baseline is missing `max_recovery_ms`".to_owned());
-        }
-    } else {
-        skipped("max_wal_overhead", 8);
-        skipped("max_recovery_ms", 8);
-    }
-
-    // Scale gates: the 100k-user registration must finish under the build
-    // ceiling and the interner must hold bytes-per-user down. Calibrated
-    // at the default population only — a PM_SCALE_USERS override changes
-    // what the numbers mean, so the ceilings are skipped (loudly).
-    match scale {
-        Some(scale) if scale.users == SCALE_USERS => {
-            if let Some(max_register_ms) = lookup("max_scale_register_ms") {
-                if scale.register_ms > max_register_ms {
-                    failures.push(format!(
-                        "scale registration took {:.0} ms for {} users, above the \
-                         {max_register_ms:.0} ms ceiling",
-                        scale.register_ms, scale.users
-                    ));
-                } else {
-                    println!(
-                        "gate ok: scale_register_ms = {:.0} (<= {max_register_ms:.0})",
-                        scale.register_ms
-                    );
-                }
-            } else {
-                failures.push("baseline is missing `max_scale_register_ms`".to_owned());
-            }
-            if let Some(max_bytes_per_user) = lookup("max_scale_bytes_per_user") {
-                if scale.bytes_per_user() > max_bytes_per_user {
-                    failures.push(format!(
-                        "scale footprint is {:.1} bytes/user ({} distinct preferences, \
-                         {} bytes), above the {max_bytes_per_user:.0} bytes/user ceiling",
-                        scale.bytes_per_user(),
-                        scale.distinct_preferences,
-                        scale.preference_bytes
-                    ));
-                } else {
-                    println!(
-                        "gate ok: scale_bytes_per_user = {:.1} (<= {max_bytes_per_user:.0})",
-                        scale.bytes_per_user()
-                    );
-                }
-            } else {
-                failures.push("baseline is missing `max_scale_bytes_per_user`".to_owned());
-            }
-        }
-        Some(scale) => {
-            println!(
-                "gate skipped: scale ceilings (PM_SCALE_USERS={} differs from the \
-                 calibrated {SCALE_USERS})",
-                scale.users
-            );
-        }
-        None => {
-            skipped("max_scale_register_ms", 9);
-            skipped("max_scale_bytes_per_user", 9);
-        }
-    }
-
-    // Scale-out gate: the cluster's per-replica ingest efficiency (see
-    // [`ClusterReport::replication_efficiency`]) must hold 0.8 of the
-    // 1-node rate. Same-run, same-stack and core-count independent, so it
-    // is hardware-robust the way min_dominance_speedup is; the raw
-    // stream-throughput ratio is reported alongside for multi-core hosts,
-    // where it reads as straight 3-node-vs-1-node parity.
-    match cluster {
-        Some(cluster) => {
-            let min_ratio = lookup("min_cluster_ingest_ratio").unwrap_or(MIN_CLUSTER_INGEST_RATIO);
-            if cluster.replication_efficiency() < min_ratio {
-                failures.push(format!(
-                    "cluster replication efficiency {:.2} below required {min_ratio:.2} \
-                     ({}-node {:.0} vs 1-node {:.0} objects/sec, raw ratio {:.2})",
-                    cluster.replication_efficiency(),
-                    cluster.nodes,
-                    cluster.cluster_ingest_objects_per_sec,
-                    cluster.single_node_ingest_objects_per_sec,
-                    cluster.ingest_ratio(),
-                ));
-            } else {
-                println!(
-                    "gate ok: cluster_replication_efficiency = {:.2} (>= {min_ratio:.2})",
-                    cluster.replication_efficiency()
-                );
-            }
-        }
-        None => skipped("min_cluster_ingest_ratio", 10),
-    }
-
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
-}
-
-/// Parses the `--phases` list: comma-separated phase numbers in 1..=10.
-fn parse_phases(spec: &str) -> Result<BTreeSet<usize>, String> {
-    let mut phases = BTreeSet::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        let n: usize = part
-            .parse()
-            .map_err(|_| format!("bad phase `{part}` (expected a number in 1..=10)"))?;
-        if !(1..=10).contains(&n) {
-            return Err(format!("phase {n} out of range 1..=10"));
-        }
-        phases.insert(n);
-    }
-    if phases.is_empty() {
-        return Err("empty phase list".to_owned());
-    }
-    Ok(phases)
-}
-
-fn main() {
-    let mut out_path = "BENCH_8.json".to_owned();
-    let mut scale_out_path = "BENCH_9.json".to_owned();
-    let mut cluster_out_path = "BENCH_10.json".to_owned();
-    let mut check_path: Option<String> = None;
-    let mut phases: BTreeSet<usize> = (1..=10).collect();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--scale-out" => scale_out_path = args.next().expect("--scale-out needs a path"),
-            "--cluster-out" => {
-                cluster_out_path = args.next().expect("--cluster-out needs a path");
-            }
-            "--check" => check_path = Some(args.next().expect("--check needs a path")),
-            "--phases" => {
-                let spec = args.next().expect("--phases needs a comma-separated list");
-                phases = parse_phases(&spec).unwrap_or_else(|e| {
-                    eprintln!("--phases: {e}");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}` \
-                     (expected --out/--scale-out/--cluster-out/--check/--phases)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    // Resolve cross-phase dependencies to a fixpoint, logging every
-    // auto-enable: a filtered run must never silently miss the data a
-    // requested phase compares against.
-    loop {
-        let mut changed = false;
-        for &(dependent, dependency, why) in PHASE_DEPS {
-            if phases.contains(&dependent) && !phases.contains(&dependency) {
-                phases.insert(dependency);
-                println!(
-                    "phase {dependency} ({}): enabled ({why})",
-                    PHASE_NAMES[dependency - 1]
-                );
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let enabled = |n: usize| {
-        let on = phases.contains(&n);
-        if !on {
-            println!("phase {n} ({}): SKIPPED (--phases)", PHASE_NAMES[n - 1]);
-        }
-        on
-    };
-
-    println!("perf-smoke: movie profile, seed 42, fixed workload");
-    let dataset = generate_dataset(&DatasetProfile::movie(), &Scale::quick());
-    println!(
-        "dataset: {} users, {} objects, {} attributes",
-        dataset.num_users(),
-        dataset.num_objects(),
-        dataset.dimensions()
-    );
-
-    // Skipped phases leave their report fields zeroed; the gate skips the
-    // matching checks (loudly), and a zero in the JSON marks "not run".
-    let mut report = Report {
-        prefers_hash: 0.0,
-        prefers_compiled: 0.0,
-        dominance_hash: 0.0,
-        dominance_compiled: 0.0,
-        engine_objects_per_sec: 0.0,
-        engine_churn_objects_per_sec: 0.0,
-        engine_update_objects_per_sec: 0.0,
-        engine_compact_churn_objects_per_sec: 0.0,
-        compact_retained_objects: 0,
-        compact_full_objects: 0,
-        compact_retained_bytes: 0,
-        compact_full_bytes: 0,
-        engine_metrics_on_objects_per_sec: 0.0,
-        engine_metrics_off_objects_per_sec: 0.0,
-        ingest_latency_p50_us: 0.0,
-        ingest_latency_p95_us: 0.0,
-        ingest_latency_p99_us: 0.0,
-        engine_fanout_objects_per_sec: 0.0,
-        fanout_subscribers: 0,
-        fanout_events_delivered: 0,
-        engine_wal_ingest_objects_per_sec: 0.0,
-        engine_wal_off_objects_per_sec: 0.0,
-        recovery_ms: 0.0,
-        recovery_replayed: 0,
-    };
-
-    if enabled(1) {
-        let (prefers_hash, prefers_compiled, dominance_hash, dominance_compiled) =
-            measure_dominance(&dataset.preferences, &dataset.objects);
-        println!("prefers/hash:        {prefers_hash:>12.0} ops/sec");
-        println!("prefers/compiled:    {prefers_compiled:>12.0} ops/sec");
-        println!("dominance/hash:      {dominance_hash:>12.0} ops/sec");
-        println!("dominance/compiled:  {dominance_compiled:>12.0} ops/sec");
-        println!(
-            "dominance speedup:   {:>12.2}x (compiled vs hash)",
-            dominance_compiled / dominance_hash
-        );
-        report.prefers_hash = prefers_hash;
-        report.prefers_compiled = prefers_compiled;
-        report.dominance_hash = dominance_hash;
-        report.dominance_compiled = dominance_compiled;
-    }
-
-    if enabled(2) {
-        report.engine_objects_per_sec =
-            measure_engine(dataset.preferences.clone(), &dataset.objects);
-        println!(
-            "engine ({ENGINE_BACKEND}, 1 shard): {:>12.0} objects/sec",
-            report.engine_objects_per_sec
-        );
-    }
-
-    // The unlimited backend's retained-history bytes double as the "full
-    // history" yardstick of the compaction phase (identical stream).
-    let mut full_stats: Option<pm_core::MonitorStats> = None;
-    if enabled(3) {
-        let (engine_churn_objects_per_sec, stats) = run_churn_workload(&dataset, ENGINE_BACKEND);
-        println!(
-            "engine + 10% churn:  {engine_churn_objects_per_sec:>12.0} objects/sec \
-             (1 REGISTER+UNREGISTER per {CHURN_PERIOD} objects)"
-        );
-        report.engine_churn_objects_per_sec = engine_churn_objects_per_sec;
-        full_stats = Some(stats);
-    }
-
-    if enabled(4) {
-        report.engine_update_objects_per_sec = measure_engine_update_churn(&dataset);
-        println!(
-            "engine + 10% update: {:>12.0} objects/sec \
-             (1 in-place UPDATE per {CHURN_PERIOD} objects)",
-            report.engine_update_objects_per_sec
-        );
-    }
-
-    // Phase 5: the identical churn workload on the compacting-history
-    // backend — every REGISTER backfill replays the skyline-union retained
-    // set instead of the full stream; churn preferences come from the base
-    // population, so backfill stays exact while the history shrinks.
-    if enabled(5) {
-        let full = full_stats.as_ref().expect("phase 3 runs whenever 5 does");
-        let (engine_compact_churn_objects_per_sec, compact_stats) =
-            run_churn_workload(&dataset, ENGINE_BACKEND_COMPACT);
-        report.engine_compact_churn_objects_per_sec = engine_compact_churn_objects_per_sec;
-        report.compact_retained_objects = compact_stats.history_objects;
-        report.compact_retained_bytes = compact_stats.history_bytes;
-        report.compact_full_objects = full.history_objects;
-        report.compact_full_bytes = full.history_bytes;
-        println!(
-            "engine compact+churn ({ENGINE_BACKEND_COMPACT}): \
-             {engine_compact_churn_objects_per_sec:>12.0} objects/sec"
-        );
-        println!(
-            "compacted history:   {:>12} of {} objects, {} of {} bytes retained ({:.1}%)",
-            report.compact_retained_objects,
-            report.compact_full_objects,
-            report.compact_retained_bytes,
-            report.compact_full_bytes,
-            100.0 * report.retention_ratio()
-        );
-    }
-
-    // Phase 6: instrumentation overhead of the observability layer, plus
-    // the ingest-latency percentiles seen through the metrics bundle.
-    if enabled(6) {
-        let (on, off, p50, p95, p99) = measure_instrumentation_overhead(&dataset);
-        report.engine_metrics_on_objects_per_sec = on;
-        report.engine_metrics_off_objects_per_sec = off;
-        report.ingest_latency_p50_us = p50;
-        report.ingest_latency_p95_us = p95;
-        report.ingest_latency_p99_us = p99;
-        println!(
-            "engine metrics on:   {on:>12.0} objects/sec \
-             (off: {off:.0}, overhead {:.1}%)",
-            report.instrumentation_overhead() * 100.0
-        );
-        println!(
-            "ingest latency:      p50 {p50:.0}us, p95 {p95:.0}us, p99 {p99:.0}us \
-             (per {ENGINE_BATCH}-object batch)"
-        );
-    }
-
-    // Phase 7: the same engine behind the readiness reactor, fanning event
-    // deltas out to ~1k live subscriber connections.
-    if enabled(7) {
-        let (engine_fanout_objects_per_sec, fanout_subscribers, fanout_events_delivered) =
-            measure_subscriber_fanout(&dataset);
-        report.engine_fanout_objects_per_sec = engine_fanout_objects_per_sec;
-        report.fanout_subscribers = fanout_subscribers;
-        report.fanout_events_delivered = fanout_events_delivered;
-        println!(
-            "engine + fan-out:    {engine_fanout_objects_per_sec:>12.0} objects/sec \
-             ({fanout_subscribers} subscribers, {fanout_events_delivered} events delivered)"
-        );
-    }
-
-    // Phase 8: the durability tax of the attached WAL, and the wall-clock
-    // cost of recovering the directory it leaves behind.
-    if enabled(8) {
-        let (wal_on, wal_off, recovery_ms, recovery_replayed) = measure_durability(&dataset);
-        report.engine_wal_ingest_objects_per_sec = wal_on;
-        report.engine_wal_off_objects_per_sec = wal_off;
-        report.recovery_ms = recovery_ms;
-        report.recovery_replayed = recovery_replayed;
-        println!(
-            "engine WAL on:       {wal_on:>12.0} objects/sec \
-             (off: {wal_off:.0}, overhead {:.1}%, wal-sync=batch)",
-            report.wal_overhead() * 100.0
-        );
-        println!(
-            "recovery:            {recovery_ms:>12.1} ms \
-             (genesis snapshot + {recovery_replayed} records replayed)"
-        );
-    }
-
-    // Phase 9: the interning refactor at population scale; writes its own
-    // report so the scale figures version independently of the per-phase
-    // throughput schema.
-    let mut scale: Option<ScaleReport> = None;
-    if enabled(9) {
-        let s = measure_scale();
-        println!(
-            "scale registration:  {:>12.0} ms ({} users, {} distinct preferences)",
-            s.register_ms, s.users, s.distinct_preferences
-        );
-        println!(
-            "scale footprint:     {:>12.1} bytes/user ({} preference bytes total)",
-            s.bytes_per_user(),
-            s.preference_bytes
-        );
-        println!(
-            "scale + 10% churn:   {:>12.0} objects/sec ({SCALE_BACKEND}, {} users)",
-            s.churn_objects_per_sec, s.users
-        );
-        println!(
-            "scale clustering:    {:>12.1} ms at {SCALE_CLUSTER_LARGE} distinct vs {:.1} ms \
-             at {SCALE_CLUSTER_SMALL} ({:.1}x, {SCALE_CLUSTER_USERS} users both)",
-            s.cluster_large_ms,
-            s.cluster_small_ms,
-            s.cluster_scaling_ratio()
-        );
-        std::fs::write(&scale_out_path, s.to_json()).expect("write scale report");
-        println!("wrote {scale_out_path}");
-        scale = Some(s);
-    }
-
-    // Phase 10: the multi-node serving stack; writes its own report so the
-    // cluster figures version independently, like the scale phase.
-    let mut cluster: Option<ClusterReport> = None;
-    if enabled(10) {
-        let c = measure_cluster_scale_out();
-        println!(
-            "cluster ingest:      {:>12.0} objects/sec \
-             ({CLUSTER_NODES} nodes, replicated write-all via pm-coord)",
-            c.cluster_ingest_objects_per_sec
-        );
-        println!(
-            "single-node ingest:  {:>12.0} objects/sec \
-             (same coordinator front-end; raw ratio {:.2}x, per-replica \
-             efficiency {:.2}x)",
-            c.single_node_ingest_objects_per_sec,
-            c.ingest_ratio(),
-            c.replication_efficiency()
-        );
-        std::fs::write(&cluster_out_path, c.to_json()).expect("write cluster report");
-        println!("wrote {cluster_out_path}");
-        cluster = Some(c);
-    }
-
-    std::fs::write(&out_path, report.to_json(&phases)).expect("write report");
-    println!("wrote {out_path}");
-
-    if let Some(baseline) = check_path {
-        match check_against_baseline(
-            &report,
-            scale.as_ref(),
-            cluster.as_ref(),
-            &phases,
-            &baseline,
-        ) {
-            Ok(()) => println!("perf-smoke gate: PASS"),
-            Err(failures) => {
-                for failure in &failures {
-                    eprintln!("perf-smoke gate: FAIL: {failure}");
-                }
-                std::process::exit(1);
-            }
-        }
+        ExitCode::FAILURE
     }
 }

@@ -7,8 +7,8 @@
 //!              ablation all (default: all)
 //! ```
 //!
-//! Output is printed as Markdown tables; `EXPERIMENTS.md` embeds the output
-//! of `reproduce all --scale quick`.
+//! Output is printed as Markdown tables; README §"Reproducing the paper's
+//! experiments" lists the experiments and scales.
 
 use std::process::ExitCode;
 

@@ -2,7 +2,8 @@
 //!
 //! The experiment harness that regenerates every figure and table of the
 //! evaluation section (Sec. 8) of Sultana & Li (EDBT 2018), plus extra
-//! ablation experiments on the design choices called out in `DESIGN.md`.
+//! ablation experiments on the monitor's design choices (README
+//! §"Reproducing the paper's experiments").
 //!
 //! The harness is a library so that both the `reproduce` binary and the
 //! Criterion benches drive the exact same code paths. Scales are

@@ -6,7 +6,8 @@
 /// 1M-object streams on a server-class machine; [`Scale::paper`] reproduces
 /// those sizes, while [`Scale::quick`] (the default) keeps the same *shape*
 /// (relative algorithm ordering, growth trends) at a size that completes in
-/// minutes on a single core. `EXPERIMENTS.md` records which scale was used.
+/// minutes on a single core. README §"Reproducing the paper's experiments"
+/// describes the three scales.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scale {
     /// Number of users `|C|`.

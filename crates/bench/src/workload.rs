@@ -1,7 +1,5 @@
-//! The fixed dominance-workload access pattern shared by the `dominance`
-//! Criterion bench and the `perf_smoke` CI gate, so both always measure the
-//! same comparison stream and `bench-baseline.json` refreshes stay
-//! comparable with the microbench numbers.
+//! The fixed dominance-workload access pattern of the `dominance` Criterion
+//! bench: which object and value pairs each timed comparison draws.
 
 use pm_model::{AttrId, Object, ValueId};
 

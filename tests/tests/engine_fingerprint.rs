@@ -6,7 +6,8 @@
 //! retirement (unregistering the last holder of a fingerprint drops it),
 //! and re-registration of a recycled id into an existing bucket — while
 //! every frontier stays exact against a per-user oracle, across all four
-//! backends and 1/2/4/8 shards.
+//! backends and 1/2/4/8 shards. Registering thousands of twins of the same
+//! distinct preferences must leave the interned footprint byte-identical.
 //!
 //! A kill-and-recover cycle then proves the interned representation is a
 //! pure optimisation of the durable state: a service recovered from a
@@ -259,6 +260,41 @@ fn interner_tracks_churn_filter_then_verify_sw() {
         },
         Some(WINDOW),
         "ftv-sw",
+    );
+}
+
+/// Population independence without a big population: once 64 distinct
+/// preferences are registered, 2,000 more users holding twins of them add
+/// no preference bytes at all — a twin costs an id and a refcount, never a
+/// copy of its preference — so bytes per user fall without bound as the
+/// population grows.
+#[test]
+fn twins_add_no_preference_bytes() {
+    const DISTINCT: usize = 64;
+    const TWINS: usize = 2_000;
+    let profile = DatasetProfile::movie()
+        .with_users(DISTINCT)
+        .with_objects(1_200)
+        .with_interactions(60);
+    let dataset = Dataset::generate(&profile, 42);
+    let engine = ShardedEngine::empty(&EngineConfig::new(1), &BackendSpec::baseline());
+    for (u, pref) in dataset.preferences.iter().enumerate() {
+        engine.register(UserId::from(u), pref.clone()).unwrap();
+    }
+    let footprint = engine.preference_footprint();
+    assert_eq!(
+        footprint.0, DISTINCT as u64,
+        "the generated preferences must be pairwise distinct"
+    );
+    for i in 0..TWINS {
+        let pref = dataset.preferences[i % DISTINCT].clone();
+        engine.register(UserId::from(DISTINCT + i), pref).unwrap();
+    }
+    assert_eq!(engine.num_users(), DISTINCT + TWINS);
+    assert_eq!(
+        engine.preference_footprint(),
+        footprint,
+        "twins must not add preference bytes"
     );
 }
 

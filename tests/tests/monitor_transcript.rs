@@ -2,7 +2,9 @@
 //! ingest, REGISTER (a twin and a novel preference), UPDATE (stay / move /
 //! singleton), UNREGISTER (with and without swap-renumbering) and window
 //! expiry, driven through every backend string, with everything a client
-//! can observe written to `tests/golden/monitor_transcript.golden`.
+//! can observe written to `tests/golden/monitor_transcript.txt` (a `.txt`,
+//! not a `.golden`: the `*.golden` files there are metrics expositions,
+//! and the benchmark harness parses every one of them as such).
 //!
 //! The oracle batteries pin the *exact* backends against the naive
 //! frontier; this file additionally pins what no oracle can — the lossy
@@ -264,7 +266,7 @@ fn transcript(backend: &str, initial: &[Preference], steps: &[Step]) -> String {
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/monitor_transcript.golden"
+    "/tests/golden/monitor_transcript.txt"
 );
 
 #[test]
