@@ -68,10 +68,6 @@ pub(crate) struct DeltaLog {
 }
 
 impl DeltaLog {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Records that `object` was newly inserted into `user`'s frontier.
     pub(crate) fn enter(&mut self, user: UserId, object: ObjectId) {
         self.events.push(FrontierDelta::enter(user, object));
@@ -135,7 +131,7 @@ mod tests {
 
     #[test]
     fn finish_sorts_by_user_then_object() {
-        let mut log = DeltaLog::new();
+        let mut log = DeltaLog::default();
         log.enter(u(2), o(5));
         log.leave(u(0), o(9));
         log.enter(u(0), o(1));
@@ -153,7 +149,7 @@ mod tests {
     fn finish_cancels_enter_leave_pairs() {
         // A buffered object promoted by expiry mending and re-evicted by
         // the arriving object nets to no delta at all.
-        let mut log = DeltaLog::new();
+        let mut log = DeltaLog::default();
         log.enter(u(1), o(3));
         log.leave(u(1), o(3));
         log.enter(u(1), o(4));
@@ -162,7 +158,7 @@ mod tests {
 
     #[test]
     fn finish_keeps_distinct_users_apart() {
-        let mut log = DeltaLog::new();
+        let mut log = DeltaLog::default();
         log.leave(u(1), o(3));
         log.enter(u(2), o(3));
         assert_eq!(

@@ -231,6 +231,20 @@ impl Filter {
         }
     }
 
+    /// The cluster of every user, indexed by user id; `None` for a user
+    /// outside every cluster (fixed cluster lists only).
+    pub(crate) fn cluster_index(&self) -> Vec<Option<usize>> {
+        let mut index = vec![None; self.verify.len()];
+        for (cluster, group) in self.clusters.iter().enumerate() {
+            for member in &group.members {
+                let slot = &mut index[member.index()];
+                debug_assert!(slot.is_none(), "clusters are disjoint: {member} is in two");
+                *slot = Some(cluster);
+            }
+        }
+        index
+    }
+
     /// The index of the cluster holding `user` in a fixed cluster list.
     fn cluster_of(&self, user: UserId) -> Option<usize> {
         self.clusters

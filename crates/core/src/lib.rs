@@ -23,7 +23,7 @@
 //!
 //! | Module | Contents |
 //! |--------|----------|
-//! | [`monitor`] | [`Monitor`]: arrival, expiry, membership verbs, durable state |
+//! | [`monitor`] | [`Monitor`]: two-phase batched arrival and expiry, membership verbs, durable state |
 //! | [`filter`] | [`Filter`]: clusters, virtual preferences, cluster repair |
 //! | [`alive`] | [`Lifetime`] and the alive-object store behind it |
 //! | [`history`] | [`History`]: the retained (optionally compacting) object history |
@@ -47,6 +47,17 @@
 //! storage order is arrival order, the comparison counter is a pure
 //! function of the script a monitor is driven with, `frontier()` needs no
 //! sort, and Alg. 5's oldest-first mending walks the buffer in place.
+//!
+//! Arrivals are applied a batch at a time ([`Monitor::process_batch`]):
+//! first the cluster level for the whole batch on one thread (Phase A),
+//! then the per-user work on up to `workers` threads (Phase B), each thread
+//! taking contiguous chunks of users — or, without a filter layer, of
+//! groups — and replaying the batch against them. Lemma 4.6 is what makes
+//! the split exact: once `P_U` has decided an arrival, a member's verify
+//! step reads only that decision and the member's own frontier. Every
+//! chunk canonicalises its own targets and deltas; chunks are merged as
+//! sorted runs, and the comparison counter, a sum, is the same for any
+//! batching and any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

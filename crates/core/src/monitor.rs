@@ -13,6 +13,17 @@
 //!   object can never re-enter a frontier, so a buffer of the objects not
 //!   dominated by any successor is exactly what may ever need promotion.
 //!
+//! Arrivals are applied in batches ([`Monitor::process_batch`]; a single
+//! [`Monitor::process`] is a batch of one) in two phases. Phase A runs the
+//! cluster level sequentially for the whole batch: admission, `P_U` / `PB_U`
+//! expiry and mending, and the `P_U` update, recorded per cluster. Phase B
+//! then runs the per-user work — the verify step behind a filter layer, or
+//! each group's whole frontier without one — in contiguous chunks spread
+//! over worker threads. Lemma 4.6 makes the verify step alone decide a
+//! member's frontier from its cluster's outcome and its own state, so the
+//! users are independent work and no outcome, delta or comparison count
+//! depends on the batching or the thread count.
+//!
 //! Fidelity note: with a filter layer on a window the monitor follows
 //! Alg. 5 literally — on expiry it only re-examines buffered objects that
 //! the expiring object dominated *with respect to the cluster's (virtual
@@ -20,6 +31,8 @@
 //! preferences had excluded is therefore not always promoted back, which is
 //! the source of the small accuracy loss the paper accepts for this
 //! algorithm family; without a filter layer there is no such loss.
+
+use std::sync::Mutex;
 
 use pm_model::{Object, ObjectId, UserId};
 use pm_porder::{Dominance, Interned, Preference, PreferenceInterner};
@@ -32,7 +45,7 @@ use crate::frontier::{
 };
 use crate::history::History;
 use crate::stats::MonitorStats;
-use crate::timers::{timed, MonitorTimers};
+use crate::timers::{timed, timed_each, MonitorTimers};
 
 /// The result of processing one arriving object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,24 +201,15 @@ enum Layer {
     Filtered(Filter),
 }
 
-impl Layer {
-    /// The groups an arrival visits and, with a filter layer, the per-user
-    /// verify frontiers behind them.
-    fn split(
-        &mut self,
-    ) -> (
-        Box<dyn Iterator<Item = &mut Group> + '_>,
-        Option<&mut [Frontier]>,
-    ) {
-        match self {
-            Layer::Unfiltered(groups) => (Box::new(groups.iter_mut().flatten()), None),
-            Layer::Filtered(filter) => (
-                Box::new(filter.clusters.iter_mut()),
-                Some(&mut filter.verify),
-            ),
-        }
-    }
-}
+/// The most objects [`Monitor::process_batch`] takes through its two phases
+/// at once: Phase A keeps one verdict per cluster per object, so a longer
+/// batch is applied in parts of this size to bound that record.
+const MAX_PART: usize = 64;
+
+/// Phase B chunks per worker: more than one, so that a thread that is
+/// descheduled or draws slow users leaves the remaining chunks to the
+/// others.
+const CHUNKS_PER_WORKER: usize = 4;
 
 /// A continuous Pareto-frontier monitor (see the module docs for the two
 /// axes it is configured on).
@@ -236,117 +240,270 @@ fn report(
     }
 }
 
-/// The arrival of `object` at every group: without `verify` frontiers a
-/// group's frontier is each member's (Alg. 1 / 4); with them it is the
-/// filter `P_U` in front of the members' own frontiers (Alg. 2 / 5).
-/// Returns the target users, unsorted.
-fn arrive<'a>(
-    groups: impl Iterator<Item = &'a mut Group>,
-    mut verify: Option<&mut [Frontier]>,
-    base: &mut Base,
-    object: &Object,
-    deltas: &mut DeltaLog,
-) -> Vec<UserId> {
-    let stats = &mut base.stats;
-    let mut targets = Vec::new();
-    for group in groups {
-        let on_identical = match verify {
-            Some(_) => OnIdentical::Continue,
-            None => OnIdentical::Stop,
-        };
-        let prepared = group.compiled.prepare(object);
-        let update = update_frontier(&prepared, &mut group.frontier, object, on_identical, stats);
-        match &mut verify {
-            None => report(&update, &group.members, object.id(), deltas, &mut targets),
-            Some(verify) => {
-                for &member in &group.members {
-                    let own = &mut verify[member.index()];
-                    // o ≻_U o' implies o ≻_c o' for every member (Def. 4.1),
-                    // so o' leaves every member's frontier too (Alg. 2,
-                    // lines 4–6).
-                    for evicted in &update.evicted {
-                        if own.remove(*evicted) {
-                            deltas.leave(member, *evicted);
-                        }
-                    }
-                    if update.is_pareto {
-                        // Verify against the member's own preference
-                        // (Alg. 2, line 6).
-                        let prepared = base.users[member.index()].compiled.prepare(object);
-                        let verified =
-                            update_frontier(&prepared, own, object, OnIdentical::Stop, stats);
-                        report(&verified, &[member], object.id(), deltas, &mut targets);
-                    }
-                }
-            }
-        }
-        // Alg. 4 / Alg. 5 line 15: the buffer is refreshed whether or not
-        // the object is Pareto-optimal now.
-        if base.alive.expires() {
-            refresh_buffer(&prepared, &mut group.buffer, object, stats);
-        }
-    }
-    targets
+/// What expiring an object did to one group's frontier.
+#[derive(Default)]
+struct Expiry {
+    /// Whether the expired object was on the group's frontier.
+    was_pareto: bool,
+    /// The buffered objects mended back into the group's frontier, in
+    /// buffer order, each with whether it is a new member there.
+    promoted: Vec<(Object, bool)>,
 }
 
-/// Removes `expired` from every frontier and buffer and mends the
-/// frontiers it was on (Alg. 4 lines 2–5, Alg. 5 lines 2–8): buffered
-/// objects it dominated may now be Pareto-optimal.
-fn expire<'a>(
-    groups: impl Iterator<Item = &'a mut Group>,
-    mut verify: Option<&mut [Frontier]>,
-    base: &mut Base,
-    expired: &Object,
-    deltas: &mut DeltaLog,
-) {
-    let stats = &mut base.stats;
-    stats.record_expiration();
-    for group in groups {
-        let was_pareto = group.frontier.remove(expired.id());
-        for &member in &group.members {
-            let left = match &mut verify {
-                Some(verify) => verify[member.index()].remove(expired.id()),
-                None => was_pareto,
-            };
-            if left {
-                deltas.leave(member, expired.id());
+/// Removes `expired` from one group's frontier and buffer and mends the
+/// frontier (Alg. 4 lines 2–5; Alg. 5 lines 2–8 at the cluster level):
+/// buffered objects it dominated may now be Pareto-optimal.
+fn expire_group(group: &mut Group, expired: &Object, stats: &mut MonitorStats) -> Expiry {
+    let mut expiry = Expiry {
+        was_pareto: group.frontier.remove(expired.id()),
+        promoted: Vec::new(),
+    };
+    if expiry.was_pareto {
+        let prepared = group.compiled.prepare(expired);
+        // The buffer is in arrival order: oldest first, so that a promoted
+        // object is visible when its younger dominated peers are checked.
+        for (index, candidate) in group.buffer.objects().iter().enumerate() {
+            if candidate.id() == expired.id() {
+                continue;
+            }
+            stats.record_comparison();
+            if prepared.compare(group.buffer.codes(index)) != Dominance::Dominates {
+                continue;
+            }
+            let present = group.frontier.contains(candidate.id());
+            if mend_frontier(&group.compiled, &mut group.frontier, candidate, stats) {
+                expiry.promoted.push((candidate.clone(), !present));
             }
         }
-        if was_pareto {
-            let prepared = group.compiled.prepare(expired);
-            // The buffer is in arrival order: oldest first, so that a
-            // promoted object is visible when its younger dominated peers
-            // are checked.
-            for (index, candidate) in group.buffer.objects().iter().enumerate() {
-                if candidate.id() == expired.id() {
-                    continue;
-                }
-                stats.record_comparison();
-                if prepared.compare(group.buffer.codes(index)) != Dominance::Dominates {
-                    continue;
-                }
-                let present = group.frontier.contains(candidate.id());
-                let promoted =
-                    mend_frontier(&group.compiled, &mut group.frontier, candidate, stats);
+    }
+    group.buffer.remove(expired.id());
+    expiry
+}
+
+/// The arrival of `object` at one group's frontier and, on a window, at its
+/// buffer.
+fn arrive_group(
+    group: &mut Group,
+    object: &Object,
+    on_identical: OnIdentical,
+    expires: bool,
+    stats: &mut MonitorStats,
+) -> FrontierUpdate {
+    let prepared = group.compiled.prepare(object);
+    let update = update_frontier(&prepared, &mut group.frontier, object, on_identical, stats);
+    // Alg. 4 / Alg. 5 line 15: the buffer is refreshed whether or not the
+    // object is Pareto-optimal now.
+    if expires {
+        refresh_buffer(&prepared, &mut group.buffer, object, stats);
+    }
+    update
+}
+
+/// One arrival of a batch, admitted to the alive store.
+struct Admitted<'a> {
+    object: &'a Object,
+    /// The object the arrival pushed out of the window.
+    expired: Option<Object>,
+    /// With a filter layer, what Phase A decided at each cluster.
+    verdicts: Vec<Verdict>,
+}
+
+/// Phase A's record of one arrival at one cluster: everything the verify
+/// step of the cluster's members reads.
+struct Verdict {
+    expiry: Expiry,
+    /// The arrival's outcome at `P_U`.
+    update: FrontierUpdate,
+}
+
+/// Per arrival, one chunk's target users and canonical deltas (each
+/// ascending), plus the comparisons the chunk spent.
+struct ChunkOut {
+    arrivals: Vec<(Vec<UserId>, Vec<FrontierDelta>)>,
+    comparisons: u64,
+}
+
+/// Phase B without a filter layer (Alg. 1 / 4) over one chunk of groups:
+/// each group takes the whole batch, expiry and arrival, in arrival order.
+fn groups_chunk(groups: &mut [Option<Group>], batch: &[Admitted], expires: bool) -> ChunkOut {
+    let mut stats = MonitorStats::new();
+    let mut logs: Vec<(Vec<UserId>, DeltaLog)> = batch.iter().map(|_| Default::default()).collect();
+    for group in groups.iter_mut().flatten() {
+        for (admitted, (targets, deltas)) in batch.iter().zip(&mut logs) {
+            if let Some(expired) = &admitted.expired {
+                let expiry = expire_group(group, expired, &mut stats);
                 for &member in &group.members {
-                    let entered = match &mut verify {
-                        None => promoted && !present,
-                        // Promoted into P_U first, then — only if that
-                        // succeeded — into each member's own frontier.
-                        Some(verify) => {
-                            let own = &mut verify[member.index()];
-                            let present = own.contains(candidate.id());
-                            let compiled = &base.users[member.index()].compiled;
-                            promoted && mend_frontier(compiled, own, candidate, stats) && !present
+                    if expiry.was_pareto {
+                        deltas.leave(member, expired.id());
+                    }
+                    for (candidate, new) in &expiry.promoted {
+                        if *new {
+                            deltas.enter(member, candidate.id());
                         }
-                    };
-                    if entered {
+                    }
+                }
+            }
+            let object = admitted.object;
+            let update = arrive_group(group, object, OnIdentical::Stop, expires, &mut stats);
+            report(&update, &group.members, object.id(), deltas, targets);
+        }
+    }
+    let arrivals = logs
+        .into_iter()
+        .map(|(mut targets, deltas)| {
+            targets.sort_unstable();
+            (targets, deltas.finish())
+        })
+        .collect();
+    ChunkOut {
+        arrivals,
+        comparisons: stats.comparisons,
+    }
+}
+
+/// Phase B of a filter layer (the verify step of Alg. 2 / 5) over the
+/// verify frontiers of users `first..first + frontiers.len()`. Each user
+/// replays its cluster's verdicts arrival by arrival, in the order the
+/// per-object algorithm interleaves them. By Lemma 4.6 a member's outcome
+/// depends only on those verdicts and its own frontier, which is why the
+/// users can be split across threads at all.
+///
+/// Users are visited in ascending id order, so the chunk's targets and
+/// deltas come out ascending without a sort beyond the delta log's own,
+/// and chunks of ascending id ranges concatenate into the canonical order.
+fn verify_chunk(
+    first: usize,
+    frontiers: &mut [Frontier],
+    cluster_of: &[Option<usize>],
+    users: &[Interned],
+    batch: &[Admitted],
+) -> ChunkOut {
+    let mut stats = MonitorStats::new();
+    let mut logs: Vec<(Vec<UserId>, DeltaLog)> = batch.iter().map(|_| Default::default()).collect();
+    for (index, own) in (first..).zip(frontiers) {
+        // Users outside every cluster (fixed cluster lists only) are never
+        // reported.
+        let Some(cluster) = cluster_of[index] else {
+            continue;
+        };
+        let member = UserId::from(index);
+        let compiled = &users[index].compiled;
+        for (admitted, (targets, deltas)) in batch.iter().zip(&mut logs) {
+            let verdict = &admitted.verdicts[cluster];
+            if let Some(expired) = &admitted.expired {
+                if own.remove(expired.id()) {
+                    deltas.leave(member, expired.id());
+                }
+                // Promoted into P_U first, then into each member's own
+                // frontier.
+                for (candidate, _) in &verdict.expiry.promoted {
+                    let present = own.contains(candidate.id());
+                    if mend_frontier(compiled, own, candidate, &mut stats) && !present {
                         deltas.enter(member, candidate.id());
                     }
                 }
             }
+            // o ≻_U o' implies o ≻_c o' for every member (Def. 4.1), so o'
+            // leaves every member's frontier too (Alg. 2, lines 4–6).
+            for &evicted in &verdict.update.evicted {
+                if own.remove(evicted) {
+                    deltas.leave(member, evicted);
+                }
+            }
+            if verdict.update.is_pareto {
+                // Verify against the member's own preference (Alg. 2,
+                // line 6).
+                let object = admitted.object;
+                let prepared = compiled.prepare(object);
+                let verified =
+                    update_frontier(&prepared, own, object, OnIdentical::Stop, &mut stats);
+                report(&verified, &[member], object.id(), deltas, targets);
+            }
         }
-        group.buffer.remove(expired.id());
+    }
+    let arrivals = logs
+        .into_iter()
+        .map(|(targets, deltas)| (targets, deltas.finish()))
+        .collect();
+    ChunkOut {
+        arrivals,
+        comparisons: stats.comparisons,
+    }
+}
+
+/// Runs `work` over `units` in contiguous chunks, handing it each chunk with
+/// the index of the chunk's first unit, and returns the results in chunk
+/// order.
+///
+/// With one worker, or fewer than two units, that is one inline call over
+/// all units. Otherwise one scoped thread per extra worker joins the calling
+/// thread, and each claims the next unclaimed chunk from a shared cursor
+/// until none is left, so a descheduled thread holds up at most its
+/// current chunk.
+fn run_chunks<U: Send, R: Send>(
+    units: &mut [U],
+    workers: usize,
+    work: impl Fn(usize, &mut [U]) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || units.len() < 2 {
+        return vec![work(0, units)];
+    }
+    let size = units.len().div_ceil(workers * CHUNKS_PER_WORKER);
+    let helpers = workers.min(units.len().div_ceil(size)) - 1;
+    let cursor = Mutex::new(units.chunks_mut(size).enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = cursor
+                .lock()
+                .expect("no thread panics while holding the chunk cursor")
+                .next();
+            let Some((index, chunk)) = next else {
+                return done;
+            };
+            done.push((index, work(index * size, chunk)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Merges two ascending runs of distinct items; when `run` starts after
+/// `merged` ends (a filter layer's user ranges) it is a concatenation.
+fn merge<T: Ord + Copy>(mut merged: Vec<T>, run: Vec<T>) -> Vec<T> {
+    match (merged.last(), run.first()) {
+        (None, _) => run,
+        (Some(last), Some(first)) if last > first => {
+            let mut out = Vec::with_capacity(merged.len() + run.len());
+            let (mut i, mut j) = (0, 0);
+            while i < merged.len() && j < run.len() {
+                if merged[i] < run[j] {
+                    out.push(merged[i]);
+                    i += 1;
+                } else {
+                    out.push(run[j]);
+                    j += 1;
+                }
+            }
+            out.extend_from_slice(&merged[i..]);
+            out.extend_from_slice(&run[j..]);
+            out
+        }
+        _ => {
+            merged.extend(run);
+            merged
+        }
     }
 }
 
@@ -387,28 +544,117 @@ impl Monitor {
         this
     }
 
-    /// Processes one arriving object and returns its target users.
+    /// Processes one arriving object and returns its target users: a batch
+    /// of one on one thread.
     pub fn process(&mut self, object: Object) -> Arrival {
-        let timer = self.base.timers.arrival.clone();
-        timed(timer.as_ref(), || {
-            let base = &mut self.base;
-            let mut deltas = DeltaLog::new();
-            // Expire before the arrival competes: the object it pushes out
-            // of the window is no longer alive.
-            if let Some(expired) = base.alive.admit(&object) {
-                let (groups, verify) = self.layer.split();
-                expire(groups, verify, base, &expired, &mut deltas);
+        let mut arrivals = self.process_batch(std::slice::from_ref(&object), 1);
+        arrivals.pop().expect("one arrival per object")
+    }
+
+    /// Processes a batch of arriving objects in order, returning one
+    /// [`Arrival`] per object exactly as [`Self::process`] would one at a
+    /// time, with the per-user work spread over up to `workers` threads.
+    ///
+    /// A batch runs in two phases (parts of at most 64 objects each):
+    ///
+    /// * **A, sequential.** Every object is admitted to the alive store,
+    ///   and with a filter layer each cluster takes the cluster-level half
+    ///   of expiry and arrival: `P_U` removal and mending, the `PB_U`
+    ///   refresh and the `P_U` update. Its outcome per cluster is recorded;
+    ///   nothing here reads a verify frontier, so running it for the whole
+    ///   batch first changes no outcome.
+    /// * **B, parallel.** With a filter layer the users are split into
+    ///   contiguous id ranges, and each range replays the recorded outcomes
+    ///   against its members' own frontiers (the verify step; exact by
+    ///   Lemma 4.6 alone). Without one the groups are split, each running
+    ///   its whole expiry and arrival. Each chunk canonicalises its own
+    ///   targets and deltas, and the chunks are merged as sorted runs.
+    ///
+    /// The comparison counter is a sum over independent units of work, so
+    /// it does not depend on `workers` or on how the stream is batched.
+    pub fn process_batch(&mut self, objects: &[Object], workers: usize) -> Vec<Arrival> {
+        let mut arrivals = Vec::with_capacity(objects.len());
+        for part in objects.chunks(MAX_PART) {
+            let timer = self.base.timers.arrival.clone();
+            arrivals.extend(timed_each(timer.as_ref(), part.len(), || {
+                self.apply(part, workers)
+            }));
+        }
+        arrivals
+    }
+
+    /// Both phases of [`Self::process_batch`] over one part.
+    fn apply(&mut self, objects: &[Object], workers: usize) -> Vec<Arrival> {
+        let base = &mut self.base;
+        let expires = base.alive.expires();
+        // Expire before the arrival competes: the object it pushes out of
+        // the window is no longer alive.
+        let mut batch: Vec<Admitted> = objects
+            .iter()
+            .map(|object| {
+                let expired = base.alive.admit(object);
+                if expired.is_some() {
+                    base.stats.record_expiration();
+                }
+                Admitted {
+                    object,
+                    expired,
+                    verdicts: Vec::new(),
+                }
+            })
+            .collect();
+        let chunks = match &mut self.layer {
+            Layer::Unfiltered(groups) => run_chunks(groups, workers, |_, chunk| {
+                groups_chunk(chunk, &batch, expires)
+            }),
+            Layer::Filtered(filter) => {
+                let stats = &mut base.stats;
+                for admitted in &mut batch {
+                    admitted.verdicts = (filter.clusters.iter_mut())
+                        .map(|group| Verdict {
+                            expiry: match &admitted.expired {
+                                Some(expired) => expire_group(group, expired, stats),
+                                None => Expiry::default(),
+                            },
+                            update: arrive_group(
+                                group,
+                                admitted.object,
+                                OnIdentical::Continue,
+                                expires,
+                                stats,
+                            ),
+                        })
+                        .collect();
+                }
+                let cluster_of = filter.cluster_index();
+                let users = &base.users;
+                run_chunks(&mut filter.verify, workers, |first, chunk| {
+                    verify_chunk(first, chunk, &cluster_of, users, &batch)
+                })
             }
-            let (groups, verify) = self.layer.split();
-            let mut targets = arrive(groups, verify, base, &object, &mut deltas);
-            targets.sort_unstable();
-            base.stats.record_arrival(targets.len());
-            Arrival {
-                object: object.id(),
-                target_users: targets,
-                deltas: deltas.finish(),
-            }
-        })
+        };
+        let mut columns = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            base.stats.record_comparisons(chunk.comparisons);
+            columns.push(chunk.arrivals.into_iter());
+        }
+        objects
+            .iter()
+            .map(|object| {
+                let (mut target_users, mut deltas) = (Vec::new(), Vec::new());
+                for column in &mut columns {
+                    let (targets, more) = column.next().expect("a chunk reports every arrival");
+                    target_users = merge(target_users, targets);
+                    deltas = merge(deltas, more);
+                }
+                base.stats.record_arrival(target_users.len());
+                Arrival {
+                    object: object.id(),
+                    target_users,
+                    deltas,
+                }
+            })
+            .collect()
     }
 
     /// The current Pareto frontier of `user`, in ascending object-id order.
@@ -1651,6 +1897,49 @@ mod tests {
         let extra = [obj(8, &[2, 2, 1]), obj(9, &[0, 1, 3]), obj(10, &[1, 0, 0])];
         assert_same_targets(&mut ftv, &mut baseline, &extra);
         assert_eq!(ftv.all_frontiers(), baseline.all_frontiers());
+    }
+
+    /// A batch longer than one part, on two threads, reports what one
+    /// `process` call per object reports, on both layers.
+    #[test]
+    fn a_batch_of_several_parts_equals_per_object_processing() {
+        let users = laptop_users();
+        let stream: Vec<Object> = (0..3 * MAX_PART as u64)
+            .map(|id| {
+                let template = &laptop_objects()[id as usize % 14];
+                template.with_id(ObjectId::new(id))
+            })
+            .collect();
+        for monitor in [
+            unfiltered(&users, Lifetime::Window(9)),
+            in_one_cluster(&users, Lifetime::Window(9)),
+        ] {
+            let mut batched = monitor.clone();
+            let mut reference = monitor;
+            let expected = reference.process_all(stream.clone());
+            assert_eq!(batched.process_batch(&stream, 2), expected);
+            assert_eq!(batched.all_frontiers(), reference.all_frontiers());
+            assert_eq!(batched.stats(), reference.stats());
+        }
+    }
+
+    /// Phase B indexes each user's cluster once per batch, which needs
+    /// every user in at most one cluster.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "clusters are disjoint")]
+    fn a_user_listed_in_two_clusters_is_refused() {
+        let users = laptop_users();
+        let twice = vec![
+            one_cluster(&users)[0].clone(),
+            one_cluster(&users)[0].clone(),
+        ];
+        let mut ftv = Monitor::new(
+            &users,
+            Lifetime::UNLIMITED,
+            Some(Filter::virtual_users(twice)),
+        );
+        ftv.process(obj(1, &[1, 0, 0]));
     }
 
     #[test]

@@ -17,8 +17,10 @@ use pm_obs::LogHistogram;
 /// `None` slots disable both recording and the clock reads around them.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorTimers {
-    /// One [`crate::Monitor::process`] call: comparing an arrived object
-    /// against every user (or cluster) frontier.
+    /// One arrival: comparing an arrived object against every user (or
+    /// cluster) frontier. [`crate::Monitor::process_batch`] applies objects
+    /// in batches, so each object records its batch's apply time ÷ the
+    /// batch length — one sample per object.
     pub arrival: Option<Arc<LogHistogram>>,
     /// One backfill replay — the history (or window) scan behind
     /// [`crate::Monitor::add_user`] / [`crate::Monitor::update_user`].
@@ -44,11 +46,25 @@ impl MonitorTimers {
 /// clock is only read when a timer is attached.
 #[inline]
 pub(crate) fn timed<T>(timer: Option<&Arc<LogHistogram>>, body: impl FnOnce() -> T) -> T {
+    timed_each(timer, 1, body)
+}
+
+/// Runs `body`, which performs `n` operations, and records its duration ÷
+/// `n` into `timer` once per operation when present.
+#[inline]
+pub(crate) fn timed_each<T>(
+    timer: Option<&Arc<LogHistogram>>,
+    n: usize,
+    body: impl FnOnce() -> T,
+) -> T {
     match timer {
         Some(timer) => {
             let start = std::time::Instant::now();
             let result = body();
-            timer.record_duration(start.elapsed());
+            let each = start.elapsed().div_f64(n.max(1) as f64);
+            for _ in 0..n {
+                timer.record_duration(each);
+            }
             result
         }
         None => body(),
@@ -73,5 +89,19 @@ mod tests {
         let value = timed(timer.as_ref(), || 41 + 1);
         assert_eq!(value, 42);
         assert_eq!(histogram.count(), 1);
+    }
+
+    #[test]
+    fn timed_each_records_one_sample_per_operation() {
+        let histogram = Arc::new(LogHistogram::new());
+        let timer = Some(Arc::clone(&histogram));
+        let start = std::time::Instant::now();
+        timed_each(timer.as_ref(), 8, || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
+        let whole = start.elapsed().as_nanos() as u64;
+        assert_eq!(histogram.count(), 8);
+        // The samples are shares of the whole, not eight copies of it.
+        assert!(histogram.snapshot().sum() <= whole + 8, "{whole}");
     }
 }

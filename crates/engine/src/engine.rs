@@ -214,9 +214,18 @@ impl ShardedEngine {
     /// the single-threaded monitors.
     pub fn new(preferences: Vec<Preference>, config: &EngineConfig, spec: &BackendSpec) -> Self {
         assert!(config.shards > 0, "engine needs at least one shard");
-        let metrics = config
-            .metrics
-            .then(|| Arc::new(EngineMetrics::new(&spec.to_string(), config.shards)));
+        // The host's cores split evenly over the shards: the threads each
+        // shard's monitor may spread a batch's per-user work over.
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |cores| cores.get() / config.shards)
+            .max(1);
+        let metrics = config.metrics.then(|| {
+            Arc::new(EngineMetrics::new(
+                &spec.to_string(),
+                config.shards,
+                workers,
+            ))
+        });
         let num_users = preferences.len();
         let mut population = InternedPopulation::default();
         for (idx, preference) in preferences.iter().enumerate() {
@@ -260,6 +269,7 @@ impl ShardedEngine {
             let worker = ShardWorker {
                 shard,
                 monitor,
+                workers,
                 global_users: shard_users[shard].clone(),
                 queue_depth: Arc::clone(&depth),
                 queue_wait: metrics.as_ref().map(|m| Arc::clone(&m.stage_queue_wait)),
@@ -985,8 +995,11 @@ impl BatchTicket<'_> {
                     target_users.extend_from_slice(&targets[i]);
                     deltas.extend_from_slice(&shard_deltas[i]);
                 }
-                // Per-shard sets are sorted and pairwise disjoint; one sort
-                // merges them into the monitors' canonical ascending order.
+                // Per-shard sets are pairwise disjoint but not sorted: each
+                // shard's monitor reports ascending *local* ids, and the
+                // local → global map is unsorted after any swap-remove
+                // (see `shard.rs`). One sort restores the monitors'
+                // canonical ascending order.
                 target_users.sort_unstable();
                 deltas.sort_unstable();
                 Arrival {

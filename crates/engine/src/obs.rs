@@ -191,15 +191,20 @@ pub struct EngineMetrics {
 
 impl EngineMetrics {
     /// Registers the full metric set for an engine with `shards` shards
-    /// running `backend`. The label sets are fixed here: per-verb series
-    /// cover [`VERBS`], per-shard series cover `0..shards`.
-    pub fn new(backend: &str, shards: usize) -> Self {
+    /// running `backend`, each spreading its per-user work over `workers`
+    /// threads. The label sets are fixed here: per-verb series cover
+    /// [`VERBS`], per-shard series cover `0..shards`.
+    pub fn new(backend: &str, shards: usize, workers: usize) -> Self {
         let registry = Registry::new();
         registry
             .gauge(
                 "pm_build_info",
                 "Engine identity; the value is always 1.",
-                &[("backend", backend), ("shards", &shards.to_string())],
+                &[
+                    ("backend", backend),
+                    ("shards", &shards.to_string()),
+                    ("workers", &workers.to_string()),
+                ],
             )
             .set(1.0);
 
@@ -263,7 +268,7 @@ impl EngineMetrics {
             ),
             monitor_arrival: registry.histogram(
                 "pm_monitor_arrival_duration_seconds",
-                "Per-arrival monitor processing time, across shards.",
+                "Per-arrival monitor processing time (batch apply time / batch length), across shards.",
                 &[],
             ),
             monitor_backfill: registry.histogram(
@@ -490,7 +495,7 @@ mod tests {
 
     #[test]
     fn exposition_covers_the_documented_families() {
-        let metrics = EngineMetrics::new("baseline", 2);
+        let metrics = EngineMetrics::new("baseline", 2, 3);
         metrics.record_request(Verb::Ingest, Duration::from_micros(120));
         metrics.record_error();
         let snapshot = EngineSnapshot {
@@ -563,7 +568,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("pm_build_info{backend=\"baseline\",shards=\"2\"} 1"),
+            text.contains("pm_build_info{backend=\"baseline\",shards=\"2\",workers=\"3\"} 1"),
             "{text}"
         );
     }

@@ -116,6 +116,9 @@ pub(crate) struct ShardBatchReply {
 pub(crate) struct ShardWorker {
     pub shard: usize,
     pub monitor: Monitor,
+    /// Threads the monitor may spread a batch's per-user work over
+    /// ([`Monitor::process_batch`]).
+    pub workers: usize,
     /// Local user index → global user id (unsorted under churn).
     pub global_users: Vec<UserId>,
     /// Number of batches enqueued but not yet fully processed.
@@ -151,8 +154,7 @@ impl ShardWorker {
                     let apply_start = self.apply.as_ref().map(|_| Instant::now());
                     let mut targets = Vec::with_capacity(objects.len());
                     let mut deltas = Vec::with_capacity(objects.len());
-                    for object in objects.iter() {
-                        let arrival = self.monitor.process(object.clone());
+                    for arrival in self.monitor.process_batch(&objects, self.workers) {
                         targets.push(
                             arrival
                                 .target_users

@@ -4,6 +4,20 @@ use pm_datagen::{Dataset, DatasetProfile};
 use pm_model::UserId;
 use pm_porder::Preference;
 
+/// One backend string per monitor configuration the golden transcript
+/// pins: both lifetimes, every filter, every history discipline.
+pub const TRANSCRIPT_BACKENDS: [&str; 9] = [
+    "baseline",
+    "baseline:compact",
+    "baseline:compact:16",
+    "ftv:0.4",
+    "ftv:0.4:compact",
+    "ftv-approx:0.4:64:0.5",
+    "baseline-sw:24",
+    "ftv-sw:0.4:24",
+    "ftv-approx-sw:0.4:64:0.5:24",
+];
+
 /// A small but non-trivial movie-like dataset used by several tests.
 pub fn small_movie_dataset(seed: u64) -> Dataset {
     let profile = DatasetProfile::movie()

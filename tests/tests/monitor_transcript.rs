@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use pm_cluster::{Clustering, ExactMeasure, Placement, Update};
 use pm_datagen::{Dataset, DatasetProfile};
 use pm_engine::BackendSpec;
+use pm_integration_tests::TRANSCRIPT_BACKENDS;
 use pm_model::{Object, ObjectId, UserId};
 use pm_porder::Preference;
 
@@ -34,18 +35,6 @@ const CHUNK: usize = 15;
 /// pushes between two sweeps of a compacting history, so every backfill of
 /// the `compact` backends replays a history that has already evicted.
 const WARMUP: usize = 260;
-
-const BACKENDS: [&str; 9] = [
-    "baseline",
-    "baseline:compact",
-    "baseline:compact:16",
-    "ftv:0.4",
-    "ftv:0.4:compact",
-    "ftv-approx:0.4:64:0.5",
-    "baseline-sw:24",
-    "ftv-sw:0.4:24",
-    "ftv-approx-sw:0.4:64:0.5:24",
-];
 
 /// One step of the script, in monitor-local user ids.
 enum Step {
@@ -273,7 +262,7 @@ const GOLDEN_PATH: &str = concat!(
 fn monitor_transcript_matches_golden_file() {
     let (initial, steps) = build_script();
     let mut rendered = String::new();
-    for backend in BACKENDS {
+    for backend in TRANSCRIPT_BACKENDS {
         rendered.push_str(&transcript(backend, &initial, &steps));
     }
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -296,7 +285,7 @@ fn monitor_transcript_matches_golden_file() {
 #[test]
 fn comparisons_are_deterministic_on_every_backend() {
     let (initial, steps) = build_script();
-    for backend in BACKENDS {
+    for backend in TRANSCRIPT_BACKENDS {
         let comparisons = |transcript: String| {
             let line = transcript.lines().last().unwrap().to_owned();
             assert!(line.starts_with("comparisons="), "{backend}: {line}");

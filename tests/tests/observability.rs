@@ -59,10 +59,11 @@ fn scrape(svc: &EngineService) -> String {
 
 /// Reduces an exposition to its structural skeleton: comment lines are kept
 /// verbatim, sample lines lose their value, and the label values that vary
-/// with deployment shape or data (`shard`, `le`, `backend`, `shards`) are
-/// normalized to `*` with consecutive duplicates collapsed. The skeleton is
-/// therefore identical for any shard count and any ingested stream — it
-/// pins exactly the wire contract: names, HELP/TYPE lines and label sets.
+/// with deployment shape, host or data (`shard`, `le`, `backend`, `shards`,
+/// `workers`) are normalized to `*` with consecutive duplicates collapsed.
+/// The skeleton is therefore identical for any shard count, core count and
+/// ingested stream — it pins exactly the wire contract: names, HELP/TYPE
+/// lines and label sets.
 fn skeleton(exposition: &str) -> Vec<String> {
     let normalize = |name_and_labels: &str| -> String {
         let Some((name, labels)) = name_and_labels.split_once('{') else {
@@ -74,7 +75,9 @@ fn skeleton(exposition: &str) -> Vec<String> {
             .map(|pair| {
                 let (key, _value) = pair.split_once('=').expect("k=\"v\" label");
                 match key {
-                    "shard" | "le" | "backend" | "shards" => format!("{key}=\"*\""),
+                    "shard" | "le" | "backend" | "shards" | "workers" => {
+                        format!("{key}=\"*\"")
+                    }
                     _ => pair.to_owned(),
                 }
             })

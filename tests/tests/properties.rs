@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 
 use pm_cluster::{Clustering, ExactMeasure};
-use pm_core::{Filter, HistoryMode, Lifetime, Monitor};
-use pm_integration_tests::one_cluster;
+use pm_core::{Filter, HistoryMode, Lifetime, Monitor, MonitorStats};
+use pm_engine::BackendSpec;
+use pm_integration_tests::{one_cluster, TRANSCRIPT_BACKENDS};
 use pm_model::{AttrId, Object, ObjectId, UserId, ValueId};
 use pm_obs::LogHistogram;
 use pm_porder::{
@@ -153,8 +154,128 @@ fn layout_spines_are_two_word_and_sparse() {
     assert!(star.num_values() >= 128 && star.is_sparse());
 }
 
+/// Worker counts for `Monitor::process_batch`: the inline path, two-core
+/// hosts, and more threads than cores or users.
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+/// A fixed cluster list that splits users `1..` by parity and leaves user 0
+/// in no cluster.
+fn clusters_without_user_0(prefs: &[Preference]) -> Filter {
+    let clusters = (0..2)
+        .filter_map(|parity| {
+            let members: Vec<UserId> = (1..prefs.len())
+                .filter(|u| u % 2 == parity)
+                .map(UserId::from)
+                .collect();
+            let common = Preference::common_of(members.iter().map(|m| &prefs[m.index()]));
+            (!members.is_empty()).then_some((members, common))
+        })
+        .collect();
+    Filter::virtual_users(clusters)
+}
+
+/// Every configuration the batched path is checked on, labelled.
+fn batch_configurations(prefs: &[Preference]) -> Vec<(String, Monitor)> {
+    let mut configurations: Vec<(String, Monitor)> = TRANSCRIPT_BACKENDS
+        .iter()
+        .map(|backend| {
+            let spec = BackendSpec::parse(backend).expect("valid backend");
+            (backend.to_string(), spec.build(prefs))
+        })
+        .collect();
+    for lifetime in [Lifetime::UNLIMITED, Lifetime::Window(5)] {
+        let filter = clusters_without_user_0(prefs);
+        let monitor = Monitor::new(prefs, lifetime, Some(filter));
+        configurations.push((format!("user 0 unclustered, {lifetime:?}"), monitor));
+    }
+    configurations
+}
+
+/// Everything observable of a monitor besides its arrivals: each user's
+/// frontier and buffer, each cluster's frontier and buffer, the counters.
+type MonitorView = (
+    Vec<Vec<ObjectId>>,
+    Vec<Vec<ObjectId>>,
+    Vec<(Vec<ObjectId>, Vec<ObjectId>)>,
+    MonitorStats,
+);
+
+fn monitor_view(monitor: &Monitor) -> MonitorView {
+    let users = || (0..monitor.num_users()).map(UserId::from);
+    let clusters = (0..monitor.num_clusters())
+        .map(|k| (monitor.cluster_frontier(k), monitor.cluster_buffer(k)))
+        .collect();
+    (
+        users().map(|u| monitor.frontier(u)).collect(),
+        users().map(|u| monitor.buffer(u)).collect(),
+        clusters,
+        monitor.stats(),
+    )
+}
+
+/// REGISTER (`op` 1), UPDATE (2) or UNREGISTER (3) between two batches.
+fn churn(monitor: &mut Monitor, op: u8, preference: &Preference, pick: u8) {
+    let user = UserId::from(pick as usize % monitor.num_users());
+    match op {
+        1 => {
+            monitor.add_user(preference.clone());
+        }
+        2 => monitor.update_user(user, preference.clone()),
+        3 if monitor.num_users() > 1 => {
+            monitor.remove_user(user);
+        }
+        _ => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batching and threads are invisible: `process_batch` over random
+    /// batch cuts with 1, 2, 3 or 8 workers reports exactly the arrivals
+    /// (targets and deltas) of one `process` call per object, and leaves
+    /// exactly its frontiers, buffers and counters — `comparisons` included
+    /// — on every backend of the golden transcript and on fixed cluster
+    /// lists that leave a user in no cluster, with REGISTER, UPDATE and
+    /// UNREGISTER between batches.
+    #[test]
+    fn batched_parallel_processing_equals_per_object_processing(
+        initial in proptest::collection::vec(preference_strategy(), 2..5),
+        segments in proptest::collection::vec(
+            ((objects_strategy(12), 1usize..6), 0u8..4, preference_strategy(), 0u8..255),
+            1..6,
+        ),
+    ) {
+        for (label, mut reference) in batch_configurations(&initial) {
+            let mut batched: Vec<Monitor> = WORKERS.iter().map(|_| reference.clone()).collect();
+            let mut next_id = 0u64;
+            for ((objects, cut), op, preference, pick) in &segments {
+                let objects: Vec<Object> = objects
+                    .iter()
+                    .map(|object| {
+                        next_id += 1;
+                        object.with_id(ObjectId::new(next_id))
+                    })
+                    .collect();
+                for batch in objects.chunks(*cut) {
+                    let expected: Vec<_> = batch.iter().map(|o| reference.process(o.clone())).collect();
+                    for (monitor, workers) in batched.iter_mut().zip(WORKERS) {
+                        let got = monitor.process_batch(batch, workers);
+                        prop_assert_eq!(got, expected.clone(), "{} with {} workers", label, workers);
+                    }
+                }
+                churn(&mut reference, *op, preference, *pick);
+                let want = monitor_view(&reference);
+                for (monitor, workers) in batched.iter_mut().zip(WORKERS) {
+                    churn(monitor, *op, preference, *pick);
+                    prop_assert_eq!(
+                        monitor_view(monitor), want.clone(),
+                        "{} with {} workers after op {}", label, workers, op
+                    );
+                }
+            }
+        }
+    }
 
     /// Every constructed relation is a valid strict partial order.
     #[test]
