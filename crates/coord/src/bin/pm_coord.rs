@@ -21,13 +21,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use pm_coord::{serve, Cluster, ClusterConfig, ServeConfig, Topology};
+use pm_coord::{serve, Cluster, ClusterConfig, Topology};
+use pm_reactor::conn::ReactorConfig;
 
 struct Options {
     addr: String,
     topology: Option<PathBuf>,
     cluster: ClusterConfig,
-    serve: ServeConfig,
+    serve: ReactorConfig,
     wait: Duration,
 }
 
@@ -37,7 +38,7 @@ impl Default for Options {
             addr: "127.0.0.1:7979".to_owned(),
             topology: None,
             cluster: ClusterConfig::default(),
-            serve: ServeConfig::default(),
+            serve: ReactorConfig::default(),
             wait: Duration::from_secs(10),
         }
     }

@@ -21,7 +21,7 @@ use pm_engine::{
 };
 
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::serve::{serve_with_signal as coord_serve_with_signal, ServeConfig};
+use crate::serve::serve_with_signal as coord_serve_with_signal;
 use crate::topology::Topology;
 
 /// How to build one node of an in-process cluster.
@@ -137,7 +137,7 @@ pub fn spawn_coordinator(topology: &Topology, config: ClusterConfig) -> Result<N
         .to_string();
     let (shutdown, signal) = shutdown_pair().map_err(|e| e.to_string())?;
     let thread = std::thread::spawn(move || {
-        coord_serve_with_signal(listener, cluster, ServeConfig::default(), signal)
+        coord_serve_with_signal(listener, cluster, ReactorConfig::default(), signal)
     });
     Ok(NodeHandle {
         addr,

@@ -42,5 +42,5 @@ pub use cluster::{Cluster, ClusterConfig, Routed};
 pub use harness::{spawn_coordinator, spawn_node, spawn_node_at, NodeHandle, NodeSpec, TextClient};
 pub use node::{NodeClient, NodeInfo};
 pub use obs::CoordMetrics;
-pub use serve::{serve, serve_with_signal, ServeConfig};
+pub use serve::{serve, serve_with_signal};
 pub use topology::Topology;

@@ -1,14 +1,17 @@
 //! The coordinator's serving loop: one readiness reactor over the client
 //! listener, every client connection and one *event connection* per node.
 //!
-//! Client traffic is the plain text protocol (the coordinator does not
-//! speak frame mode; `HELLO frame` answers `ERR`). Request/response verbs
-//! go through [`Cluster::handle`] synchronously — the control connections
-//! are blocking with a read timeout, so a wedged node degrades instead of
-//! hanging the loop forever.
+//! Both kinds of connection are [`pm_reactor::conn::Conn`]s, as on a node,
+//! so clients get a node's connection contract (bounded outbox, lagged
+//! eviction, input limits, half-close). Client traffic is the plain text
+//! protocol (the coordinator does not speak frame mode; `HELLO frame`
+//! answers `ERR`).
+//! Request/response verbs go through [`Cluster::handle`] synchronously —
+//! the control connections are blocking with a read timeout, so a wedged
+//! node degrades instead of hanging the loop forever.
 //!
-//! Subscriptions need an asynchronous channel: a node pushes `EVENT` lines
-//! whenever a subscribed user's frontier changes. Each live node therefore
+//! What this module owns is the subscription relay. A node pushes `EVENT`
+//! lines whenever a subscribed user's frontier changes, so each live node
 //! gets a second, nonblocking *event connection*, registered with the
 //! poller. The coordinator subscribes **once per user** on that connection
 //! and fans the node's `EVENT` lines out to every subscribed client
@@ -22,123 +25,28 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::TcpListener;
 
-use pm_engine::ShutdownSignal;
 use pm_model::UserId;
-use pm_reactor::{Interest, Poller};
+use pm_reactor::conn::{
+    Acceptor, Conn, Extracted, ReactorConfig, ShutdownSignal, LISTENER, SHUTDOWN,
+};
+use pm_reactor::{Event, Poller};
 
 use crate::cluster::{Cluster, Routed};
 use crate::node::connect_stream;
 
-/// Serving knobs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Per-client outbox bound in bytes; a subscriber that stops reading
-    /// is evicted with a terminal `ERR lagged`, like a node would.
-    pub max_outbox: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            max_outbox: 1 << 20,
-        }
-    }
-}
-
-const LISTENER: u64 = 0;
-const SHUTDOWN: u64 = u64::MAX;
 /// Node `i`'s event connection is registered under `EVENT_BASE + i`.
-const EVENT_BASE: u64 = 1;
-
-/// A nonblocking buffered connection: line-split input, bounded output.
-#[derive(Debug)]
-struct Buffered {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    out_head: usize,
-}
-
-impl Buffered {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(Self {
-            stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            out_head: 0,
-        })
-    }
-
-    /// Reads whatever is available and returns the complete lines plus
-    /// whether the peer reached EOF.
-    fn read_lines(&mut self) -> std::io::Result<(Vec<String>, bool)> {
-        let mut eof = false;
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut lines = Vec::new();
-        while let Some(at) = self.inbuf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = self.inbuf.drain(..=at).collect();
-            let mut line = String::from_utf8_lossy(&raw[..at]).into_owned();
-            while line.ends_with('\r') {
-                line.pop();
-            }
-            lines.push(line);
-        }
-        Ok((lines, eof))
-    }
-
-    fn enqueue(&mut self, line: &str) {
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
-    }
-
-    /// Writes as much buffered output as the socket accepts. Returns
-    /// whether unsent bytes remain (the caller keeps write interest).
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.out_head < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.out_head..]) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_head += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if self.out_head == self.outbuf.len() {
-            self.outbuf.clear();
-            self.out_head = 0;
-        }
-        Ok(!self.outbuf.is_empty())
-    }
-
-    fn pending(&self) -> usize {
-        self.outbuf.len() - self.out_head
-    }
-}
+const EVENT_BASE: u64 = LISTENER + 1;
 
 /// One client connection.
 #[derive(Debug)]
 struct Client {
-    buf: Buffered,
+    conn: Conn,
     subscriptions: HashSet<UserId>,
-    closing: bool,
+    /// `SUBSCRIBE`s relayed to a node and not answered yet: like a live
+    /// subscription, they keep a half-closed client open.
+    in_flight: usize,
 }
 
 /// An in-flight request on a node's event connection; responses arrive
@@ -158,7 +66,7 @@ enum Pending {
 /// One node's event connection plus its in-flight request queue.
 #[derive(Debug)]
 struct EventConn {
-    buf: Buffered,
+    conn: Conn,
     pending: VecDeque<Pending>,
 }
 
@@ -171,24 +79,33 @@ struct SubState {
 
 struct CoordServer {
     cluster: Cluster,
-    config: ServeConfig,
+    config: ReactorConfig,
+    poller: Poller,
+    acceptor: Acceptor,
     clients: HashMap<u64, Client>,
     event_conns: Vec<Option<EventConn>>,
     user_subs: HashMap<UserId, SubState>,
-    next_token: u64,
+    /// Clients pushed to since they were last flushed; see
+    /// [`CoordServer::settle`].
+    touched: Vec<u64>,
 }
 
 /// Serves the cluster on `listener` until the process dies.
-pub fn serve(listener: TcpListener, cluster: Cluster, config: ServeConfig) -> std::io::Result<()> {
+pub fn serve(
+    listener: TcpListener,
+    cluster: Cluster,
+    config: ReactorConfig,
+) -> std::io::Result<()> {
     serve_impl(listener, cluster, config, None)
 }
 
 /// [`serve`] with an in-process shutdown handle (tests, benches): the
-/// loop returns cleanly when the paired [`pm_engine::Shutdown`] fires.
+/// loop returns cleanly when the paired [`pm_reactor::conn::Shutdown`]
+/// fires.
 pub fn serve_with_signal(
     listener: TcpListener,
     cluster: Cluster,
-    config: ServeConfig,
+    config: ReactorConfig,
     signal: ShutdownSignal,
 ) -> std::io::Result<()> {
     serve_impl(listener, cluster, config, Some(signal))
@@ -197,139 +114,137 @@ pub fn serve_with_signal(
 fn serve_impl(
     listener: TcpListener,
     cluster: Cluster,
-    config: ServeConfig,
+    config: ReactorConfig,
     signal: Option<ShutdownSignal>,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
     let mut poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), LISTENER, Interest::Read)?;
-    if let Some(signal) = &signal {
-        poller.register(signal.as_raw_fd(), SHUTDOWN, Interest::Read)?;
-    }
     let nodes = cluster.nodes();
+    let acceptor = Acceptor::new(listener, &mut poller, EVENT_BASE + nodes as u64)?;
+    if let Some(signal) = &signal {
+        signal.register(&mut poller)?;
+    }
     let mut server = CoordServer {
         cluster,
         config,
+        poller,
+        acceptor,
         clients: HashMap::new(),
         event_conns: (0..nodes).map(|_| None).collect(),
         user_subs: HashMap::new(),
-        next_token: EVENT_BASE + nodes as u64,
+        touched: Vec::new(),
     };
     for node in 0..nodes {
         if server.cluster.is_up(node) {
-            server.open_event_conn(node, &mut poller);
+            server.open_event_conn(node);
         }
     }
-    server.reap_transitions(&mut poller);
+    server.settle();
 
     let mut events = Vec::new();
     loop {
-        poller.wait(&mut events, None)?;
-        let batch = std::mem::take(&mut events);
-        for event in &batch {
+        server.poller.wait(&mut events, None)?;
+        for event in &events {
             match event.token {
                 SHUTDOWN => return Ok(()),
-                LISTENER => server.accept_all(&listener, &mut poller),
+                LISTENER => server.accept_ready()?,
                 token if token < EVENT_BASE + nodes as u64 => {
-                    let node = (token - EVENT_BASE) as usize;
-                    server.event_conn_ready(node, event.readable, event.writable, &mut poller);
+                    server.event_conn_ready((token - EVENT_BASE) as usize, event);
                 }
-                token => server.client_ready(token, event.readable, event.writable, &mut poller),
+                token => server.client_ready(token, event),
             }
-            server.reap_transitions(&mut poller);
+            server.settle();
         }
-        events = batch;
     }
 }
 
 impl CoordServer {
-    fn accept_all(&mut self, listener: &TcpListener, poller: &mut Poller) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let buf = match Buffered::new(stream) {
-                        Ok(buf) => buf,
-                        Err(_) => continue,
+    /// Accepts every pending client.
+    fn accept_ready(&mut self) -> std::io::Result<()> {
+        while let Some(accepted) = self.acceptor.accept(&mut self.poller) {
+            match accepted {
+                Ok((token, conn)) => {
+                    let subscriptions = HashSet::new();
+                    let client = Client {
+                        conn,
+                        subscriptions,
+                        in_flight: 0,
                     };
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if poller
-                        .register(buf.stream.as_raw_fd(), token, Interest::Read)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.clients.insert(
-                        token,
-                        Client {
-                            buf,
-                            subscriptions: HashSet::new(),
-                            closing: false,
-                        },
-                    );
+                    self.clients.insert(token, client);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+                Err(failure) => {
+                    pm_obs::warn!(
+                        "pm_coord",
+                        "accept failed",
+                        error = failure.error,
+                        consecutive = failure.consecutive,
+                    );
+                    return failure.into_result();
+                }
             }
+        }
+        Ok(())
+    }
+
+    /// Brings the loop to rest after an event: applies node up/down
+    /// transitions, then flushes and re-arms every client pushed to. Both
+    /// can cascade — a degraded node pushes `ERR degraded` to its
+    /// subscribers, a closed client unsubscribes on its node — so it loops
+    /// until neither has work left.
+    fn settle(&mut self) {
+        self.reap_transitions();
+        while !self.touched.is_empty() {
+            let mut touched = std::mem::take(&mut self.touched);
+            touched.sort_unstable();
+            touched.dedup();
+            for token in touched {
+                self.finish_client(token);
+            }
+            self.reap_transitions();
         }
     }
 
     /// Applies node up/down transitions the cluster recorded during the
     /// last operation: drop dead nodes' event state, open fresh event
     /// connections for rejoined nodes.
-    fn reap_transitions(&mut self, poller: &mut Poller) {
+    fn reap_transitions(&mut self) {
         for node in self.cluster.take_failures() {
-            self.on_node_down(node, poller);
+            self.on_node_down(node);
         }
         for node in self.cluster.take_rejoined() {
-            self.open_event_conn(node, poller);
+            self.open_event_conn(node);
         }
     }
 
-    fn open_event_conn(&mut self, node: usize, poller: &mut Poller) {
+    fn open_event_conn(&mut self, node: usize) {
         if self.event_conns[node].is_some() {
             return;
         }
         let timeout = std::time::Duration::from_secs(5);
+        let token = EVENT_BASE + node as u64;
         let conn = connect_stream(self.cluster.node_addr(node), timeout)
             .ok()
-            .and_then(|stream| Buffered::new(stream).ok())
-            .and_then(|buf| {
-                poller
-                    .register(
-                        buf.stream.as_raw_fd(),
-                        EVENT_BASE + node as u64,
-                        Interest::Read,
-                    )
-                    .ok()
-                    .map(|()| buf)
-            });
-        match conn {
-            Some(buf) => {
-                self.event_conns[node] = Some(EventConn {
-                    buf,
-                    pending: VecDeque::new(),
-                });
-            }
-            None => {
-                pm_obs::warn!("pm_coord", "event connection failed", node = node);
-                self.cluster.mark_down(node);
-                // The failure is reaped by the caller.
-            }
-        }
+            .and_then(|stream| Conn::new(stream, &mut self.poller, token).ok());
+        let Some(conn) = conn else {
+            pm_obs::warn!("pm_coord", "event connection failed", node = node);
+            self.cluster.mark_down(node);
+            // The failure is reaped by the caller.
+            return;
+        };
+        let pending = VecDeque::new();
+        self.event_conns[node] = Some(EventConn { conn, pending });
     }
 
     /// A node died: close its event connection, terminate every
     /// subscription it carried with a pushed `ERR degraded` line.
-    fn on_node_down(&mut self, node: usize, poller: &mut Poller) {
-        if let Some(conn) = self.event_conns[node].take() {
-            let _ = poller.deregister(conn.buf.stream.as_raw_fd());
-            for pending in conn.pending {
+    fn on_node_down(&mut self, node: usize) {
+        let degraded = format!("ERR degraded node={node}");
+        if let Some(event_conn) = self.event_conns[node].take() {
+            event_conn.conn.close(&mut self.poller);
+            for pending in event_conn.pending {
                 if let Pending::Subscribe { client, .. } | Pending::Snapshot { client, .. } =
                     pending
                 {
-                    self.push_line(client, &format!("ERR degraded node={node}"), poller);
+                    self.answer_pending(client, &degraded);
                 }
             }
         }
@@ -345,7 +260,7 @@ impl CoordServer {
                     if let Some(c) = self.clients.get_mut(&client) {
                         c.subscriptions.remove(&user);
                     }
-                    self.push_line(client, &format!("ERR degraded node={node}"), poller);
+                    self.push_line(client, &degraded);
                 }
             }
         }
@@ -357,56 +272,51 @@ impl CoordServer {
         self.cluster.metrics.subscriptions.set(total as f64);
     }
 
-    /// Enqueues one line to a client and re-arms its write interest,
-    /// evicting it if its outbox is over budget.
-    fn push_line(&mut self, token: u64, line: &str, poller: &mut Poller) {
-        let max_outbox = self.config.max_outbox;
+    /// Enqueues one line to a client, evicting it with a terminal `ERR
+    /// lagged` (and dropping its subscriptions) if its outbox goes over
+    /// budget. The client is flushed when the loop settles.
+    fn push_line(&mut self, token: u64, line: &str) {
         let Some(client) = self.clients.get_mut(&token) else {
             return;
         };
-        if client.closing {
-            return;
-        }
-        client.buf.enqueue(line);
-        if client.buf.pending() > max_outbox {
-            // Same contract as a node: a subscriber that stops reading is
-            // evicted, not buffered without bound.
-            client.buf.outbuf.clear();
-            client.buf.out_head = 0;
-            client.buf.enqueue("ERR lagged");
-            client.closing = true;
-        }
-        self.arm_client(token, poller);
-    }
-
-    fn arm_client(&mut self, token: u64, poller: &mut Poller) {
-        let Some(client) = self.clients.get_mut(&token) else {
-            return;
-        };
-        let done = match client.buf.flush() {
-            Ok(pending) => !pending,
-            Err(_) => {
-                self.drop_client(token, poller);
-                return;
+        self.touched.push(token);
+        let line = format!("{line}\n");
+        if client.conn.push(line.as_bytes(), self.config.max_outbox) {
+            client.conn.push_terminal(b"ERR lagged\n");
+            let users = std::mem::take(&mut client.subscriptions);
+            for user in users {
+                self.release_subscription(user, token);
             }
-        };
-        if done && client.closing {
-            self.drop_client(token, poller);
-            return;
+            self.refresh_subscription_gauge();
         }
-        let interest = if done {
-            Interest::Read
-        } else {
-            Interest::ReadWrite
-        };
-        let _ = poller.modify(client.buf.stream.as_raw_fd(), token, interest);
     }
 
-    fn drop_client(&mut self, token: u64, poller: &mut Poller) {
+    /// Relays a node's answer to a client's `SUBSCRIBE`.
+    fn answer_pending(&mut self, token: u64, line: &str) {
+        if let Some(client) = self.clients.get_mut(&token) {
+            client.in_flight -= 1;
+        }
+        self.push_line(token, line);
+    }
+
+    /// Flushes and re-arms a client, or drops it when it is done: closed,
+    /// failed, or half-closed with nothing to send and no subscription
+    /// live or in flight.
+    fn finish_client(&mut self, token: u64) {
+        let Some(client) = self.clients.get_mut(&token) else {
+            return;
+        };
+        let park = !client.subscriptions.is_empty() || client.in_flight > 0;
+        if !client.conn.finish(&mut self.poller, token, park) {
+            self.drop_client(token);
+        }
+    }
+
+    fn drop_client(&mut self, token: u64) {
         let Some(client) = self.clients.remove(&token) else {
             return;
         };
-        let _ = poller.deregister(client.buf.stream.as_raw_fd());
+        client.conn.close(&mut self.poller);
         for user in client.subscriptions {
             self.release_subscription(user, token);
         }
@@ -435,171 +345,163 @@ impl CoordServer {
             return;
         }
         self.user_subs.remove(&user);
-        if let Some(conn) = self.event_conns[node].as_mut() {
-            conn.buf.enqueue(&format!("UNSUBSCRIBE {}", user.raw()));
-            conn.pending.push_back(Pending::Discard);
-            let _ = conn.buf.flush();
+        self.send_to_node(
+            node,
+            &format!("UNSUBSCRIBE {}", user.raw()),
+            Pending::Discard,
+        );
+    }
+
+    /// Sends one request on `node`'s event connection. A node that stops
+    /// reading them is degraded once they exceed the outbox bound.
+    fn send_to_node(&mut self, node: usize, line: &str, pending: Pending) {
+        let Some(event_conn) = self.event_conns[node].as_mut() else {
+            return;
+        };
+        event_conn.pending.push_back(pending);
+        let line = format!("{line}\n");
+        let lagged = event_conn
+            .conn
+            .push(line.as_bytes(), self.config.max_outbox);
+        self.finish_event_conn(node, !lagged);
+    }
+
+    /// Flushes and re-arms `node`'s event connection, or degrades the node
+    /// when the connection is not `healthy`, closed or failing.
+    fn finish_event_conn(&mut self, node: usize, healthy: bool) {
+        let Some(event_conn) = self.event_conns[node].as_mut() else {
+            return;
+        };
+        let token = EVENT_BASE + node as u64;
+        if !healthy
+            || event_conn.conn.read_eof()
+            || !event_conn.conn.finish(&mut self.poller, token, false)
+        {
+            pm_obs::warn!("pm_coord", "event connection closed", node = node);
+            self.cluster.mark_down(node);
         }
     }
 
-    fn client_ready(&mut self, token: u64, readable: bool, writable: bool, poller: &mut Poller) {
-        if !self.clients.contains_key(&token) {
+    fn client_ready(&mut self, token: u64, event: &Event) {
+        let Some(client) = self.clients.get_mut(&token) else {
+            return;
+        };
+        self.touched.push(token);
+        if event.error || (event.readable && client.conn.fill().is_err()) {
+            self.drop_client(token);
             return;
         }
-        if readable {
-            let result = self
-                .clients
-                .get_mut(&token)
-                .map(|client| client.buf.read_lines());
-            match result {
-                Some(Ok((lines, eof))) => {
-                    for line in lines {
-                        if self.clients.get(&token).map_or(true, |c| c.closing) {
-                            break;
-                        }
-                        self.handle_client_line(token, &line, poller);
-                    }
-                    if eof {
-                        if let Some(client) = self.clients.get_mut(&token) {
-                            client.closing = true;
-                        }
+        while let Some(client) = self.clients.get_mut(&token) {
+            match client.conn.next_message(self.config.max_line) {
+                Extracted::Line(line) => self.handle_client_line(token, &line),
+                Extracted::Invalid { message, terminal } => {
+                    self.cluster.metrics.errors.inc();
+                    self.push_line(token, &format!("ERR {message}"));
+                    if let (true, Some(client)) = (terminal, self.clients.get_mut(&token)) {
+                        client.conn.close_when_drained();
                     }
                 }
-                Some(Err(_)) => {
-                    self.drop_client(token, poller);
-                    return;
-                }
-                None => return,
+                Extracted::Incomplete => return,
             }
         }
-        if writable || self.clients.get(&token).is_some_and(|c| c.closing) {
-            self.arm_client(token, poller);
-        }
     }
 
-    fn handle_client_line(&mut self, token: u64, line: &str, poller: &mut Poller) {
-        if line.trim().is_empty() {
-            return;
-        }
+    fn handle_client_line(&mut self, token: u64, line: &str) {
         match self.cluster.handle(line) {
-            Routed::Line(text) => self.push_line(token, &text, poller),
+            Routed::Line(text) => self.push_line(token, &text),
             Routed::Bye(text) => {
-                self.push_line(token, &text, poller);
+                self.push_line(token, &text);
                 if let Some(client) = self.clients.get_mut(&token) {
-                    client.closing = true;
+                    client.conn.close_when_drained();
                 }
-                self.arm_client(token, poller);
             }
-            Routed::Subscribe(user) => self.subscribe(token, user, poller),
-            Routed::Unsubscribe(user) => self.unsubscribe(token, user, poller),
+            Routed::Subscribe(user) => self.subscribe(token, user),
+            Routed::Unsubscribe(user) => self.unsubscribe(token, user),
         }
-        self.reap_transitions(poller);
+        self.reap_transitions();
     }
 
-    fn subscribe(&mut self, token: u64, user: UserId, poller: &mut Poller) {
+    fn subscribe(&mut self, token: u64, user: UserId) {
         let node = self.cluster.owner_of(user);
         if !self.cluster.is_up(node) || self.event_conns[node].is_none() {
             self.cluster.metrics.errors.inc();
-            self.push_line(token, &format!("ERR degraded node={node}"), poller);
+            self.push_line(token, &format!("ERR degraded node={node}"));
             return;
         }
-        if self
-            .clients
-            .get(&token)
-            .is_some_and(|c| c.subscriptions.contains(&user))
-        {
+        let Some(client) = self.clients.get_mut(&token) else {
+            return;
+        };
+        if client.subscriptions.contains(&user) {
             self.cluster.metrics.errors.inc();
             self.push_line(
                 token,
                 &format!("ERR already subscribed to user {}", user.raw()),
-                poller,
             );
             return;
         }
-        let conn = self.event_conns[node]
-            .as_mut()
-            .expect("checked above: the event connection is open");
-        match self.user_subs.entry(user) {
-            Entry::Occupied(_) => {
-                // The node-side subscription exists; this client only needs
-                // a snapshot, answered in order with the event stream.
-                conn.buf.enqueue(&format!("FRONTIER {}", user.raw()));
-                conn.pending.push_back(Pending::Snapshot {
+        client.in_flight += 1;
+        let (verb, pending) = match self.user_subs.entry(user) {
+            // The node-side subscription exists; this client only needs a
+            // snapshot, answered in order with the event stream.
+            Entry::Occupied(_) => (
+                "FRONTIER",
+                Pending::Snapshot {
                     client: token,
                     user,
-                });
-            }
+                },
+            ),
             Entry::Vacant(slot) => {
-                conn.buf.enqueue(&format!("SUBSCRIBE {}", user.raw()));
-                conn.pending.push_back(Pending::Subscribe {
-                    client: token,
-                    user,
-                });
                 slot.insert(SubState {
                     node,
                     clients: Vec::new(),
                 });
+                (
+                    "SUBSCRIBE",
+                    Pending::Subscribe {
+                        client: token,
+                        user,
+                    },
+                )
             }
-        }
-        if conn.buf.flush().is_err() {
-            self.cluster.mark_down(node);
-        }
-        self.reap_transitions(poller);
+        };
+        self.send_to_node(node, &format!("{verb} {}", user.raw()), pending);
     }
 
-    fn unsubscribe(&mut self, token: u64, user: UserId, poller: &mut Poller) {
+    fn unsubscribe(&mut self, token: u64, user: UserId) {
         let subscribed = self
             .clients
             .get_mut(&token)
             .is_some_and(|c| c.subscriptions.remove(&user));
         if !subscribed {
             self.cluster.metrics.errors.inc();
-            self.push_line(
-                token,
-                &format!("ERR not subscribed to user {}", user.raw()),
-                poller,
-            );
+            self.push_line(token, &format!("ERR not subscribed to user {}", user.raw()));
             return;
         }
         self.release_subscription(user, token);
         self.refresh_subscription_gauge();
-        self.push_line(token, &format!("OK UNSUBSCRIBED {}", user.raw()), poller);
+        self.push_line(token, &format!("OK UNSUBSCRIBED {}", user.raw()));
     }
 
-    fn event_conn_ready(
-        &mut self,
-        node: usize,
-        readable: bool,
-        writable: bool,
-        poller: &mut Poller,
-    ) {
-        let Some(conn) = self.event_conns[node].as_mut() else {
+    fn event_conn_ready(&mut self, node: usize, event: &Event) {
+        let Some(event_conn) = self.event_conns[node].as_mut() else {
             return;
         };
-        if writable {
-            let _ = conn.buf.flush();
+        let mut healthy = !(event.error || (event.readable && event_conn.conn.fill().is_err()));
+        while healthy {
+            let Some(event_conn) = self.event_conns[node].as_mut() else {
+                return;
+            };
+            match event_conn.conn.next_message(self.config.max_line) {
+                Extracted::Line(line) => self.handle_event_line(node, &line),
+                Extracted::Incomplete => break,
+                // A node only sends whole UTF-8 lines.
+                Extracted::Invalid { .. } => healthy = false,
+            }
         }
-        if !readable {
-            return;
-        }
-        let (lines, eof) = match conn.buf.read_lines() {
-            Ok(result) => result,
-            Err(_) => (Vec::new(), true),
-        };
-        for line in lines {
-            self.handle_event_line(node, &line, poller);
-        }
-        if eof {
-            pm_obs::warn!("pm_coord", "event connection closed", node = node);
-            self.cluster.mark_down(node);
-            self.reap_transitions(poller);
-        }
+        self.finish_event_conn(node, healthy);
     }
 
-    fn handle_event_line(&mut self, node: usize, line: &str, poller: &mut Poller) {
-        if line.is_empty() {
-            return;
-        }
+    fn handle_event_line(&mut self, node: usize, line: &str) {
         if let Some(rest) = line.strip_prefix("EVENT ") {
             let user = rest
                 .split_whitespace()
@@ -613,7 +515,7 @@ impl CoordServer {
                     .map(|state| state.clients.clone())
                     .unwrap_or_default();
                 for client in targets {
-                    self.push_line(client, line, poller);
+                    self.push_line(client, line);
                 }
             }
             return;
@@ -631,14 +533,12 @@ impl CoordServer {
                 line = line
             );
             self.cluster.mark_down(node);
-            self.reap_transitions(poller);
             return;
         };
         match pending {
             Pending::Subscribe { client, user } => {
                 if line.starts_with("OK SUBSCRIBED ") {
                     self.confirm_subscription(node, client, user);
-                    self.push_line(client, line, poller);
                 } else {
                     // The node refused (e.g. unknown user): no node-side
                     // subscription exists, so forget the placeholder
@@ -651,27 +551,26 @@ impl CoordServer {
                         self.user_subs.remove(&user);
                     }
                     self.cluster.metrics.errors.inc();
-                    self.push_line(client, line, poller);
                 }
+                self.answer_pending(client, line);
             }
             Pending::Snapshot { client, user } => {
                 let prefix = format!("OK FRONTIER {} ", user.raw());
-                if let Some(snapshot) = line.strip_prefix(&prefix) {
-                    if self.user_subs.contains_key(&user) {
+                let answer = match line.strip_prefix(&prefix) {
+                    Some(snapshot) if self.user_subs.contains_key(&user) => {
                         self.confirm_subscription(node, client, user);
-                        self.push_line(
-                            client,
-                            &format!("OK SUBSCRIBED {} {snapshot}", user.raw()),
-                            poller,
-                        );
-                    } else {
-                        self.cluster.metrics.errors.inc();
-                        self.push_line(client, &format!("ERR degraded node={node}"), poller);
+                        format!("OK SUBSCRIBED {} {snapshot}", user.raw())
                     }
-                } else {
-                    self.cluster.metrics.errors.inc();
-                    self.push_line(client, line, poller);
-                }
+                    Some(_) => {
+                        self.cluster.metrics.errors.inc();
+                        format!("ERR degraded node={node}")
+                    }
+                    None => {
+                        self.cluster.metrics.errors.inc();
+                        line.to_owned()
+                    }
+                };
+                self.answer_pending(client, &answer);
             }
             Pending::Discard => {}
         }

@@ -5,32 +5,27 @@
 //! the subscription workload, where 100k mostly-idle subscribers would pin
 //! 100k stacks to do nothing. This module replaces it with a classic
 //! single-threaded readiness loop over nonblocking sockets (epoll via
-//! [`pm_reactor::Poller`]; `poll(2)` off Linux):
+//! [`pm_reactor::Poller`]; `poll(2)` off Linux).
 //!
-//! * **Reads** accumulate into a per-connection buffer until a complete
-//!   message is available — a newline-delimited line in text mode, a
-//!   `[u32 BE length][UTF-8 request line]` frame in frame mode (see
-//!   `HELLO` in [`crate::protocol`]). Requests are parsed and handled
-//!   inline; shard-side parallelism is unchanged (the reactor blocks on a
-//!   batch fan-in exactly like a connection thread did).
-//! * **Writes** go through a per-connection outbox flushed opportunistically
-//!   after every enqueue and on writability events, so a slow peer never
-//!   blocks the loop. The outbox is bounded ([`ReactorConfig::max_outbox`]):
-//!   a subscriber that cannot keep up with its event stream is evicted with
-//!   a terminal `ERR lagged` rather than holding unbounded memory — deltas
-//!   are never silently dropped from a live subscription.
+//! The connections are [`pm_reactor::conn::Conn`]s, shared with the
+//! `pm-coord` coordinator (message splitting, the bounded outbox, flushing,
+//! registration, half-close, accepting). This module owns the rest:
+//!
+//! * **Dispatch.** Requests are parsed and handled inline; shard-side
+//!   parallelism is unchanged (the reactor blocks on a batch fan-in exactly
+//!   like a connection thread did). Responses render in the connection's
+//!   negotiated mode (see `HELLO` in [`crate::protocol`]).
 //! * **Subscriptions** ([`crate::protocol::Request::Subscribe`]) are plain
 //!   reactor state: a user → connection index. Because the loop is single
 //!   threaded, the `OK SUBSCRIBED` snapshot and the subsequent `EVENT`
 //!   stream are atomic — every delta after the snapshot is delivered
 //!   exactly once, in order. `INGEST` responses carry their canonical
 //!   per-user deltas ([`pm_core::FrontierDelta`]) and fan out to
-//!   subscribers of the affected users; `REGISTER`/`UPDATE`/`UNREGISTER`
-//!   on a watched user synthesize events by diffing the user's frontier
-//!   around the change.
-//! * **Half-close** is honored: a subscriber may `shutdown(Write)` its
-//!   request side and keep receiving events; the connection is torn down
-//!   once it has neither subscriptions nor unsent output.
+//!   subscribers of the affected users, each event rendered once per wire
+//!   mode; `REGISTER`/`UPDATE`/`UNREGISTER` on a watched user synthesize
+//!   events by diffing the user's frontier around the change. A lagged
+//!   subscriber loses its subscriptions at once; a half-closed one parks
+//!   while it has any.
 //!
 //! Failure policy (audited): parse failures answer `ERR` and keep the
 //! connection; unframeable input (an overlong line or frame, which has no
@@ -40,141 +35,33 @@
 //! loop.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::net::TcpListener;
 use std::sync::Arc;
 
 use pm_core::FrontierDelta;
 use pm_model::{ObjectId, UserId};
-use pm_reactor::{Event, Interest, Poller};
+pub use pm_reactor::conn::{shutdown_pair, ReactorConfig, Shutdown, ShutdownSignal};
+use pm_reactor::conn::{Acceptor, Conn, Extracted, LISTENER, SHUTDOWN};
+use pm_reactor::{Event, Poller};
 
 use crate::protocol::Request;
 use crate::response::{render_frame, render_text, Response, WireMode};
 use crate::server::EngineService;
 
-/// Tuning knobs of the reactor loop (see [`serve_with`]).
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Per-connection outbox bound in bytes. A connection whose unsent
-    /// output exceeds this — typically a subscriber not reading its event
-    /// stream — is evicted with a terminal `ERR lagged`.
-    pub max_outbox: usize,
-    /// Largest accepted request message (text line or frame payload) in
-    /// bytes. Longer input has no resync point and closes the connection
-    /// with a terminal `ERR`.
-    pub max_line: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        Self {
-            max_outbox: 1 << 20,
-            max_line: 16 << 20,
-        }
-    }
-}
-
-/// The listener's token; connections get tokens from 1.
-const LISTENER: u64 = 0;
-/// The shutdown signal's token (see [`shutdown_pair`]); never collides
-/// with connection tokens, which count up from 1.
-const SHUTDOWN: u64 = u64::MAX;
-/// Consecutive accept failures that end the loop.
-const MAX_ACCEPT_FAILURES: u32 = 16;
-
-/// The caller-held half of a [`shutdown_pair`]: signals the reactor loop
-/// to stop from any thread.
-#[derive(Debug)]
-pub struct Shutdown {
-    tx: UnixStream,
-}
-
-impl Shutdown {
-    /// Asks the paired reactor loop to stop. Idempotent; an error (the
-    /// loop is already gone) is ignored.
-    pub fn shutdown(&self) {
-        let _ = (&self.tx).write(&[1]);
-        let _ = self.tx.shutdown(std::net::Shutdown::Write);
-    }
-}
-
-/// The reactor-held half of a [`shutdown_pair`], passed to
-/// [`serve_with_signal`].
-#[derive(Debug)]
-pub struct ShutdownSignal {
-    rx: UnixStream,
-}
-
-impl std::os::fd::AsRawFd for ShutdownSignal {
-    /// Exposes the signal fd so other readiness loops (the `pm-coord`
-    /// reactor) can register it alongside their own sockets.
-    fn as_raw_fd(&self) -> std::os::fd::RawFd {
-        self.rx.as_raw_fd()
-    }
-}
-
-/// A shutdown signal pair: hand the [`ShutdownSignal`] to
-/// [`serve_with_signal`] and keep the [`Shutdown`] handle; calling
-/// [`Shutdown::shutdown`] makes the serve loop return cleanly, closing
-/// every connection and freeing the listener port — the in-process
-/// equivalent of killing a node, used by cluster tests and the bench
-/// harness to exercise degraded serving and rejoin.
-pub fn shutdown_pair() -> std::io::Result<(Shutdown, ShutdownSignal)> {
-    let (tx, rx) = UnixStream::pair()?;
-    Ok((Shutdown { tx }, ShutdownSignal { rx }))
-}
-
-/// Per-connection state: negotiated mode, buffered input, unsent output,
-/// and the users this connection subscribes to.
-struct Conn {
-    stream: TcpStream,
-    mode: WireMode,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    /// Bytes of `outbuf` already written to the socket.
-    out_head: usize,
+/// A connection plus the users it subscribes to.
+struct Client {
+    conn: Conn,
     subscriptions: HashSet<UserId>,
-    /// The interest currently registered with the poller; `None` when the
-    /// fd is parked (an EOF'd subscriber with nothing to send waits here
-    /// until an event arrives for it).
-    registered: Option<Interest>,
-    /// The peer closed its write half; no more requests will arrive.
-    read_eof: bool,
-    /// Tear down once the outbox drains (after `QUIT`, a terminal error,
-    /// or a lagged eviction).
-    closing: bool,
-}
-
-impl Conn {
-    fn pending_out(&self) -> usize {
-        self.outbuf.len() - self.out_head
-    }
-}
-
-/// One complete step of message extraction from a connection's input.
-enum Extracted {
-    /// A complete request line (text line or frame payload).
-    Line(String),
-    /// A malformed message with a resync point: answer `ERR`, keep going.
-    Recoverable(String),
-    /// Unframeable input: answer `ERR`, close the connection.
-    Terminal(String),
-    /// No complete message buffered.
-    Incomplete,
 }
 
 struct Reactor {
-    listener: TcpListener,
+    acceptor: Acceptor,
     service: Arc<EngineService>,
     config: ReactorConfig,
     poller: Poller,
-    conns: HashMap<u64, Conn>,
+    clients: HashMap<u64, Client>,
     /// user → tokens of the connections subscribed to that user.
     user_subs: HashMap<UserId, HashSet<u64>>,
-    next_token: u64,
-    accept_failures: u32,
     /// Total active subscriptions (mirrored into `pm_subscribers`).
     subscriber_count: usize,
     /// Total unsent outbox bytes (mirrored into
@@ -212,21 +99,18 @@ fn serve_reactor(
     config: ReactorConfig,
     shutdown: Option<ShutdownSignal>,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
     let mut poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), LISTENER, Interest::Read)?;
+    let acceptor = Acceptor::new(listener, &mut poller, LISTENER + 1)?;
     if let Some(signal) = &shutdown {
-        poller.register(signal.rx.as_raw_fd(), SHUTDOWN, Interest::Read)?;
+        signal.register(&mut poller)?;
     }
     let mut reactor = Reactor {
-        listener,
+        acceptor,
         service,
         config,
         poller,
-        conns: HashMap::new(),
+        clients: HashMap::new(),
         user_subs: HashMap::new(),
-        next_token: LISTENER + 1,
-        accept_failures: 0,
         subscriber_count: 0,
         outbox_total: 0,
     };
@@ -238,164 +122,96 @@ fn serve_reactor(
     result
 }
 
+/// Renders `response` in `mode`, newline-terminated in text mode.
+fn render(response: &Response, mode: WireMode) -> Vec<u8> {
+    match mode {
+        WireMode::Text => {
+            let mut b = render_text(response).into_bytes();
+            b.push(b'\n');
+            b
+        }
+        WireMode::Frame => render_frame(response),
+    }
+}
+
 impl Reactor {
     fn run(&mut self) -> std::io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
         loop {
             self.poller.wait(&mut events, None)?;
             for &event in &events {
-                if event.token == SHUTDOWN {
-                    return Ok(());
-                }
-                if event.token == LISTENER {
-                    self.accept_ready()?;
-                } else {
-                    self.drive_conn(event);
+                match event.token {
+                    SHUTDOWN => return Ok(()),
+                    LISTENER => self.accept_ready()?,
+                    _ => self.drive_conn(event),
                 }
             }
             self.refresh_gauges();
         }
     }
 
-    /// Accepts every pending connection (the listener is level-triggered,
-    /// but draining per wake-up keeps accept latency flat under bursts).
+    /// Accepts every pending connection.
     fn accept_ready(&mut self) -> std::io::Result<()> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.accept_failures = 0;
-                    if let Err(e) = self.admit(stream) {
-                        pm_obs::warn!(
-                            "pm_engine::reactor",
-                            "failed to admit connection",
-                            error = e,
-                        );
+        while let Some(accepted) = self.acceptor.accept(&mut self.poller) {
+            match accepted {
+                Ok((token, conn)) => {
+                    let subscriptions = HashSet::new();
+                    self.clients.insert(
+                        token,
+                        Client {
+                            conn,
+                            subscriptions,
+                        },
+                    );
+                    if let Some(metrics) = self.service.metrics_bundle() {
+                        metrics.connections.inc();
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.accept_failures += 1;
+                Err(failure) => {
                     pm_obs::warn!(
                         "pm_engine::reactor",
                         "accept failed",
-                        error = e,
-                        consecutive = self.accept_failures,
+                        error = failure.error,
+                        consecutive = failure.consecutive,
                     );
-                    if self.accept_failures >= MAX_ACCEPT_FAILURES {
-                        return Err(e);
-                    }
-                    return Ok(());
+                    return failure.into_result();
                 }
             }
-        }
-    }
-
-    fn admit(&mut self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(true)?;
-        // Responses and events are single short writes; coalescing them
-        // behind Nagle only adds latency.
-        let _ = stream.set_nodelay(true);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.poller
-            .register(stream.as_raw_fd(), token, Interest::Read)?;
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                mode: WireMode::Text,
-                inbuf: Vec::new(),
-                outbuf: Vec::new(),
-                out_head: 0,
-                subscriptions: HashSet::new(),
-                registered: Some(Interest::Read),
-                read_eof: false,
-                closing: false,
-            },
-        );
-        if let Some(metrics) = self.service.metrics_bundle() {
-            metrics.connections.inc();
         }
         Ok(())
     }
 
     /// Drives one connection through a readiness event: fill the input
-    /// buffer, dispatch every complete request, flush, then re-arm (or tear
-    /// down) the registration. Tokens touched by fan-out along the way are
-    /// finished too, so subscribers get their events flushed in the same
-    /// loop iteration.
+    /// buffer, dispatch every complete request (closing after a terminal
+    /// `ERR`), then flush and re-arm (or tear down) the registration.
+    /// Tokens touched by fan-out along the way are finished too, so
+    /// subscribers get their events flushed in the same loop iteration.
     fn drive_conn(&mut self, event: Event) {
         let token = event.token;
-        if event.error {
+        let Some(client) = self.clients.get_mut(&token) else {
+            return;
+        };
+        if event.error || (event.readable && client.conn.fill().is_err()) {
             self.close_conn(token);
             return;
         }
         let mut touched = vec![token];
-        if event.readable && !self.fill_inbuf(token) {
-            return;
+        while let Some(client) = self.clients.get_mut(&token) {
+            match client.conn.next_message(self.config.max_line) {
+                Extracted::Line(line) => self.dispatch(token, &line, &mut touched),
+                Extracted::Invalid { message, terminal } => {
+                    self.enqueue_response(token, &Response::Err(message));
+                    if let (true, Some(client)) = (terminal, self.clients.get_mut(&token)) {
+                        client.conn.close_when_drained();
+                    }
+                }
+                Extracted::Incomplete => break,
+            }
         }
-        self.drain_messages(token, &mut touched);
         touched.sort_unstable();
         touched.dedup();
         for t in touched {
             self.finish(t);
-        }
-    }
-
-    /// Reads until `WouldBlock` or EOF. Returns `false` when the
-    /// connection died (and has been closed).
-    fn fill_inbuf(&mut self, token: u64) -> bool {
-        let dead = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.read_eof = true;
-                        break false;
-                    }
-                    Ok(n) => conn.inbuf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break true,
-                }
-            }
-        };
-        if dead {
-            self.close_conn(token);
-        }
-        !dead
-    }
-
-    /// Dispatches every complete buffered request on `token`.
-    fn drain_messages(&mut self, token: u64, touched: &mut Vec<u64>) {
-        loop {
-            let step = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                if conn.closing {
-                    return;
-                }
-                extract_message(conn, &self.config)
-            };
-            match step {
-                Extracted::Line(line) => self.dispatch(token, &line, touched),
-                Extracted::Recoverable(message) => {
-                    self.enqueue_response(token, &Response::Err(message));
-                }
-                Extracted::Terminal(message) => {
-                    self.enqueue_response(token, &Response::Err(message));
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.closing = true;
-                    }
-                    return;
-                }
-                Extracted::Incomplete => return,
-            }
         }
     }
 
@@ -414,11 +230,11 @@ impl Reactor {
 
         // Subscription validity is per-connection state only the reactor
         // knows; reject duplicates/absentees before the service runs.
-        let precheck = match (&request, self.conns.get(&token)) {
-            (Request::Subscribe(user), Some(conn)) if conn.subscriptions.contains(user) => {
+        let precheck = match (&request, self.clients.get(&token)) {
+            (Request::Subscribe(user), Some(client)) if client.subscriptions.contains(user) => {
                 Some(format!("already subscribed to user {}", user.raw()))
             }
-            (Request::Unsubscribe(user), Some(conn)) if !conn.subscriptions.contains(user) => {
+            (Request::Unsubscribe(user), Some(client)) if !client.subscriptions.contains(user) => {
                 Some(format!("not subscribed to user {}", user.raw()))
             }
             _ => None,
@@ -446,8 +262,8 @@ impl Reactor {
         match &response {
             Response::Subscribed { user, .. } => {
                 let user = *user;
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.subscriptions.insert(user);
+                if let Some(client) = self.clients.get_mut(&token) {
+                    client.subscriptions.insert(user);
                     self.user_subs.entry(user).or_default().insert(token);
                     self.subscriber_count += 1;
                 }
@@ -464,14 +280,12 @@ impl Reactor {
             _ => None,
         };
         self.enqueue_response(token, &response);
-        if let Some(mode) = switch_to {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.mode = mode;
+        if let Some(client) = self.clients.get_mut(&token) {
+            if let Some(mode) = switch_to {
+                client.conn.mode = mode;
             }
-        }
-        if matches!(response, Response::Bye) {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.closing = true;
+            if matches!(response, Response::Bye) {
+                client.conn.close_when_drained();
             }
         }
 
@@ -517,18 +331,15 @@ impl Reactor {
                 let mut text: Option<Vec<u8>> = None;
                 let mut frame: Option<Vec<u8>> = None;
                 for sub in subs {
-                    let Some(conn) = self.conns.get(&sub) else {
+                    let Some(client) = self.clients.get(&sub) else {
                         continue;
                     };
-                    let bytes = match conn.mode {
-                        WireMode::Text => text.get_or_insert_with(|| {
-                            let mut b = render_text(&event).into_bytes();
-                            b.push(b'\n');
-                            b
-                        }),
-                        WireMode::Frame => frame.get_or_insert_with(|| render_frame(&event)),
+                    let mode = client.conn.mode;
+                    let bytes = match mode {
+                        WireMode::Text => &mut text,
+                        WireMode::Frame => &mut frame,
                     }
-                    .clone();
+                    .get_or_insert_with(|| render(&event, mode));
                     self.enqueue_bytes(sub, bytes);
                     touched.push(sub);
                 }
@@ -540,18 +351,11 @@ impl Reactor {
     /// Renders `response` in the connection's current mode and appends it
     /// to the outbox.
     fn enqueue_response(&mut self, token: u64, response: &Response) {
-        let Some(conn) = self.conns.get(&token) else {
+        let Some(client) = self.clients.get(&token) else {
             return;
         };
-        let bytes = match conn.mode {
-            WireMode::Text => {
-                let mut b = render_text(response).into_bytes();
-                b.push(b'\n');
-                b
-            }
-            WireMode::Frame => render_frame(response),
-        };
-        self.enqueue_bytes(token, bytes);
+        let bytes = render(response, client.conn.mode);
+        self.enqueue_bytes(token, &bytes);
     }
 
     /// Appends raw rendered bytes, enforcing the outbox bound: a
@@ -559,153 +363,53 @@ impl Reactor {
     /// subscriptions are dropped (no further events accrue), a terminal
     /// `ERR lagged` is appended, and the connection closes once its buffer
     /// drains.
-    fn enqueue_bytes(&mut self, token: u64, bytes: Vec<u8>) {
-        let len = bytes.len();
-        let lagged = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.closing {
-                // Already evicted or told to go away; don't grow the
-                // buffer past the terminal message.
-                return;
-            }
-            conn.outbuf.extend_from_slice(&bytes);
-            conn.pending_out() > self.config.max_outbox
-        };
-        self.outbox_total += len;
-        if lagged {
-            let users: Vec<UserId> = self
-                .conns
-                .get(&token)
-                .map(|c| c.subscriptions.iter().copied().collect())
-                .unwrap_or_default();
-            for user in users {
-                self.drop_subscription(token, user);
-            }
-            self.enqueue_terminal(token, &Response::Err("lagged".to_owned()));
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.closing = true;
-            }
-        }
-    }
-
-    /// Appends a terminal message, bypassing the outbox bound (the
-    /// connection is already closing).
-    fn enqueue_terminal(&mut self, token: u64, response: &Response) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+    fn enqueue_bytes(&mut self, token: u64, bytes: &[u8]) {
+        let Some(client) = self.clients.get_mut(&token) else {
             return;
         };
-        let bytes = match conn.mode {
-            WireMode::Text => {
-                let mut b = render_text(response).into_bytes();
-                b.push(b'\n');
-                b
-            }
-            WireMode::Frame => render_frame(response),
-        };
-        conn.outbuf.extend_from_slice(&bytes);
-        self.outbox_total += bytes.len();
+        let before = client.conn.pending_out();
+        let lagged = client.conn.push(bytes, self.config.max_outbox);
+        if lagged {
+            let message = render(&Response::Err("lagged".to_owned()), client.conn.mode);
+            client.conn.push_terminal(&message);
+        }
+        self.outbox_total += client.conn.pending_out() - before;
+        if lagged {
+            let users = std::mem::take(&mut client.subscriptions);
+            self.unindex(token, users);
+        }
     }
 
     /// Flushes what the socket will take, then re-arms the registration to
     /// the interest the connection actually needs — or tears it down when
-    /// it needs nothing and has no reason to stay.
+    /// it needs nothing and has no subscriptions to park for.
     fn finish(&mut self, token: u64) {
-        if !self.flush(token) {
+        let Some(client) = self.clients.get_mut(&token) else {
             return;
-        }
-        let (fd, registered, desired, should_close) = {
-            let Some(conn) = self.conns.get(&token) else {
-                return;
-            };
-            let want_read = !conn.read_eof && !conn.closing;
-            let want_write = conn.pending_out() > 0;
-            let desired = match (want_read, want_write) {
-                (true, true) => Some(Interest::ReadWrite),
-                (true, false) => Some(Interest::Read),
-                (false, true) => Some(Interest::Write),
-                (false, false) => None,
-            };
-            // With nothing to wait for, the connection either dies (it was
-            // QUIT'd, evicted, or EOF'd without subscriptions) or parks
-            // deregistered until an event for it arrives.
-            let should_close = desired.is_none() && (conn.closing || conn.subscriptions.is_empty());
-            (
-                conn.stream.as_raw_fd(),
-                conn.registered,
-                desired,
-                should_close,
-            )
         };
-        if should_close {
+        let before = client.conn.pending_out();
+        let park = !client.subscriptions.is_empty();
+        let alive = client.conn.finish(&mut self.poller, token, park);
+        self.outbox_total -= before - client.conn.pending_out();
+        if !alive {
             self.close_conn(token);
-            return;
         }
-        let result = match (registered, desired) {
-            (None, Some(interest)) => self.poller.register(fd, token, interest),
-            (Some(current), Some(interest)) if current != interest => {
-                self.poller.modify(fd, token, interest)
-            }
-            (Some(_), None) => self.poller.deregister(fd),
-            _ => Ok(()),
-        };
-        match result {
-            Ok(()) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.registered = desired;
-                }
-            }
-            Err(_) => self.close_conn(token),
-        }
-    }
-
-    /// Writes the outbox until the socket blocks. Returns `false` when the
-    /// connection died (and has been closed).
-    fn flush(&mut self, token: u64) -> bool {
-        let (written, dead) = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            let mut written = 0usize;
-            let dead = loop {
-                if conn.out_head >= conn.outbuf.len() {
-                    break false;
-                }
-                match conn.stream.write(&conn.outbuf[conn.out_head..]) {
-                    Ok(0) => break true,
-                    Ok(n) => {
-                        conn.out_head += n;
-                        written += n;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break true,
-                }
-            };
-            if conn.out_head == conn.outbuf.len() {
-                conn.outbuf.clear();
-                conn.out_head = 0;
-            } else if conn.out_head > 64 * 1024 {
-                conn.outbuf.drain(..conn.out_head);
-                conn.out_head = 0;
-            }
-            (written, dead)
-        };
-        self.outbox_total -= written;
-        if dead {
-            self.close_conn(token);
-            return false;
-        }
-        true
     }
 
     /// Removes one subscription, maintaining the reverse index and count.
     fn drop_subscription(&mut self, token: u64, user: UserId) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(client) = self.clients.get_mut(&token) else {
             return;
         };
-        if conn.subscriptions.remove(&user) {
+        if client.subscriptions.remove(&user) {
+            self.unindex(token, [user]);
+        }
+    }
+
+    /// Drops `token` from the reverse index of each of `users`, which the
+    /// connection no longer subscribes to.
+    fn unindex(&mut self, token: u64, users: impl IntoIterator<Item = UserId>) {
+        for user in users {
             self.subscriber_count -= 1;
             if let Some(subs) = self.user_subs.get_mut(&user) {
                 subs.remove(&token);
@@ -716,85 +420,23 @@ impl Reactor {
         }
     }
 
-    /// Tears a connection down: poller registration, subscription index,
-    /// gauge inputs, and the fd itself (dropped with the stream).
+    /// Tears a connection down: subscription index, gauge inputs, poller
+    /// registration and the socket.
     fn close_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else {
+        let Some(client) = self.clients.remove(&token) else {
             return;
         };
-        if conn.registered.is_some() {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        }
-        self.subscriber_count -= conn.subscriptions.len();
-        for user in &conn.subscriptions {
-            if let Some(subs) = self.user_subs.get_mut(user) {
-                subs.remove(&token);
-                if subs.is_empty() {
-                    self.user_subs.remove(user);
-                }
-            }
-        }
-        self.outbox_total -= conn.pending_out();
+        self.unindex(token, client.subscriptions);
+        self.outbox_total -= client.conn.pending_out();
+        client.conn.close(&mut self.poller);
     }
 
     /// Mirrors the reactor-owned counts into the metric gauges.
     fn refresh_gauges(&self) {
         if let Some(metrics) = self.service.metrics_bundle() {
-            metrics.connections_open.set(self.conns.len() as f64);
+            metrics.connections_open.set(self.clients.len() as f64);
             metrics.subscribers.set(self.subscriber_count as f64);
             metrics.subscriber_outbox.set(self.outbox_total as f64);
-        }
-    }
-}
-
-/// Extracts one complete request from the connection's input buffer
-/// according to its wire mode. Consumes exactly the bytes of what it
-/// returns (including any delimiter), so callers loop until
-/// [`Extracted::Incomplete`].
-fn extract_message(conn: &mut Conn, config: &ReactorConfig) -> Extracted {
-    match conn.mode {
-        WireMode::Text => {
-            let Some(nl) = conn.inbuf.iter().position(|&b| b == b'\n') else {
-                if conn.inbuf.len() > config.max_line {
-                    conn.inbuf.clear();
-                    return Extracted::Terminal(format!(
-                        "request line exceeds {} bytes",
-                        config.max_line
-                    ));
-                }
-                return Extracted::Incomplete;
-            };
-            let raw: Vec<u8> = conn.inbuf.drain(..=nl).collect();
-            let mut line = &raw[..nl];
-            if line.last() == Some(&b'\r') {
-                line = &line[..line.len() - 1];
-            }
-            match std::str::from_utf8(line) {
-                Ok(s) if s.trim().is_empty() => extract_message(conn, config),
-                Ok(s) => Extracted::Line(s.to_owned()),
-                Err(_) => Extracted::Recoverable("request line is not valid UTF-8".to_owned()),
-            }
-        }
-        WireMode::Frame => {
-            if conn.inbuf.len() < 4 {
-                return Extracted::Incomplete;
-            }
-            let len = u32::from_be_bytes(conn.inbuf[..4].try_into().expect("4 bytes")) as usize;
-            if len > config.max_line {
-                conn.inbuf.clear();
-                return Extracted::Terminal(format!(
-                    "frame length {len} exceeds {} bytes",
-                    config.max_line
-                ));
-            }
-            if conn.inbuf.len() < 4 + len {
-                return Extracted::Incomplete;
-            }
-            let raw: Vec<u8> = conn.inbuf.drain(..4 + len).collect();
-            match std::str::from_utf8(&raw[4..]) {
-                Ok(s) => Extracted::Line(s.to_owned()),
-                Err(_) => Extracted::Recoverable("frame payload is not valid UTF-8".to_owned()),
-            }
         }
     }
 }
@@ -854,94 +496,5 @@ mod tests {
             diff_frontiers(u, &[o(7)], &[]),
             vec![FrontierDelta::leave(u, o(7))]
         );
-    }
-
-    #[test]
-    fn text_extraction_splits_lines_and_skips_blanks() {
-        let mut conn = conn_with(WireMode::Text, b"HEALTH\r\n\nSTATS\npartial");
-        let config = ReactorConfig::default();
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Line(l) if l == "HEALTH"
-        ));
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Line(l) if l == "STATS"
-        ));
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Incomplete
-        ));
-        assert_eq!(conn.inbuf, b"partial");
-    }
-
-    #[test]
-    fn frame_extraction_honors_length_prefix_and_bounds() {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&6u32.to_be_bytes());
-        payload.extend_from_slice(b"HEALTH");
-        payload.extend_from_slice(&3u32.to_be_bytes());
-        payload.extend_from_slice(b"QU"); // incomplete
-        let mut conn = conn_with(WireMode::Frame, &payload);
-        let config = ReactorConfig::default();
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Line(l) if l == "HEALTH"
-        ));
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Incomplete
-        ));
-
-        let mut conn = conn_with(WireMode::Frame, &u32::MAX.to_be_bytes());
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Terminal(_)
-        ));
-        assert!(conn.inbuf.is_empty(), "rejected frame must not linger");
-    }
-
-    #[test]
-    fn overlong_inputs_are_rejected_before_buffering_unboundedly() {
-        // A line that never terminates must not grow the input buffer past
-        // `max_line`: the connection is closed with a terminal error the
-        // moment the bound is exceeded, in both wire modes.
-        let config = ReactorConfig {
-            max_line: 8,
-            ..ReactorConfig::default()
-        };
-        let mut conn = conn_with(WireMode::Text, b"NEWLINE-FREE GARBAGE");
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Terminal(e) if e.contains("exceeds 8 bytes")
-        ));
-        assert!(conn.inbuf.is_empty(), "rejected input must not linger");
-
-        let mut framed = Vec::from(9u32.to_be_bytes());
-        framed.extend_from_slice(b"123456789");
-        let mut conn = conn_with(WireMode::Frame, &framed);
-        assert!(matches!(
-            extract_message(&mut conn, &config),
-            Extracted::Terminal(e) if e.contains("frame length 9 exceeds 8 bytes")
-        ));
-        assert!(conn.inbuf.is_empty(), "rejected frame must not linger");
-    }
-
-    fn conn_with(mode: WireMode, input: &[u8]) -> Conn {
-        // A socket pair is overkill for parser tests; any TcpStream works
-        // because extraction never touches the stream.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        Conn {
-            stream,
-            mode,
-            inbuf: input.to_vec(),
-            outbuf: Vec::new(),
-            out_head: 0,
-            subscriptions: HashSet::new(),
-            registered: None,
-            read_eof: false,
-            closing: false,
-        }
     }
 }

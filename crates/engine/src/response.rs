@@ -44,27 +44,9 @@
 use pm_core::{Arrival, FrontierDelta};
 use pm_model::{ObjectId, UserId};
 
+pub use pm_reactor::conn::WireMode;
+
 use crate::protocol::{format_objects, format_users};
-
-/// The negotiated wire format of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireMode {
-    /// Newline-delimited text lines (the default).
-    #[default]
-    Text,
-    /// Length-prefixed binary frames.
-    Frame,
-}
-
-impl WireMode {
-    /// The capability token naming this mode (`text` / `frame`).
-    pub fn token(self) -> &'static str {
-        match self {
-            WireMode::Text => "text",
-            WireMode::Frame => "frame",
-        }
-    }
-}
 
 /// A typed server response — one per request, plus the asynchronous
 /// [`Response::Event`] pushes a subscription produces.

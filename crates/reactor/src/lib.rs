@@ -1,7 +1,8 @@
 //! # pm-reactor
 //!
-//! Readiness polling behind a safe API, with no dependencies beyond the
-//! libc every Rust std program already links.
+//! Readiness polling and the connection layer on top of it, behind a safe
+//! API, with no dependencies beyond the libc every Rust std program
+//! already links.
 //!
 //! The serving layer needs to drive 100k+ mostly-idle subscriber sockets
 //! from one thread, which means readiness notification — but the build has
@@ -13,11 +14,16 @@
 //! descriptors are passed by value, event buffers are owned by the poller,
 //! and the epoll fd is closed on drop.
 //!
+//! On top of it, [`conn`] is the safe connection layer both serving loops
+//! (`pm-engine`'s reactor, `pm-coord`'s coordinator) drive.
+//!
 //! The crate also exposes the process' `RLIMIT_NOFILE` ([`nofile_limit`] /
 //! [`raise_nofile_limit`]) so fd-hungry subscriber tests and benches can
 //! ask for headroom and scale themselves to what they actually get.
 
 #![warn(missing_docs)]
+
+pub mod conn;
 
 use std::io;
 use std::os::raw::{c_int, c_uint};

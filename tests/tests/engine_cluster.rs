@@ -21,17 +21,26 @@
 //! Plus the resize building block: [`pm_coord::Cluster::migrate_user`]
 //! drains a user to another node via EXPORT + REGISTER + UNREGISTER and
 //! the new owner's backfilled frontier matches the oracle.
+//!
+//! And the client connection contract, which the coordinator shares with a
+//! node: lagged eviction after whole lines, invalid-UTF-8 and overlong
+//! request lines, and half-closed subscribers.
 
 use std::fs;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown as Half, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::thread::JoinHandle;
 
 use pm_coord::{
     spawn_coordinator, spawn_node, spawn_node_at, Cluster, ClusterConfig, NodeHandle, NodeSpec,
     TextClient, Topology,
 };
 use pm_engine::durability::DurabilityConfig;
-use pm_engine::{BackendSpec, EngineConfig, EngineService, ShardedEngine};
+use pm_engine::{
+    shutdown_pair, BackendSpec, EngineConfig, EngineService, ReactorConfig, ShardedEngine, Shutdown,
+};
 use pm_model::{Partitioner, UserId};
 use pm_wal::SyncPolicy;
 
@@ -80,6 +89,73 @@ fn spawn_cluster(
     let coord = spawn_coordinator(&topology, ClusterConfig::default()).unwrap();
     let client = TextClient::connect(coord.addr()).unwrap();
     (nodes, coord, client)
+}
+
+/// A coordinator started directly with `pm_coord::serve_with_signal`, for
+/// a serving config other than the harness's default.
+struct Coordinator {
+    addr: String,
+    shutdown: Shutdown,
+    thread: JoinHandle<std::io::Result<()>>,
+}
+
+impl Coordinator {
+    fn spawn(nodes: &[NodeHandle], config: ReactorConfig) -> Self {
+        let topology = Topology::new(nodes.iter().map(|h| h.addr().to_owned()).collect()).unwrap();
+        let cluster = Cluster::connect(&topology, ClusterConfig::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (shutdown, signal) = shutdown_pair().unwrap();
+        let thread = std::thread::spawn(move || {
+            pm_coord::serve_with_signal(listener, cluster, config, signal)
+        });
+        Self {
+            addr,
+            shutdown,
+            thread,
+        }
+    }
+
+    fn kill(self) {
+        self.shutdown.shutdown();
+        self.thread.join().unwrap().unwrap();
+    }
+}
+
+/// A raw client connection, for what [`TextClient`] cannot send: invalid
+/// UTF-8, unterminated lines, a half-close.
+fn connect_raw(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+/// The next line without its newline; `None` at EOF.
+fn read_line(reader: &mut BufReader<TcpStream>) -> Option<String> {
+    let mut line = String::new();
+    if reader.read_line(&mut line).unwrap() == 0 {
+        return None;
+    }
+    Some(line.trim_end_matches(['\r', '\n']).to_owned())
+}
+
+/// Whether `line` is one whole `EVENT <user> ±id,±id,...` line.
+fn is_whole_event(line: &str) -> bool {
+    let mut parts = line.split(' ');
+    parts.next() == Some("EVENT")
+        && parts.next().is_some_and(|user| user.parse::<u32>().is_ok())
+        && parts.next().is_some_and(|deltas| {
+            deltas.split(',').all(|delta| {
+                delta
+                    .strip_prefix(['+', '-'])
+                    .is_some_and(|object| object.parse::<u64>().is_ok())
+            })
+        })
+        && parts.next().is_none()
 }
 
 /// A user-specific chain preference in REGISTER/UPDATE row syntax.
@@ -506,6 +582,122 @@ fn migrate_user_drains_and_backfills_through_export_register_unregister() {
     let mut new_owner = TextClient::connect(topology.addr(to)).unwrap();
     assert_eq!(new_owner.ask(&frontier).unwrap(), before);
 
+    for node in nodes {
+        node.kill();
+    }
+}
+
+#[test]
+fn lagged_coordinator_subscribers_get_whole_lines_then_a_terminal_err() {
+    // 64 subscribed users on one connection multiply every arrival into 64
+    // relayed events; a tiny outbox bound plus an unread socket must trip
+    // the eviction rather than buffer without limit.
+    let users = 64u32;
+    let node = spawn_node(&node_spec("baseline-sw:4", 1)).unwrap();
+    let coord = Coordinator::spawn(
+        std::slice::from_ref(&node),
+        ReactorConfig {
+            max_outbox: 1024,
+            ..ReactorConfig::default()
+        },
+    );
+    let mut ctl = TextClient::connect(&coord.addr).unwrap();
+    let mut sub = TextClient::connect(&coord.addr).unwrap();
+    for user in 0..users {
+        let r = ctl
+            .ask(&format!("REGISTER {user} {}", preference_rows(user)))
+            .unwrap();
+        assert!(r.starts_with("OK REGISTERED"), "{r}");
+        let r = sub.ask(&format!("SUBSCRIBE {user}")).unwrap();
+        assert!(r.starts_with("OK SUBSCRIBED"), "{r}");
+    }
+    for start in (0..2_000 * 5).step_by(5) {
+        let r = ctl.ask(&ingest_line(start, 5)).unwrap();
+        assert!(r.starts_with("OK INGESTED"), "{r}");
+    }
+
+    // The subscriber now reads everything it was sent: whole event lines,
+    // then the terminal eviction notice, then EOF.
+    let mut lagged = false;
+    loop {
+        let line = match sub.recv() {
+            Ok(line) => line,
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
+            Err(e) => panic!("{e}"),
+        };
+        assert!(!lagged, "nothing may follow the terminal ERR: {line}");
+        if line == "ERR lagged" {
+            lagged = true;
+        } else {
+            assert!(is_whole_event(&line), "garbled line: {line}");
+        }
+    }
+    assert!(lagged, "subscriber was never evicted");
+    assert!(ctl.ask("HEALTH").unwrap().starts_with("OK HEALTH"));
+
+    coord.kill();
+    node.kill();
+}
+
+#[test]
+fn coordinator_answers_bad_utf8_and_closes_on_overlong_lines() {
+    let node = spawn_node(&node_spec("baseline", 1)).unwrap();
+    let coord = Coordinator::spawn(
+        std::slice::from_ref(&node),
+        ReactorConfig {
+            max_line: 1024,
+            ..ReactorConfig::default()
+        },
+    );
+    let (mut stream, mut reader) = connect_raw(&coord.addr);
+
+    // Invalid UTF-8 has a resync point: ERR, and the connection serves on.
+    stream.write_all(b"HEALTH \xff\xfe\n").unwrap();
+    assert_eq!(
+        read_line(&mut reader).as_deref(),
+        Some("ERR request line is not valid UTF-8")
+    );
+    stream.write_all(b"HEALTH\n").unwrap();
+    let health = read_line(&mut reader).unwrap();
+    assert!(health.starts_with("OK HEALTH pm-coord"), "{health}");
+
+    // A line past max_line has none: terminal ERR, then EOF.
+    stream.write_all(&[b'x'; 2048]).unwrap();
+    assert_eq!(
+        read_line(&mut reader).as_deref(),
+        Some("ERR request line exceeds 1024 bytes")
+    );
+    assert_eq!(read_line(&mut reader), None, "EOF after the terminal ERR");
+
+    coord.kill();
+    node.kill();
+}
+
+#[test]
+fn half_closed_coordinator_subscriber_keeps_receiving_events() {
+    let (nodes, coord, mut ctl) = spawn_cluster("baseline", 1, 1);
+    let r = ctl
+        .ask(&format!("REGISTER 0 {}", preference_rows(0)))
+        .unwrap();
+    assert!(r.starts_with("OK REGISTERED 0"), "{r}");
+
+    // The subscriber is done talking before its SUBSCRIBE is even answered
+    // (the coordinator relays it to the node); its stream must survive.
+    let (mut stream, mut reader) = connect_raw(coord.addr());
+    stream.write_all(b"SUBSCRIBE 0\n").unwrap();
+    stream.shutdown(Half::Write).unwrap();
+    assert_eq!(read_line(&mut reader).as_deref(), Some("OK SUBSCRIBED 0 "));
+    assert!(ctl.ask("INGEST 3,4,5").unwrap().starts_with("OK INGESTED"));
+    assert_eq!(read_line(&mut reader).as_deref(), Some("EVENT 0 +0"));
+
+    // Full close: the next relayed write fails and the coordinator drops
+    // the connection without disturbing anyone else.
+    drop((stream, reader));
+    assert!(ctl.ask("INGEST 2,3,4").unwrap().starts_with("OK INGESTED"));
+    assert!(ctl.ask("INGEST 1,2,3").unwrap().starts_with("OK INGESTED"));
+    assert!(ctl.ask("HEALTH").unwrap().starts_with("OK HEALTH"));
+
+    coord.kill();
     for node in nodes {
         node.kill();
     }
