@@ -13,8 +13,10 @@
 //!   relation is the per-attribute intersection of its parents'. The loop
 //!   runs entirely on bitset-compiled relations sharing one interned
 //!   universe per attribute: similarities are AND + popcount over bit-rows
-//!   and a merge's common relation is a word-wise AND
-//!   ([`pm_porder::CompiledRelation::intersect`]).
+//!   and a merge narrows the keeper's common relation by a word-wise AND in
+//!   place ([`pm_porder::CompiledRelation::intersect_assign`]). The Hasse
+//!   value weights are computed only under the two weighted measures, which
+//!   alone read them.
 //! * **Approximate** ([`ApproxMeasure`]) — cluster similarity is computed on
 //!   per-cluster frequency vectors (Sec. 6.3); merging adds the vectors.
 //!   The merged cluster's exact common relation is still materialised for
@@ -136,19 +138,27 @@ pub(crate) fn attribute_universes(preferences: &[Preference], arity: usize) -> V
 }
 
 /// One cluster's common preference relations as bit matrices (all clusters
-/// share per-attribute universes) plus the Hasse value weights the weighted
-/// measures need, aligned to the same dense indices.
+/// share per-attribute universes) plus — only under a weighted measure
+/// ([`ExactMeasure::is_weighted`]) — the Hasse value weights it reads,
+/// aligned to the same dense indices.
 ///
 /// Shared with [`crate::maintain::Clustering`], which keeps one such state
-/// per user and per cluster to support incremental membership changes.
+/// per distinct preference and per cluster to support incremental
+/// membership changes.
 #[derive(Debug, Clone)]
 pub(crate) struct ExactState {
     relations: Vec<CompiledRelation>,
-    weights: Vec<Vec<f64>>,
+    /// Per-attribute Hasse value weights; `None` under the unweighted
+    /// measures, which never read them.
+    weights: Option<Vec<Vec<f64>>>,
 }
 
 impl ExactState {
-    pub(crate) fn of_user(pref: &Preference, universes: &[Vec<ValueId>]) -> Self {
+    pub(crate) fn of_user(
+        pref: &Preference,
+        universes: &[Vec<ValueId>],
+        measure: ExactMeasure,
+    ) -> Self {
         let empty = Relation::new();
         let relations: Vec<CompiledRelation> = universes
             .iter()
@@ -162,38 +172,90 @@ impl ExactState {
                 CompiledRelation::compile_with_universe(rel, universe)
             })
             .collect();
-        Self::with_weights(relations)
+        let mut state = Self {
+            relations,
+            weights: None,
+        };
+        state.weigh(measure);
+        state
     }
 
-    fn with_weights(relations: Vec<CompiledRelation>) -> Self {
-        let weights = relations
+    /// The AND-fold of `states` (Def. 4.1 / Theorem 4.2): one copy of the
+    /// first state's relations narrowed in place by the others, with the
+    /// weights `measure` needs computed once from the finished fold.
+    ///
+    /// # Panics
+    /// Panics if `states` is empty.
+    pub(crate) fn fold<'a>(
+        mut states: impl Iterator<Item = &'a ExactState>,
+        measure: ExactMeasure,
+    ) -> ExactState {
+        let first = states.next().expect("a fold has at least one state");
+        let mut fold = ExactState {
+            relations: first.relations.clone(),
+            weights: None,
+        };
+        for state in states {
+            fold.merge_assign(state);
+        }
+        fold.weigh(measure);
+        fold
+    }
+
+    /// Merges `other` into this cluster's common relation (Def. 4.1): a
+    /// word-wise AND per attribute, in place. No closure recomputation is
+    /// needed (Theorem 4.2). Weights, when held, are recomputed.
+    pub(crate) fn merge_assign(&mut self, other: &ExactState) {
+        for (ours, theirs) in self.relations.iter_mut().zip(&other.relations) {
+            ours.intersect_assign(theirs);
+        }
+        if self.weights.is_some() {
+            self.weights = Some(self.value_weights());
+        }
+    }
+
+    /// Computes the Hasse value weights if `measure` reads them, and drops
+    /// them otherwise.
+    fn weigh(&mut self, measure: ExactMeasure) {
+        self.weights = measure.is_weighted().then(|| self.value_weights());
+    }
+
+    fn value_weights(&self) -> Vec<Vec<f64>> {
+        self.relations
             .iter()
             .map(CompiledRelation::value_weights)
-            .collect();
-        Self { relations, weights }
+            .collect()
     }
 
-    /// The merged cluster's common relation (Def. 4.1): a word-wise AND per
-    /// attribute. No closure recomputation is needed (Theorem 4.2).
-    pub(crate) fn merge(&self, other: &ExactState) -> ExactState {
-        Self::with_weights(
-            self.relations
-                .iter()
-                .zip(&other.relations)
-                .map(|(a, b)| a.intersect(b))
-                .collect(),
-        )
+    /// Whether this state holds Hasse value weights.
+    #[cfg(test)]
+    pub(crate) fn holds_weights(&self) -> bool {
+        self.weights.is_some()
+    }
+
+    /// Attribute `idx`'s weights, empty when none are held.
+    fn attr_weights(&self, idx: usize) -> &[f64] {
+        self.weights.as_ref().map_or(&[], |weights| &weights[idx])
     }
 
     /// Cluster similarity: the measure summed over attributes (Eq. 1), each
     /// attribute an AND(+NOT) + popcount pass over the two bit matrices.
     pub(crate) fn similarity(&self, other: &ExactState, measure: ExactMeasure) -> f64 {
+        debug_assert!(
+            !measure.is_weighted() || (self.weights.is_some() && other.weights.is_some()),
+            "a weighted measure needs states that hold weights"
+        );
         self.relations
             .iter()
             .zip(&other.relations)
             .enumerate()
             .map(|(idx, (a, b))| {
-                measure.compiled_attr_similarity(a, &self.weights[idx], b, &other.weights[idx])
+                measure.compiled_attr_similarity(
+                    a,
+                    self.attr_weights(idx),
+                    b,
+                    other.attr_weights(idx),
+                )
             })
             .sum()
     }
@@ -258,11 +320,11 @@ pub fn cluster_users(preferences: &[Preference], config: ClusteringConfig) -> Cl
             Working {
                 members: member_idx.iter().map(|&i| UserId::from(i)).collect(),
                 state: match config {
-                    ClusteringConfig::Exact { .. } => {
+                    ClusteringConfig::Exact { measure, .. } => {
                         // The exact measures are multiplicity-invariant
                         // (intersection is idempotent): one state per
                         // distinct preference suffices.
-                        State::Exact(ExactState::of_user(pref, &universes))
+                        State::Exact(ExactState::of_user(pref, &universes, measure))
                     }
                     ClusteringConfig::Approx { measure, .. } => {
                         // Frequency vectors are *not* multiplicity-invariant:
@@ -318,11 +380,11 @@ pub fn cluster_users(preferences: &[Preference], config: ClusteringConfig) -> Cl
         let keeper = &mut working[i];
         keeper.members.extend(absorbed.members);
         keeper.member_idx.extend(absorbed.member_idx);
-        keeper.state = match (&keeper.state, &absorbed.state) {
-            (State::Exact(a), State::Exact(b)) => State::Exact(a.merge(b)),
-            (State::Approx(a), State::Approx(b)) => State::Approx(a.merge(b)),
+        match (&mut keeper.state, &absorbed.state) {
+            (State::Exact(a), State::Exact(b)) => a.merge_assign(b),
+            (State::Approx(a), State::Approx(b)) => *a = a.merge(b),
             _ => unreachable!("cluster states never mix within one run"),
-        };
+        }
         // Refresh the merged cluster's similarities.
         for other in 0..working.len() {
             if other == i {

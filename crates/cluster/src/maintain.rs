@@ -8,9 +8,9 @@
 //! * [`Clustering::insert_user`] either joins the most similar existing
 //!   cluster — when that similarity clears the branch cut `h`, exactly the
 //!   agglomerative merge criterion — or spins up a new singleton cluster.
-//!   Joining recomputes the cluster's common preference relation as a
-//!   word-wise AND ([`pm_porder::CompiledRelation::intersect`]) of the old
-//!   common relation and the new member's relations.
+//!   Joining narrows the cluster's common preference relation in place by a
+//!   word-wise AND ([`pm_porder::CompiledRelation::intersect_assign`]) with
+//!   the new member's relations.
 //! * [`Clustering::remove_user`] shrinks the user's cluster, recomputing
 //!   its common relation as the AND-fold of the remaining members'
 //!   compiled relations, or dissolves the cluster entirely when the last
@@ -37,7 +37,10 @@
 //!
 //! All states live on shared per-attribute value universes; a registered
 //! user mentioning a never-seen value triggers the one slow path: the
-//! universes grow and every stored entry is recompiled.
+//! universes grow and every stored entry is recompiled. States hold Hasse
+//! value weights only under a weighted measure, and a fold computes them
+//! once from its result, so under `Jaccard` and `IntersectionSize` no
+//! maintenance step computes them at all.
 
 use std::collections::HashMap;
 
@@ -198,7 +201,7 @@ impl Clustering {
         };
         for cluster in &outcome.clusters {
             let cidx = this.clusters.len();
-            let state = ExactState::of_user(&cluster.common, &this.universes);
+            let state = ExactState::of_user(&cluster.common, &this.universes, measure);
             this.clusters.push(MaintainedCluster {
                 members: cluster.members.clone(),
                 entries: Vec::new(),
@@ -321,7 +324,7 @@ impl Clustering {
         let arity = all.iter().map(Preference::arity).max().unwrap_or(0);
         self.universes = attribute_universes(&all, arity);
         for entry in self.entries.iter_mut().flatten() {
-            entry.state = ExactState::of_user(&entry.preference, &self.universes);
+            entry.state = ExactState::of_user(&entry.preference, &self.universes, self.measure);
         }
         for idx in 0..self.clusters.len() {
             let entry_ids = self.clusters[idx].entries.clone();
@@ -334,13 +337,10 @@ impl Clustering {
     /// distinct entries equals folding over users because intersection is
     /// idempotent.
     fn fold_entries(&self, entry_ids: &[u32]) -> ExactState {
-        let mut iter = entry_ids.iter();
-        let first = iter.next().expect("a cluster has at least one entry");
-        let mut state = self.entry(*first).state.clone();
-        for &eid in iter {
-            state = state.merge(&self.entry(eid).state);
-        }
-        state
+        ExactState::fold(
+            entry_ids.iter().map(|&eid| &self.entry(eid).state),
+            self.measure,
+        )
     }
 
     /// Finds the entry holding exactly `preference` (fingerprint bucket +
@@ -375,8 +375,9 @@ impl Clustering {
         let eid = match self.find_entry(fingerprint, preference, Some(cidx)) {
             Some(eid) => eid,
             None => {
-                let state =
-                    state.unwrap_or_else(|| ExactState::of_user(preference, &self.universes));
+                let state = state.unwrap_or_else(|| {
+                    ExactState::of_user(preference, &self.universes, self.measure)
+                });
                 let entry = DistinctEntry {
                     fingerprint,
                     preference: preference.clone(),
@@ -452,7 +453,7 @@ impl Clustering {
                 common: self.clusters[cidx].state.to_preference(),
             };
         }
-        let state = ExactState::of_user(preference, &self.universes);
+        let state = ExactState::of_user(preference, &self.universes, self.measure);
         let mut best: Option<(usize, f64)> = None;
         for (idx, cluster) in self.clusters.iter().enumerate() {
             let sim = state.similarity(&cluster.state, self.measure);
@@ -463,7 +464,7 @@ impl Clustering {
         match best {
             Some((idx, sim)) if sim >= self.branch_cut => {
                 self.clusters[idx].members.push(user);
-                self.clusters[idx].state = self.clusters[idx].state.merge(&state);
+                self.clusters[idx].state.merge_assign(&state);
                 self.attach_in_cluster(user, preference, Some(state), idx);
                 Placement::Joined {
                     cluster: idx,
@@ -556,7 +557,7 @@ impl Clustering {
             // user's new relations. (Deliberately no twin-join across
             // clusters here — callers rely on updates never dissolving a
             // cluster.)
-            let state = ExactState::of_user(preference, &self.universes);
+            let state = ExactState::of_user(preference, &self.universes, self.measure);
             self.detach_from_entry(user, old_eid);
             self.attach_in_cluster(user, preference, Some(state.clone()), cidx);
             self.clusters[cidx].state = state;
@@ -573,13 +574,14 @@ impl Clustering {
             .copied()
             .filter(|&eid| eid != old_eid || self.entry(old_eid).members.len() > 1)
             .collect();
-        let state = ExactState::of_user(preference, &self.universes);
-        let rest = self.fold_entries(&rest_entries);
+        let state = ExactState::of_user(preference, &self.universes, self.measure);
+        let mut rest = self.fold_entries(&rest_entries);
         let sim = state.similarity(&rest, self.measure);
         if sim >= self.branch_cut {
+            rest.merge_assign(&state);
+            self.clusters[cidx].state = rest;
             self.detach_from_entry(user, old_eid);
-            self.attach_in_cluster(user, preference, Some(state.clone()), cidx);
-            self.clusters[cidx].state = rest.merge(&state);
+            self.attach_in_cluster(user, preference, Some(state), cidx);
             return Update::Stayed {
                 cluster: cidx,
                 common: self.clusters[cidx].state.to_preference(),
@@ -1033,6 +1035,61 @@ mod tests {
     fn update_of_unknown_user_panics() {
         let mut clustering = Clustering::new(&table3_users(), ExactMeasure::Jaccard, 0.2);
         clustering.update_user(UserId::new(77), &pref(&[(0, 1)]));
+    }
+
+    /// Under every measure, insert/update/remove churn leaves each
+    /// maintained cluster exactly as similar to every user as a state
+    /// compiled from scratch for its members' common preference — weights
+    /// included — and only the weighted measures make states hold weights.
+    #[test]
+    fn churned_states_match_fresh_states_under_every_measure() {
+        let users = table3_users();
+        for measure in ExactMeasure::ALL {
+            let mut clustering = Clustering::new(&users, measure, 0.2);
+            clustering.insert_user(UserId::new(10), &pref(&[(0, 1), (1, 2)]));
+            clustering.insert_user(UserId::new(11), &users[4]);
+            clustering.update_user(UserId::new(2), &users[5]);
+            clustering.update_user(UserId::new(0), &pref(&[(3, 0), (0, 2)]));
+            clustering.remove_user(UserId::new(4));
+            clustering.remove_user(UserId::new(1));
+            assert_common_matches(&clustering);
+            assert_entries_consistent(&clustering);
+            let fresh = |p: &Preference| ExactState::of_user(p, &clustering.universes, measure);
+            for (k, cluster) in clustering.clusters.iter().enumerate() {
+                let common =
+                    fresh(&Preference::common_of(cluster.members.iter().map(|&m| {
+                        clustering.preference_of(m).expect("member stored")
+                    })));
+                for (&user, &eid) in &clustering.users {
+                    let theirs = fresh(&clustering.entry(eid).preference);
+                    assert_eq!(
+                        cluster.state.similarity(&theirs, measure).to_bits(),
+                        common.similarity(&theirs, measure).to_bits(),
+                        "{}: cluster {k} against user {user}",
+                        measure.name()
+                    );
+                }
+            }
+            let states = clustering
+                .clusters
+                .iter()
+                .map(|cluster| &cluster.state)
+                .chain(
+                    clustering
+                        .entries
+                        .iter()
+                        .flatten()
+                        .map(|entry| &entry.state),
+                );
+            for state in states {
+                assert_eq!(
+                    state.holds_weights(),
+                    measure.is_weighted(),
+                    "{}",
+                    measure.name()
+                );
+            }
+        }
     }
 
     #[test]

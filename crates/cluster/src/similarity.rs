@@ -46,6 +46,15 @@ impl ExactMeasure {
             ExactMeasure::WeightedJaccard => "weighted-jaccard",
         }
     }
+
+    /// Whether the measure reads the Hasse value weights (Eq. 4–5): only
+    /// states clustered under such a measure compute them.
+    pub fn is_weighted(self) -> bool {
+        matches!(
+            self,
+            ExactMeasure::WeightedIntersectionSize | ExactMeasure::WeightedJaccard
+        )
+    }
 }
 
 /// A similarity measure over per-attribute preference relations.
@@ -207,8 +216,9 @@ pub fn compiled_weighted_jaccard(
 
 impl ExactMeasure {
     /// The measure on one attribute's compiled bit-rows; `wa` / `wb` are the
-    /// two clusters' Hasse value weights over the shared universe (ignored
-    /// by the unweighted measures).
+    /// two clusters' Hasse value weights over the shared universe, read only
+    /// when [`Self::is_weighted`] (the unweighted measures accept empty
+    /// slices).
     pub fn compiled_attr_similarity(
         self,
         a: &CompiledRelation,

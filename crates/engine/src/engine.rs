@@ -325,7 +325,11 @@ impl ShardedEngine {
         let mut wal = lock_recovering(&self.wal);
         if let Some(attached) = wal.as_ref() {
             if let Err(e) = attached.append_payload(&encode()) {
-                eprintln!("pm-engine: WAL append failed, durability disabled: {e}");
+                pm_obs::error!(
+                    "pm_engine::engine",
+                    "WAL append failed, durability disabled",
+                    error = e
+                );
                 *wal = None;
             }
         }

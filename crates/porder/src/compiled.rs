@@ -81,7 +81,7 @@ enum Rows {
     },
 }
 
-/// An immutable strict partial order compiled to a bit matrix.
+/// A strict partial order compiled to a bit matrix.
 ///
 /// Row `i` holds the successor set of the `i`-th interned value: bit `j` of
 /// row `i` is set iff `universe[i] ≻ universe[j]` in the source relation's
@@ -89,14 +89,15 @@ enum Rows {
 /// everything, matching [`Relation::prefers`] on unmentioned values.
 ///
 /// Rows are stored dense (one fixed-width bit-row per value) or sparse
-/// (non-empty rows only — see the internal `Rows` enum); the representation is an internal
-/// detail chosen at compile time, and two relations with the same universe
-/// and tuple set compare equal regardless of representation.
+/// (non-empty rows only — see the internal `Rows` enum); the representation
+/// is an internal detail chosen at compile time and kept by
+/// [`Self::intersect_assign`], the one mutation, and two relations with the
+/// same universe and tuple set compare equal regardless of representation.
 #[derive(Debug, Clone)]
 pub struct CompiledRelation {
     /// `ValueId.raw() → dense index`, or [`NONE`]; indexed directly by raw
-    /// id. Shared (`Arc`) so that [`CompiledRelation::intersect`] — called
-    /// once per attribute per cluster merge — never re-copies the table.
+    /// id. Shared (`Arc`) so that a clone — a cluster fold starts from a
+    /// copy of one member's relations — never re-copies the table.
     index_of: Arc<[u32]>,
     /// Dense index → interned value, ascending by raw id. Shared like
     /// `index_of`.
@@ -137,7 +138,7 @@ impl CompiledRelation {
     ///
     /// Sharing one universe across many relations of the same attribute puts
     /// their bit-rows in the same index space, which is what makes
-    /// [`CompiledRelation::intersect`] and the popcount-based similarity
+    /// [`CompiledRelation::intersect_assign`] and the popcount-based similarity
     /// measures plain word-wise operations.
     ///
     /// # Panics
@@ -443,48 +444,50 @@ impl CompiledRelation {
         self.len + other.len - self.intersection_size(other)
     }
 
-    /// The common preference relation `≻ᵈ_U = ≻ᵈ_1 ∩ ≻ᵈ_2` (Def. 4.1) as a
-    /// word-wise AND. The intersection of strict partial orders is a strict
-    /// partial order (Theorem 4.2), so the result needs no re-closure.
+    /// The common preference relation `≻ᵈ_U = ≻ᵈ_1 ∩ ≻ᵈ_2` (Def. 4.1): a
+    /// copy of `self` with [`Self::intersect_assign`] applied.
     ///
     /// # Panics
     /// Panics (debug builds) unless both relations share a universe.
     pub fn intersect(&self, other: &CompiledRelation) -> CompiledRelation {
+        let mut common = self.clone();
+        common.intersect_assign(other);
+        common
+    }
+
+    /// Narrows `self` to the common preference relation `≻ᵈ_1 ∩ ≻ᵈ_2`
+    /// (Def. 4.1) in place. The intersection of strict partial orders is a
+    /// strict partial order (Theorem 4.2), so the result needs no
+    /// re-closure. Dense rows take a word-wise AND plus popcount and
+    /// allocate nothing; sparse rows are each AND-ed with the other side's
+    /// row, and rows left empty are dropped. The row layout is kept, and
+    /// the class matrix is discarded, to be rebuilt by the next
+    /// [`CompiledPreference::prepare`].
+    ///
+    /// # Panics
+    /// Panics (debug builds) unless both relations share a universe.
+    pub fn intersect_assign(&mut self, other: &CompiledRelation) {
         debug_assert!(self.same_universe(other), "universes must match");
-        let mut sparse_rows: Vec<(u32, Box<[u64]>)> = Vec::new();
-        let mut len = 0usize;
-        let mut and_row = |ix: usize| {
-            let a = self.row(ix);
-            let b = other.row(ix);
-            let mut count = 0usize;
-            let row: Box<[u64]> = a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| {
-                    let word = x & y;
-                    count += word.count_ones() as usize;
-                    word
-                })
-                .collect();
-            if count > 0 {
-                len += count;
-                sparse_rows.push((ix as u32, row));
+        let words = self.words_per_row;
+        self.len = match &mut self.rows {
+            Rows::Dense(bits) => match &other.rows {
+                Rows::Dense(theirs) => and_count(bits, theirs),
+                // Absent rows of the sparse side clear the dense ones.
+                Rows::Sparse { .. } => (0..self.universe.len())
+                    .map(|ix| and_count(&mut bits[ix * words..(ix + 1) * words], other.row(ix)))
+                    .sum(),
+            },
+            Rows::Sparse { rows, .. } => {
+                let mut len = 0;
+                rows.retain_mut(|(ix, row)| {
+                    let count = and_count(row, other.row(*ix as usize));
+                    len += count;
+                    count > 0
+                });
+                len
             }
         };
-        // A row absent on either side ANDs to zero, so walk the sparser
-        // side when one exists.
-        match (&self.rows, &other.rows) {
-            (Rows::Sparse { rows, .. }, _) => rows.iter().for_each(|(ix, _)| and_row(*ix as usize)),
-            (_, Rows::Sparse { rows, .. }) => rows.iter().for_each(|(ix, _)| and_row(*ix as usize)),
-            _ => (0..self.universe.len()).for_each(&mut and_row),
-        }
-        Self::with_rows(
-            self.index_of.clone(),
-            self.universe.clone(),
-            self.words_per_row,
-            sparse_rows,
-            len,
-        )
+        self.classes = OnceLock::new();
     }
 
     /// Iterates over all preference tuples of the closure.
@@ -572,6 +575,18 @@ impl CompiledRelation {
             })
             .collect()
     }
+}
+
+/// ANDs `theirs` into `ours` word by word and returns the popcount of the
+/// result.
+fn and_count(ours: &mut [u64], theirs: &[u64]) -> usize {
+    ours.iter_mut()
+        .zip(theirs)
+        .map(|(word, other)| {
+            *word &= other;
+            word.count_ones() as usize
+        })
+        .sum()
 }
 
 /// A user's (or virtual user's) preferences compiled for the hot path: one

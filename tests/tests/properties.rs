@@ -471,6 +471,55 @@ proptest! {
         prop_assert_eq!(ca.intersect(&cb).to_relation(), a.intersection(&b));
     }
 
+    /// The in-place AND narrows a relation to exactly what `intersect` and
+    /// a relation compiled from the hash-map intersection hold — tuple set
+    /// and `len()` — on one-word dense, two-word dense and sparse layouts
+    /// and mixes of them, and the prepared kernel afterwards answers as the
+    /// freshly compiled relation does: the class matrix `prepare` built
+    /// before the AND must not survive it.
+    #[test]
+    fn in_place_intersection_matches_a_fresh_compile(
+        a in layout_relation_strategy(),
+        b in layout_relation_strategy(),
+        values in proptest::collection::vec(kernel_value_strategy(), 2..10),
+    ) {
+        let (va, vb) = (a.values(), b.values());
+        let mut universe: Vec<ValueId> = va.union(&vb).copied().collect();
+        universe.sort_unstable();
+        let ca = CompiledRelation::compile_with_universe(&a, &universe);
+        let cb = CompiledRelation::compile_with_universe(&b, &universe);
+        let fresh = CompiledRelation::compile_with_universe(&a.intersection(&b), &universe);
+        let as_preference = |rel: &CompiledRelation| {
+            CompiledPreference::from_relations(vec![rel.clone()])
+        };
+        let objects: Vec<Object> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| Object::new(ObjectId::from(i), vec![ValueId::new(value)]))
+            .collect();
+        let mut narrowed = as_preference(&ca);
+        // Build the class matrix of `a` before the AND.
+        for object in &objects {
+            let _ = narrowed.prepare(object);
+        }
+        let mut rel = narrowed.relation(AttrId::new(0)).clone();
+        rel.intersect_assign(&cb);
+        prop_assert_eq!(&rel, &ca.intersect(&cb));
+        prop_assert_eq!(&rel, &fresh);
+        prop_assert_eq!(rel.len(), fresh.len());
+        prop_assert_eq!(rel.to_relation(), a.intersection(&b));
+        narrowed = as_preference(&rel);
+        let fresh = as_preference(&fresh);
+        for x in &objects {
+            let (ours, theirs) = (narrowed.prepare(x), fresh.prepare(x));
+            for y in &objects {
+                let codes: Vec<u32> = fresh.codes(y).collect();
+                prop_assert_eq!(ours.compare(&codes), theirs.compare(&codes), "{} vs {}", x, y);
+                prop_assert_eq!(narrowed.compare(x, y), fresh.compare(x, y));
+            }
+        }
+    }
+
     /// The compiled Hasse value weights match HasseDiagram's on every
     /// interned value (the weighted similarity measures rely on this).
     #[test]
@@ -672,20 +721,22 @@ proptest! {
         }
     }
 
-    /// After a random insert/remove/update sequence, the incrementally
-    /// maintained clustering still partitions the users, holds no empty
-    /// cluster, and every cluster's common relation equals the intersection
-    /// of its members' relations — in particular, an in-place UPDATE
-    /// (stay-put re-AND-fold or local repair + re-insertion) preserves all
-    /// three invariants.
+    /// After a random insert/remove/update sequence, under every exact
+    /// measure, the incrementally maintained clustering still partitions
+    /// the users, holds no empty cluster, and every cluster's common
+    /// relation equals the intersection of its members' relations — in
+    /// particular, an in-place UPDATE (stay-put re-AND-fold or local repair
+    /// + re-insertion) preserves all three invariants.
     #[test]
     fn clustering_churn_keeps_common_relations_exact(
         initial in proptest::collection::vec(preference_strategy(), 0..5),
         ops in proptest::collection::vec((0u8..3, preference_strategy(), 0u8..255), 1..20),
         branch in 0usize..3,
+        measure in 0..ExactMeasure::ALL.len(),
     ) {
         let branch_cut = [0.0, 0.3, 100.0][branch];
-        let mut clustering = Clustering::new(&initial, ExactMeasure::Jaccard, branch_cut);
+        let measure = ExactMeasure::ALL[measure];
+        let mut clustering = Clustering::new(&initial, measure, branch_cut);
         let mut live: Vec<(UserId, Preference)> = initial
             .iter()
             .enumerate()
