@@ -1,7 +1,8 @@
 //! Ablation bench (not in the paper): how the clustering similarity measure
 //! and the branch cut h affect clustering cost and the resulting cluster
 //! structure — the k-versus-m trade-off discussed at the end of Sec. 4 —
-//! and what one incremental membership change costs under each measure.
+//! what one incremental membership change costs under each measure, and
+//! what one registration costs a FilterThenVerify monitor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
@@ -9,6 +10,7 @@ use pm_bench::setup::{cluster_dataset, generate_dataset};
 use pm_bench::Scale;
 use pm_cluster::{cluster_users, ApproxMeasure, Clustering, ClusteringConfig, ExactMeasure};
 use pm_datagen::DatasetProfile;
+use pm_engine::BackendSpec;
 use pm_model::UserId;
 
 fn bench_clustering(c: &mut Criterion) {
@@ -56,7 +58,10 @@ fn bench_clustering(c: &mut Criterion) {
 /// One `insert_user` and one `update_user` on a maintained clustering of
 /// the movie population, under each exact measure: the weighted measures
 /// also recompute Hasse value weights, the unweighted ones only AND and
-/// popcount.
+/// popcount. Then one registration on an `ftv:0.4` monitor that has taken
+/// the population's objects: onto a preference a user already holds (the
+/// twin joins that user's verify entry without a replay) and onto a novel
+/// one (a replay of the history).
 fn bench_maintenance(c: &mut Criterion) {
     let dataset = generate_dataset(&DatasetProfile::movie(), &Scale::quick());
     let (newcomer, population) = dataset
@@ -84,6 +89,25 @@ fn bench_maintenance(c: &mut Criterion) {
                 |mut clustering| {
                     clustering.update_user(UserId::new(0), newcomer);
                     clustering
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    let mut monitor = BackendSpec::parse("ftv:0.4")
+        .expect("valid backend")
+        .build(population);
+    monitor.process_all(dataset.objects.iter().cloned());
+    for (name, preference) in [
+        ("register_twin", &population[0]),
+        ("register_novel", newcomer),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || monitor.clone(),
+                |mut monitor| {
+                    monitor.add_user(preference.clone());
+                    monitor
                 },
                 BatchSize::LargeInput,
             )

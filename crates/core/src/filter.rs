@@ -9,12 +9,23 @@
 //! discarded for all members at once (filter step); an object that
 //! survives is verified against each member's own frontier (verify step).
 //! A monitor without this layer is Alg. 1 / Alg. 4.
+//!
+//! The verify step's state is kept per cluster in groups keyed by
+//! `Base::key`, as the unfiltered layer keeps its frontiers. Where a
+//! replay provably equals a live member's verify frontier — exact virtual
+//! preferences on an append-only lifetime with a lossless history (Lemma
+//! 4.6) — twins share one entry per cluster: a registration or update onto a
+//! preference the cluster already holds replays nothing, and each arrival is
+//! verified once per distinct preference and reported to every holder.
+//! Elsewhere (Alg. 5 followed literally, the Alg. 3 approximation, a history
+//! under a hard cap) a live verify frontier may legitimately differ from a
+//! replay, so every member keeps an entry of its own. The cluster is part of
+//! the key because fixed cluster lists may split twins or leave users out.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pm_cluster::{
-    approx_common_preference, ApproxConfig, Cluster, Clustering, Placement, Removal, Update,
-};
+use pm_cluster::{approx_common_preference, ApproxConfig, Clustering, Placement, Removal, Update};
 use pm_model::UserId;
 use pm_porder::{CompiledPreference, Interned, Preference};
 
@@ -25,11 +36,10 @@ use crate::monitor::Base;
 /// relation its scans run on, its Pareto frontier and — on a sliding
 /// window — its Pareto frontier buffer (Def. 7.4).
 ///
-/// With a filter layer a group is a cluster (`P_U`, `PB_U`). Without one
-/// it is a set of users holding the *same* preference: identical
-/// preferences induce identical frontiers and buffers (Def. 3.2 depends
-/// only on the preference relations), so the group's frontier *is* each
-/// member's frontier.
+/// A group is a cluster's virtual user (`P_U`, `PB_U`), or a set of users
+/// holding the *same* preference: identical preferences induce identical
+/// frontiers and buffers (Def. 3.2 depends only on the preference
+/// relations), so the group's frontier *is* each member's frontier.
 #[derive(Debug, Clone)]
 pub(crate) struct Group {
     /// Member users, in joining order.
@@ -42,6 +52,10 @@ pub(crate) struct Group {
     /// Stays empty while nothing expires.
     pub(crate) buffer: Frontier,
 }
+
+/// A layer's per-user groups, keyed by [`Base::key`]: one group per
+/// distinct preference where twins share, one per user otherwise.
+pub(crate) type Groups = BTreeMap<usize, Group>;
 
 impl Group {
     fn new(members: Vec<UserId>, preference: Preference) -> Self {
@@ -74,6 +88,20 @@ impl Group {
     }
 }
 
+/// One cluster: its virtual user and its members' verify state.
+#[derive(Debug, Clone)]
+pub(crate) struct Cluster {
+    /// The members, the cluster's relation, `P_U` and `PB_U`.
+    pub(crate) virtual_user: Group,
+    /// The verify step's frontiers, keyed by [`Base::key`].
+    pub(crate) verify: Groups,
+    /// Whether every member shares the one verify entry and holds the
+    /// cluster's relation (twins sharing only). `P_U` is then kept equal to
+    /// that entry's frontier: the filter step scans it as Alg. 1 does and
+    /// the entry takes its outcome with no verify step at all.
+    pub(crate) degenerate: bool,
+}
+
 /// The exact common relation (Def. 4.1) of `members`' current preferences.
 fn common_of<'a>(members: impl Iterator<Item = &'a UserId>, users: &'a [Interned]) -> Preference {
     Preference::common_of(members.map(|m| users[m.index()].preference.as_ref()))
@@ -92,9 +120,7 @@ fn approx_common(members: &[UserId], config: ApproxConfig, users: &[Interned]) -
 /// approximate (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Filter {
-    pub(crate) clusters: Vec<Group>,
-    /// The verify step's frontiers, one per user (indexed by user id).
-    pub(crate) verify: Vec<Frontier>,
+    pub(crate) clusters: Vec<Cluster>,
     /// `None` for a fixed cluster list, which falls back to singleton
     /// insertion and `common_of` repair under membership changes.
     clustering: Option<Clustering>,
@@ -106,14 +132,16 @@ pub struct Filter {
 impl Filter {
     /// A fixed cluster list whose virtual users carry the given
     /// preferences verbatim, one `(members, virtual preference)` pair per
-    /// cluster. Users outside every cluster are never reported.
+    /// cluster. Users outside every cluster are never reported and hold an
+    /// empty frontier.
     pub fn virtual_users(clusters: Vec<(Vec<UserId>, Preference)>) -> Self {
+        let cluster = |(members, preference)| Cluster {
+            virtual_user: Group::new(members, preference),
+            verify: Groups::new(),
+            degenerate: false,
+        };
         Self {
-            clusters: clusters
-                .into_iter()
-                .map(|(members, preference)| Group::new(members, preference))
-                .collect(),
-            verify: Vec::new(),
+            clusters: clusters.into_iter().map(cluster).collect(),
             clustering: None,
             approx: None,
         }
@@ -121,8 +149,8 @@ impl Filter {
 
     /// A fixed cluster list whose virtual users carry the clusters' exact
     /// common preference relations (FilterThenVerify).
-    pub fn clusters(clusters: &[Cluster]) -> Self {
-        let pair = |c: &Cluster| (c.members.clone(), c.common.clone());
+    pub fn clusters(clusters: &[pm_cluster::Cluster]) -> Self {
+        let pair = |c: &pm_cluster::Cluster| (c.members.clone(), c.common.clone());
         Self::virtual_users(clusters.iter().map(pair).collect())
     }
 
@@ -145,26 +173,108 @@ impl Filter {
         self
     }
 
-    /// Binds the layer to the monitor's users: one empty verify frontier
-    /// each, and — for the approximate variant — the Alg. 3 relation of
-    /// every cluster.
+    /// Whether twins in one cluster share a verify entry: where a replay
+    /// provably equals a live member's verify frontier — exact virtual
+    /// preferences (Lemma 4.6), an append-only lifetime and a lossless
+    /// history.
+    pub(crate) fn twins(&self, base: &Base) -> bool {
+        self.approx.is_none() && !base.alive.expires() && base.alive.is_lossless()
+    }
+
+    /// Binds the layer to the monitor's users (no object is alive yet):
+    /// for the approximate variant the Alg. 3 relation of every cluster,
+    /// then every member's verify entry.
     ///
     /// # Panics
-    /// Panics if a maintained clustering does not cover exactly `users`.
-    pub(crate) fn attach(&mut self, users: &[Interned]) {
+    /// Panics if a maintained clustering does not cover exactly the users,
+    /// and (with debug assertions) if a user is listed in two clusters.
+    pub(crate) fn attach(&mut self, base: &mut Base) {
         if let Some(clustering) = &self.clustering {
             assert_eq!(
                 clustering.num_users(),
-                users.len(),
+                base.users.len(),
                 "clustering must cover exactly the monitor's users"
             );
         }
-        self.verify = users.iter().map(|u| Frontier::new(&u.compiled)).collect();
         if let Some(config) = self.approx {
-            for group in &mut self.clusters {
-                group.set_preference(approx_common(&group.members, config, users));
+            for cluster in &mut self.clusters {
+                let group = &mut cluster.virtual_user;
+                group.set_preference(approx_common(&group.members, config, &base.users));
             }
         }
+        let mut listed = vec![false; base.users.len()];
+        for cluster in 0..self.clusters.len() {
+            for member in self.clusters[cluster].virtual_user.members.clone() {
+                let seen = std::mem::replace(&mut listed[member.index()], true);
+                debug_assert!(!seen, "clusters are disjoint: {member} is in two");
+                self.join(cluster, member, base);
+            }
+            self.settle(cluster, base);
+        }
+    }
+
+    /// The cluster holding `user`, if any (fixed cluster lists may leave
+    /// users out).
+    pub(crate) fn cluster_of(&self, user: UserId) -> Option<usize> {
+        match &self.clustering {
+            Some(clustering) => clustering.cluster_of(user),
+            None => (self.clusters.iter())
+                .position(|cluster| cluster.virtual_user.members.contains(&user)),
+        }
+    }
+
+    /// Where `user`'s verify entry lives: its cluster and key.
+    fn entry_of(&self, user: UserId, base: &Base) -> Option<(usize, usize)> {
+        Some((self.cluster_of(user)?, base.key(user, self.twins(base))))
+    }
+
+    /// `user`'s verify frontier, or `None` outside every cluster.
+    pub(crate) fn frontier(&self, user: UserId, base: &Base) -> Option<&Frontier> {
+        let (cluster, key) = self.entry_of(user, base)?;
+        let entry = self.clusters[cluster].verify.get(&key);
+        let entry = entry.expect("every clustered user has a verify entry");
+        Some(&entry.frontier)
+    }
+
+    /// Puts `user` into its verify entry of `cluster`, created by replay
+    /// unless a twin already holds it. A verify entry never reads a
+    /// Def. 7.4 buffer, so none is replayed.
+    fn join(&mut self, cluster: usize, user: UserId, base: &mut Base) {
+        let key = base.key(user, self.twins(base));
+        base.join(&mut self.clusters[cluster].verify, key, user, false);
+    }
+
+    /// Takes `user` out of its verify entry, dropping the entry with its
+    /// last member. Runs before the user's preference or cluster changes:
+    /// they locate the entry.
+    pub(crate) fn leave(&mut self, user: UserId, base: &Base) {
+        if let Some((cluster, key)) = self.entry_of(user, base) {
+            Base::leave(&mut self.clusters[cluster].verify, key, user);
+        }
+    }
+
+    /// Re-decides whether `cluster` is degenerate after a change of its
+    /// members or relation (see [`Cluster::degenerate`]). Becoming so, it
+    /// takes the entry's compiled preference and frontier as `P_U`: an
+    /// append-only `P_U` is otherwise only a sound superset of the frontier
+    /// under the cluster's relation, while the entry's is exact.
+    fn settle(&mut self, cluster: usize, base: &Base) {
+        let twins = self.twins(base);
+        let Cluster {
+            virtual_user,
+            verify,
+            degenerate,
+        } = &mut self.clusters[cluster];
+        let mut entries = verify.values();
+        *degenerate = match (entries.next(), entries.next()) {
+            (Some(entry), None) if twins && entry.preference == virtual_user.preference => {
+                virtual_user.preference = Arc::clone(&entry.preference);
+                virtual_user.compiled = Arc::clone(&entry.compiled);
+                virtual_user.frontier = entry.frontier.clone();
+                true
+            }
+            _ => false,
+        };
     }
 
     /// Installs a cluster's recomputed common relation: the exact monitor
@@ -180,7 +290,7 @@ impl Filter {
     /// promotions on future expiries, so `P_U` and `PB_U` are rebuilt by
     /// replay to exactly what a from-start cluster would hold.
     fn set_common(&mut self, cluster: usize, exact_common: Preference, base: &mut Base) {
-        let group = &mut self.clusters[cluster];
+        let group = &mut self.clusters[cluster].virtual_user;
         group.set_preference(match self.approx {
             Some(config) => approx_common(&group.members, config, &base.users),
             None => exact_common,
@@ -191,11 +301,10 @@ impl Filter {
         }
     }
 
-    /// Registers `user` (already in `base.users`) with its backfilled
-    /// frontier `own`: it joins the most similar cluster of a maintained
-    /// clustering, or becomes a singleton cluster.
-    pub(crate) fn add(&mut self, user: UserId, own: Frontier, base: &mut Base) {
-        self.verify.push(own);
+    /// Registers `user` (already in `base.users`): it joins the most
+    /// similar cluster of a maintained clustering, or becomes a singleton
+    /// cluster.
+    pub(crate) fn add(&mut self, user: UserId, base: &mut Base) {
         let placement = match &mut self.clustering {
             Some(clustering) => {
                 clustering.insert_user(user, base.users[user.index()].preference.as_ref())
@@ -208,123 +317,152 @@ impl Filter {
     }
 
     fn place(&mut self, user: UserId, placement: Placement, base: &mut Base) {
+        let cluster = placement.cluster();
         match placement {
             Placement::Joined { cluster, common } => {
-                self.clusters[cluster].members.push(user);
+                self.clusters[cluster].virtual_user.members.push(user);
                 self.set_common(cluster, common, base);
+                self.join(cluster, user, base);
             }
             // A one-member virtual user *is* the user: it shares the user's
             // compiled preference and starts from the user's own frontier.
             Placement::Singleton { cluster } => {
                 debug_assert_eq!(cluster, self.clusters.len());
                 let interned = &base.users[user.index()];
-                self.clusters.push(Group {
-                    members: vec![user],
-                    preference: Arc::clone(&interned.preference),
-                    compiled: Arc::clone(&interned.compiled),
-                    frontier: self.verify[user.index()].clone(),
-                    buffer: base
-                        .alive
-                        .replay_buffer(&interned.compiled, &mut base.stats),
+                let buffer = base
+                    .alive
+                    .replay_buffer(&interned.compiled, &mut base.stats);
+                self.clusters.push(Cluster {
+                    virtual_user: Group {
+                        members: vec![user],
+                        preference: Arc::clone(&interned.preference),
+                        compiled: Arc::clone(&interned.compiled),
+                        frontier: Frontier::new(&interned.compiled),
+                        buffer,
+                    },
+                    verify: Groups::new(),
+                    degenerate: false,
                 });
+                self.join(cluster, user, base);
+                let Cluster {
+                    virtual_user,
+                    verify,
+                    ..
+                } = &mut self.clusters[cluster];
+                let own = verify.values().next().expect("the user just joined");
+                virtual_user.frontier = own.frontier.clone();
             }
         }
+        self.settle(cluster, base);
     }
 
-    /// The cluster of every user, indexed by user id; `None` for a user
-    /// outside every cluster (fixed cluster lists only).
-    pub(crate) fn cluster_index(&self) -> Vec<Option<usize>> {
-        let mut index = vec![None; self.verify.len()];
-        for (cluster, group) in self.clusters.iter().enumerate() {
-            for member in &group.members {
-                let slot = &mut index[member.index()];
-                debug_assert!(slot.is_none(), "clusters are disjoint: {member} is in two");
-                *slot = Some(cluster);
-            }
-        }
-        index
-    }
-
-    /// The index of the cluster holding `user` in a fixed cluster list.
-    fn cluster_of(&self, user: UserId) -> Option<usize> {
-        self.clusters
-            .iter()
-            .position(|group| group.members.contains(&user))
-    }
-
-    /// Repairs the clusters after `user`'s preference was replaced in
-    /// `base.users` and its frontier re-backfilled to `own`: the user stays
-    /// put with a re-AND-folded common relation, or moves via local repair
-    /// and re-insertion. A fixed cluster list keeps the user where it is —
-    /// it has no branch cut to judge by.
-    pub(crate) fn update(&mut self, user: UserId, own: Frontier, base: &mut Base) {
-        self.verify[user.index()] = own;
+    /// Repairs the clusters after `user` left its verify entry
+    /// ([`Self::leave`]) and its preference was replaced in `base.users`:
+    /// the user stays put with a re-AND-folded common relation, or moves
+    /// via local repair and re-insertion, and joins its new verify entry. A
+    /// fixed cluster list keeps the user where it is — it has no branch cut
+    /// to judge by.
+    pub(crate) fn update(&mut self, user: UserId, base: &mut Base) {
         let preference = base.users[user.index()].preference.as_ref();
         let update = match &mut self.clustering {
             Some(clustering) => clustering.update_user(user, preference),
             None => match self.cluster_of(user) {
-                Some(cluster) => Update::Stayed {
-                    cluster,
-                    common: common_of(self.clusters[cluster].members.iter(), &base.users),
-                },
-                // In no cluster (fixed cluster lists only).
-                None => return,
-            },
-        };
-        match update {
-            Update::Stayed { cluster, common } => self.set_common(cluster, common, base),
-            Update::Moved {
-                from_cluster,
-                from_common,
-                to,
-            } => {
-                self.clusters[from_cluster].members.retain(|&m| m != user);
-                self.set_common(from_cluster, from_common, base);
-                self.place(user, to, base);
-            }
-        }
-    }
-
-    /// Repairs the clusters for the removal of `user` (still present in
-    /// `base.users`): its cluster shrinks, or dissolves by swap-remove.
-    pub(crate) fn remove(&mut self, user: UserId, base: &mut Base) {
-        let removal = match &mut self.clustering {
-            Some(clustering) => clustering.remove_user(user),
-            None => match self.cluster_of(user) {
-                Some(cluster) if self.clusters[cluster].members.len() == 1 => {
-                    Removal::Dissolved { cluster }
-                }
                 Some(cluster) => {
-                    let rest = self.clusters[cluster].members.iter();
-                    Removal::Shrunk {
+                    let members = self.clusters[cluster].virtual_user.members.iter();
+                    Update::Stayed {
                         cluster,
-                        common: common_of(rest.filter(|&&m| m != user), &base.users),
+                        common: common_of(members, &base.users),
                     }
                 }
                 // In no cluster (fixed cluster lists only).
                 None => return,
             },
         };
+        match update {
+            Update::Stayed { cluster, common } => {
+                self.set_common(cluster, common, base);
+                self.join(cluster, user, base);
+                self.settle(cluster, base);
+            }
+            Update::Moved {
+                from_cluster,
+                from_common,
+                to,
+            } => {
+                let from = &mut self.clusters[from_cluster].virtual_user;
+                from.members.retain(|&m| m != user);
+                self.set_common(from_cluster, from_common, base);
+                self.settle(from_cluster, base);
+                self.place(user, to, base);
+            }
+        }
+    }
+
+    /// Repairs the clusters for the removal of `user` (still present in
+    /// `base.users`): it leaves its verify entry, and its cluster shrinks or
+    /// dissolves by swap-remove.
+    pub(crate) fn remove(&mut self, user: UserId, base: &mut Base) {
+        // In no cluster (fixed cluster lists only): nothing to repair.
+        let Some(cluster) = self.cluster_of(user) else {
+            return;
+        };
+        self.leave(user, base);
+        let removal = match &mut self.clustering {
+            Some(clustering) => clustering.remove_user(user),
+            None => {
+                let members = &self.clusters[cluster].virtual_user.members;
+                if members.len() == 1 {
+                    Removal::Dissolved { cluster }
+                } else {
+                    let rest = members.iter().filter(|&&m| m != user);
+                    Removal::Shrunk {
+                        cluster,
+                        common: common_of(rest, &base.users),
+                    }
+                }
+            }
+        };
         match removal {
             Removal::Dissolved { cluster } => {
                 self.clusters.swap_remove(cluster);
             }
             Removal::Shrunk { cluster, common } => {
-                self.clusters[cluster].members.retain(|&m| m != user);
+                let group = &mut self.clusters[cluster].virtual_user;
+                group.members.retain(|&m| m != user);
                 self.set_common(cluster, common, base);
+                self.settle(cluster, base);
             }
         }
     }
 
     /// After a swap-remove renumbered the previously-last user `moved` to
-    /// `user`, renames it across the maintained clustering and every
-    /// cluster member list.
-    pub(crate) fn rename(&mut self, moved: UserId, user: UserId) {
+    /// `user`, renames it across the maintained clustering, every cluster
+    /// member list and its verify entry, which moves from key `from` to
+    /// `to` (they differ where entries are keyed per user). `cluster` is
+    /// where `moved` was found before the renaming.
+    pub(crate) fn rename(
+        &mut self,
+        moved: UserId,
+        user: UserId,
+        cluster: Option<usize>,
+        (from, to): (usize, usize),
+    ) {
         if let Some(clustering) = &mut self.clustering {
             clustering.rename_user(moved, user);
         }
-        for group in &mut self.clusters {
-            group.rename(moved, user);
+        for cluster in &mut self.clusters {
+            cluster.virtual_user.rename(moved, user);
+        }
+        if let Some(cluster) = cluster {
+            rekey(&mut self.clusters[cluster].verify, (from, to), moved, user);
         }
     }
+}
+
+/// Moves the group of the renumbered user `moved` from key `from` to `to`
+/// and lists it there under its new id `user`.
+pub(crate) fn rekey(groups: &mut Groups, (from, to): (usize, usize), moved: UserId, user: UserId) {
+    let mut group = groups.remove(&from).expect("every user is in its group");
+    group.rename(moved, user);
+    groups.insert(to, group);
 }

@@ -104,7 +104,7 @@ impl Frontier {
     }
 
     /// Removes the members `ids` (ascending, all present) in one pass.
-    fn remove_all(&mut self, ids: &[ObjectId]) {
+    pub(crate) fn remove_all(&mut self, ids: &[ObjectId]) {
         let Some(&first) = ids.first() else {
             return;
         };

@@ -65,9 +65,12 @@ use pm_porder::{Preference, PreferenceUniverse};
 
 use crate::monitor::HistoryState;
 
-/// How often the compacting history sweeps, in pushes. Sweeps are O(G²)
-/// union pre-filters plus per-member confirmations over the G retained
-/// groups, so a few hundred pushes amortize one sweep comfortably.
+/// How often the compacting history sweeps, in pushes. A sweep is an O(G²)
+/// union pre-filter plus per-member confirmations over the G retained
+/// groups. On a `churn_wal`-shaped monitor (200 movie users,
+/// `ftv:0.4:compact`, 1,500 arrivals in batches of 10, 2 cores) the five
+/// sweeps took 0.11 s of 0.43 s of arrival time at 92 % retention, the
+/// pre-filter two thirds of the last one (29 of 44 ms at G = 1,215).
 const SWEEP_EVERY: usize = 256;
 
 /// Retention discipline of an append-only monitor's object history.
@@ -252,9 +255,10 @@ impl History {
     /// the memory reduction comes from on streams that repeat value
     /// vectors, on top of skyline-union eviction — plus, when a hard cap
     /// is configured, the cap heap's clone of each tracked group key (the
-    /// heap is part of the retained-history footprint, and the CI
-    /// retention-ratio gate compares this figure against the linear
-    /// branch, so it must not be undercounted). An estimate of the payload
+    /// heap is part of the retained-history footprint, and the test
+    /// `engine_dynamic::compaction_retains_at_most_half_the_history_bytes`
+    /// compares this figure against the linear branch, so it must not be
+    /// undercounted). An estimate of the payload
     /// allocations, not a precise allocator measurement.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
@@ -836,7 +840,8 @@ mod tests {
         use std::mem::size_of;
         // Identical streams; only the hard cap differs. The capped history
         // clones every group key into its eviction heap, and that memory
-        // must show up in the estimate (the CI retention-ratio gate
+        // must show up in the estimate (the retention test
+        // `engine_dynamic::compaction_retains_at_most_half_the_history_bytes`
         // compares compact and linear footprints like with like).
         let mut capped = History::new(HistoryMode::Compact { cap: Some(100) });
         let mut uncapped = History::new(HistoryMode::Compact { cap: None });

@@ -51,8 +51,9 @@
 //! Arrivals are applied a batch at a time ([`Monitor::process_batch`]):
 //! first the cluster level for the whole batch on one thread (Phase A),
 //! then the per-user work on up to `workers` threads (Phase B), each thread
-//! taking contiguous chunks of users — or, without a filter layer, of
-//! groups — and replaying the batch against them. Lemma 4.6 is what makes
+//! taking contiguous chunks of verify entries — one per distinct preference
+//! of a cluster where twins share — or, without a filter layer, of groups,
+//! and replaying the batch against them. Lemma 4.6 is what makes
 //! the split exact: once `P_U` has decided an arrival, a member's verify
 //! step reads only that decision and the member's own frontier. Every
 //! chunk canonicalises its own targets and deltas; chunks are merged as

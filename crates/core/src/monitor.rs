@@ -39,7 +39,7 @@ use pm_porder::{Dominance, Interned, Preference, PreferenceInterner};
 
 use crate::alive::{Alive, Lifetime};
 use crate::delta::{DeltaLog, FrontierDelta};
-use crate::filter::{Filter, Group};
+use crate::filter::{rekey, Filter, Group, Groups};
 use crate::frontier::{
     mend_frontier, refresh_buffer, update_frontier, Frontier, FrontierUpdate, OnIdentical,
 };
@@ -124,66 +124,62 @@ pub(crate) struct Base {
 }
 
 impl Base {
-    /// Replays the alive objects under `user`'s (current) preference.
-    pub(crate) fn backfill(&mut self, user: UserId) -> Frontier {
-        let compiled = &self.users[user.index()].compiled;
-        let (alive, stats) = (&self.alive, &mut self.stats);
-        timed(self.timers.backfill.as_ref(), || {
-            alive.replay_frontier(compiled, stats)
-        })
-    }
-
-    /// Which [`Layer::Unfiltered`] group holds `user`'s frontier. While
-    /// the alive store is lossless a twin's live frontier *is* what a
-    /// replay would produce, so users are keyed by interned preference and
-    /// twins share one group; under a compacting history's hard cap a late
-    /// twin's contract is the frontier of the *retained* objects, so every
-    /// user is keyed by its own id.
-    fn key(&self, user: UserId) -> usize {
-        if self.alive.is_lossless() {
+    /// Which group of its layer holds `user`'s state. Where the layer lets
+    /// `twins` share — a replay provably reproduces a live twin's state —
+    /// users are keyed by interned preference and twins share one group;
+    /// otherwise every user is keyed by its own id.
+    pub(crate) fn key(&self, user: UserId, twins: bool) -> usize {
+        if twins {
             self.users[user.index()].id as usize
         } else {
             user.index()
         }
     }
 
-    /// Puts `user` into its [`Self::key`] group, creating the group by
-    /// replay (frontier and Def. 7.4 buffer) when it does not exist yet.
-    fn join(&mut self, groups: &mut Vec<Option<Group>>, user: UserId) {
-        let key = self.key(user);
-        if groups.len() <= key {
-            groups.resize_with(key + 1, || None);
-        }
-        if let Some(group) = &mut groups[key] {
+    /// Puts `user` into group `key` of `groups`, creating the group by
+    /// replay when it does not exist yet: its frontier, and with `buffer`
+    /// its Def. 7.4 buffer.
+    pub(crate) fn join(&mut self, groups: &mut Groups, key: usize, user: UserId, buffer: bool) {
+        if let Some(group) = groups.get_mut(&key) {
             group.members.push(user);
             return;
         }
         let interned = &self.users[user.index()];
         let (alive, stats) = (&self.alive, &mut self.stats);
         let (frontier, buffer) = timed(self.timers.backfill.as_ref(), || {
-            (
-                alive.replay_frontier(&interned.compiled, stats),
-                alive.replay_buffer(&interned.compiled, stats),
-            )
+            let frontier = alive.replay_frontier(&interned.compiled, stats);
+            let buffer = match buffer {
+                true => alive.replay_buffer(&interned.compiled, stats),
+                false => Frontier::new(&interned.compiled),
+            };
+            (frontier, buffer)
         });
-        groups[key] = Some(Group {
+        let group = Group {
             members: vec![user],
             preference: interned.preference.clone(),
             compiled: interned.compiled.clone(),
             frontier,
             buffer,
-        });
+        };
+        groups.insert(key, group);
     }
 
-    /// Takes `user` out of its group, dropping the group with its last
+    /// Takes `user` out of group `key`, dropping the group with its last
     /// member.
-    fn leave(&self, groups: &mut [Option<Group>], user: UserId) {
-        let slot = &mut groups[self.key(user)];
-        let group = slot.as_mut().expect("every user is in its group");
+    pub(crate) fn leave(groups: &mut Groups, key: usize, user: UserId) {
+        let group = groups.get_mut(&key).expect("every user is in its group");
         group.members.retain(|&member| member != user);
         if group.members.is_empty() {
-            *slot = None;
+            groups.remove(&key);
         }
+    }
+
+    /// The swap half of a swap-remove: the last user `moved` takes
+    /// `user`'s slot. Returns the key of `moved`'s group before and after.
+    fn renumber(&mut self, moved: UserId, user: UserId, twins: bool) -> (usize, usize) {
+        let from = self.key(moved, twins);
+        self.users.swap(user.index(), moved.index());
+        (from, self.key(user, twins))
     }
 }
 
@@ -196,7 +192,7 @@ enum Layer {
     /// [`Group`] of its own, found by [`Base::key`] — one group per
     /// *distinct preference* while the alive store is lossless, one per
     /// user otherwise.
-    Unfiltered(Vec<Option<Group>>),
+    Unfiltered(Groups),
     /// Clusters filter, per-user frontiers verify (Alg. 2 / 5, Sec. 6).
     Filtered(Filter),
 }
@@ -219,24 +215,43 @@ pub struct Monitor {
     layer: Layer,
 }
 
-/// Reports one user-level frontier update to every user it stands for.
-fn report(
-    update: &FrontierUpdate,
-    members: &[UserId],
-    object: ObjectId,
-    deltas: &mut DeltaLog,
-    targets: &mut Vec<UserId>,
-) {
-    for &member in members {
-        for evicted in &update.evicted {
-            deltas.leave(member, *evicted);
-        }
+/// What one arrival did to one group's frontier: the report every member
+/// the group stands for receives. Phase B reuses one per chunk, so that no
+/// step allocates.
+#[derive(Default)]
+struct Change {
+    left: Vec<ObjectId>,
+    entered: Vec<ObjectId>,
+    /// Whether the arriving object is on the frontier now.
+    target: bool,
+}
+
+impl Change {
+    /// Adds the outcome of the arrival of `object` at the frontier.
+    fn arrive(&mut self, update: &FrontierUpdate, object: ObjectId) {
+        self.left.extend_from_slice(&update.evicted);
         if update.newly_inserted {
-            deltas.enter(member, object);
+            self.entered.push(object);
         }
-        if update.is_pareto {
-            targets.push(member);
+        self.target = update.is_pareto;
+    }
+
+    /// Reports the change to every one of `members`, then clears it.
+    fn report(&mut self, members: &[UserId], deltas: &mut DeltaLog, targets: &mut Vec<UserId>) {
+        for &member in members {
+            for &object in &self.left {
+                deltas.leave(member, object);
+            }
+            for &object in &self.entered {
+                deltas.enter(member, object);
+            }
+            if self.target {
+                targets.push(member);
+            }
         }
+        self.left.clear();
+        self.entered.clear();
+        self.target = false;
     }
 }
 
@@ -323,29 +338,118 @@ struct ChunkOut {
     comparisons: u64,
 }
 
-/// Phase B without a filter layer (Alg. 1 / 4) over one chunk of groups:
-/// each group takes the whole batch, expiry and arrival, in arrival order.
-fn groups_chunk(groups: &mut [Option<Group>], batch: &[Admitted], expires: bool) -> ChunkOut {
+/// One unit of Phase B: a group of users sharing one frontier, and how it
+/// takes each arrival.
+struct Unit<'a> {
+    group: &'a mut Group,
+    step: Step,
+}
+
+#[derive(Clone, Copy)]
+enum Step {
+    /// Without a filter layer (Alg. 1 / 4): the group runs its whole
+    /// expiry and arrival.
+    Own,
+    /// A verify entry of cluster `k` (Alg. 2 / 5): it replays the
+    /// cluster's verdicts and verifies the arrivals that passed `P_U`.
+    Verify(usize),
+    /// The entry of degenerate cluster `k`, whose `P_U` is its frontier:
+    /// it takes the cluster's outcome as is.
+    Adopt(usize),
+}
+
+/// Alg. 1 / 4 for one group and one arrival.
+fn own_step(
+    group: &mut Group,
+    admitted: &Admitted,
+    expires: bool,
+    stats: &mut MonitorStats,
+    change: &mut Change,
+) {
+    if let Some(expired) = &admitted.expired {
+        let expiry = expire_group(group, expired, stats);
+        if expiry.was_pareto {
+            change.left.push(expired.id());
+        }
+        let promoted = expiry.promoted.iter().filter(|(_, new)| *new);
+        change
+            .entered
+            .extend(promoted.map(|(candidate, _)| candidate.id()));
+    }
+    let object = admitted.object;
+    let update = arrive_group(group, object, OnIdentical::Stop, expires, stats);
+    change.arrive(&update, object.id());
+}
+
+/// The verify step of Alg. 2 / 5 for one entry and one arrival, given what
+/// Phase A decided at the entry's cluster. By Lemma 4.6 the entry's outcome
+/// depends only on that verdict and its own frontier.
+fn verify_step(
+    entry: &mut Group,
+    admitted: &Admitted,
+    verdict: &Verdict,
+    stats: &mut MonitorStats,
+    change: &mut Change,
+) {
+    let (own, compiled) = (&mut entry.frontier, &entry.compiled);
+    if let Some(expired) = &admitted.expired {
+        if own.remove(expired.id()) {
+            change.left.push(expired.id());
+        }
+        // Promoted into P_U first, then into each member's own frontier.
+        for (candidate, _) in &verdict.expiry.promoted {
+            let present = own.contains(candidate.id());
+            if mend_frontier(compiled, own, candidate, stats) && !present {
+                change.entered.push(candidate.id());
+            }
+        }
+    }
+    // o ≻_U o' implies o ≻_c o' for every member (Def. 4.1), so o' leaves
+    // every member's frontier too (Alg. 2, lines 4–6).
+    for &evicted in &verdict.update.evicted {
+        if own.remove(evicted) {
+            change.left.push(evicted);
+        }
+    }
+    if verdict.update.is_pareto {
+        // Verify against the member's own preference (Alg. 2, line 6).
+        let object = admitted.object;
+        let prepared = compiled.prepare(object);
+        let verified = update_frontier(&prepared, own, object, OnIdentical::Stop, stats);
+        change.arrive(&verified, object.id());
+    }
+}
+
+/// A degenerate cluster's entry takes `P_U`'s outcome (Alg. 1 on the
+/// shared relation, run in Phase A): the same frontier edit, no scan.
+fn adopt_step(entry: &mut Group, object: &Object, update: &FrontierUpdate, change: &mut Change) {
+    entry.frontier.remove_all(&update.evicted);
+    if update.is_pareto {
+        entry.frontier.insert(object, entry.compiled.codes(object));
+    }
+    change.arrive(update, object.id());
+}
+
+/// Phase B over one chunk of units: each takes the whole batch in arrival
+/// order and reports every change to its members.
+fn phase_b(units: &mut [Unit], batch: &[Admitted], expires: bool) -> ChunkOut {
     let mut stats = MonitorStats::new();
     let mut logs: Vec<(Vec<UserId>, DeltaLog)> = batch.iter().map(|_| Default::default()).collect();
-    for group in groups.iter_mut().flatten() {
+    let mut change = Change::default();
+    for Unit { group, step } in units {
         for (admitted, (targets, deltas)) in batch.iter().zip(&mut logs) {
-            if let Some(expired) = &admitted.expired {
-                let expiry = expire_group(group, expired, &mut stats);
-                for &member in &group.members {
-                    if expiry.was_pareto {
-                        deltas.leave(member, expired.id());
-                    }
-                    for (candidate, new) in &expiry.promoted {
-                        if *new {
-                            deltas.enter(member, candidate.id());
-                        }
-                    }
+            match *step {
+                Step::Own => own_step(group, admitted, expires, &mut stats, &mut change),
+                Step::Verify(cluster) => {
+                    let verdict = &admitted.verdicts[cluster];
+                    verify_step(group, admitted, verdict, &mut stats, &mut change);
+                }
+                Step::Adopt(cluster) => {
+                    let update = &admitted.verdicts[cluster].update;
+                    adopt_step(group, admitted.object, update, &mut change);
                 }
             }
-            let object = admitted.object;
-            let update = arrive_group(group, object, OnIdentical::Stop, expires, &mut stats);
-            report(&update, &group.members, object.id(), deltas, targets);
+            change.report(&group.members, deltas, targets);
         }
     }
     let arrivals = logs
@@ -361,79 +465,8 @@ fn groups_chunk(groups: &mut [Option<Group>], batch: &[Admitted], expires: bool)
     }
 }
 
-/// Phase B of a filter layer (the verify step of Alg. 2 / 5) over the
-/// verify frontiers of users `first..first + frontiers.len()`. Each user
-/// replays its cluster's verdicts arrival by arrival, in the order the
-/// per-object algorithm interleaves them. By Lemma 4.6 a member's outcome
-/// depends only on those verdicts and its own frontier, which is why the
-/// users can be split across threads at all.
-///
-/// Users are visited in ascending id order, so the chunk's targets and
-/// deltas come out ascending without a sort beyond the delta log's own,
-/// and chunks of ascending id ranges concatenate into the canonical order.
-fn verify_chunk(
-    first: usize,
-    frontiers: &mut [Frontier],
-    cluster_of: &[Option<usize>],
-    users: &[Interned],
-    batch: &[Admitted],
-) -> ChunkOut {
-    let mut stats = MonitorStats::new();
-    let mut logs: Vec<(Vec<UserId>, DeltaLog)> = batch.iter().map(|_| Default::default()).collect();
-    for (index, own) in (first..).zip(frontiers) {
-        // Users outside every cluster (fixed cluster lists only) are never
-        // reported.
-        let Some(cluster) = cluster_of[index] else {
-            continue;
-        };
-        let member = UserId::from(index);
-        let compiled = &users[index].compiled;
-        for (admitted, (targets, deltas)) in batch.iter().zip(&mut logs) {
-            let verdict = &admitted.verdicts[cluster];
-            if let Some(expired) = &admitted.expired {
-                if own.remove(expired.id()) {
-                    deltas.leave(member, expired.id());
-                }
-                // Promoted into P_U first, then into each member's own
-                // frontier.
-                for (candidate, _) in &verdict.expiry.promoted {
-                    let present = own.contains(candidate.id());
-                    if mend_frontier(compiled, own, candidate, &mut stats) && !present {
-                        deltas.enter(member, candidate.id());
-                    }
-                }
-            }
-            // o ≻_U o' implies o ≻_c o' for every member (Def. 4.1), so o'
-            // leaves every member's frontier too (Alg. 2, lines 4–6).
-            for &evicted in &verdict.update.evicted {
-                if own.remove(evicted) {
-                    deltas.leave(member, evicted);
-                }
-            }
-            if verdict.update.is_pareto {
-                // Verify against the member's own preference (Alg. 2,
-                // line 6).
-                let object = admitted.object;
-                let prepared = compiled.prepare(object);
-                let verified =
-                    update_frontier(&prepared, own, object, OnIdentical::Stop, &mut stats);
-                report(&verified, &[member], object.id(), deltas, targets);
-            }
-        }
-    }
-    let arrivals = logs
-        .into_iter()
-        .map(|(targets, deltas)| (targets, deltas.finish()))
-        .collect();
-    ChunkOut {
-        arrivals,
-        comparisons: stats.comparisons,
-    }
-}
-
-/// Runs `work` over `units` in contiguous chunks, handing it each chunk with
-/// the index of the chunk's first unit, and returns the results in chunk
-/// order.
+/// Runs `work` over `units` in contiguous chunks and returns the results in
+/// chunk order.
 ///
 /// With one worker, or fewer than two units, that is one inline call over
 /// all units. Otherwise one scoped thread per extra worker joins the calling
@@ -443,10 +476,10 @@ fn verify_chunk(
 fn run_chunks<U: Send, R: Send>(
     units: &mut [U],
     workers: usize,
-    work: impl Fn(usize, &mut [U]) -> R + Sync,
+    work: impl Fn(&mut [U]) -> R + Sync,
 ) -> Vec<R> {
     if workers <= 1 || units.len() < 2 {
-        return vec![work(0, units)];
+        return vec![work(units)];
     }
     let size = units.len().div_ceil(workers * CHUNKS_PER_WORKER);
     let helpers = workers.min(units.len().div_ceil(size)) - 1;
@@ -461,7 +494,7 @@ fn run_chunks<U: Send, R: Send>(
             let Some((index, chunk)) = next else {
                 return done;
             };
-            done.push((index, work(index * size, chunk)));
+            done.push((index, work(chunk)));
         }
     };
     let mut done = std::thread::scope(|scope| {
@@ -480,7 +513,7 @@ fn run_chunks<U: Send, R: Send>(
 }
 
 /// Merges two ascending runs of distinct items; when `run` starts after
-/// `merged` ends (a filter layer's user ranges) it is a concatenation.
+/// `merged` ends it is a concatenation.
 fn merge<T: Ord + Copy>(mut merged: Vec<T>, run: Vec<T>) -> Vec<T> {
     match (merged.last(), run.first()) {
         (None, _) => run,
@@ -523,7 +556,7 @@ impl Monitor {
                 stats: MonitorStats::new(),
                 timers: MonitorTimers::disabled(),
             },
-            layer: Layer::Unfiltered(Vec::new()),
+            layer: Layer::Unfiltered(Groups::new()),
         };
         match filter {
             None => {
@@ -537,7 +570,7 @@ impl Monitor {
                     base.alive.observe(preference);
                     base.users.push(base.interner.intern(preference));
                 }
-                filter.attach(&base.users);
+                filter.attach(base);
                 this.layer = Layer::Filtered(filter);
             }
         }
@@ -563,12 +596,13 @@ impl Monitor {
     ///   refresh and the `P_U` update. Its outcome per cluster is recorded;
     ///   nothing here reads a verify frontier, so running it for the whole
     ///   batch first changes no outcome.
-    /// * **B, parallel.** With a filter layer the users are split into
-    ///   contiguous id ranges, and each range replays the recorded outcomes
-    ///   against its members' own frontiers (the verify step; exact by
-    ///   Lemma 4.6 alone). Without one the groups are split, each running
-    ///   its whole expiry and arrival. Each chunk canonicalises its own
-    ///   targets and deltas, and the chunks are merged as sorted runs.
+    /// * **B, parallel.** With a filter layer the verify entries are split
+    ///   into chunks, and each entry replays its cluster's recorded outcomes
+    ///   against its own frontier (the verify step; exact by Lemma 4.6
+    ///   alone) — once per distinct preference where twins share an entry —
+    ///   and reports to every member. Without one the groups are split, each
+    ///   running its whole expiry and arrival. Each chunk canonicalises its
+    ///   own targets and deltas, and the chunks are merged as sorted runs.
     ///
     /// The comparison counter is a sum over independent units of work, so
     /// it does not depend on `workers` or on how the stream is batched.
@@ -603,36 +637,57 @@ impl Monitor {
                 }
             })
             .collect();
-        let chunks = match &mut self.layer {
-            Layer::Unfiltered(groups) => run_chunks(groups, workers, |_, chunk| {
-                groups_chunk(chunk, &batch, expires)
-            }),
+        let mut units: Vec<Unit> = match &mut self.layer {
+            Layer::Unfiltered(groups) => (groups.values_mut())
+                .map(|group| Unit {
+                    group,
+                    step: Step::Own,
+                })
+                .collect(),
             Layer::Filtered(filter) => {
                 let stats = &mut base.stats;
                 for admitted in &mut batch {
                     admitted.verdicts = (filter.clusters.iter_mut())
-                        .map(|group| Verdict {
-                            expiry: match &admitted.expired {
-                                Some(expired) => expire_group(group, expired, stats),
-                                None => Expiry::default(),
-                            },
-                            update: arrive_group(
-                                group,
-                                admitted.object,
-                                OnIdentical::Continue,
-                                expires,
-                                stats,
-                            ),
+                        .map(|cluster| {
+                            // A degenerate cluster's P_U is its members'
+                            // frontier, scanned as Alg. 1 scans it.
+                            let on_identical = match cluster.degenerate {
+                                true => OnIdentical::Stop,
+                                false => OnIdentical::Continue,
+                            };
+                            let group = &mut cluster.virtual_user;
+                            Verdict {
+                                expiry: match &admitted.expired {
+                                    Some(expired) => expire_group(group, expired, stats),
+                                    None => Expiry::default(),
+                                },
+                                update: arrive_group(
+                                    group,
+                                    admitted.object,
+                                    on_identical,
+                                    expires,
+                                    stats,
+                                ),
+                            }
                         })
                         .collect();
                 }
-                let cluster_of = filter.cluster_index();
-                let users = &base.users;
-                run_chunks(&mut filter.verify, workers, |first, chunk| {
-                    verify_chunk(first, chunk, &cluster_of, users, &batch)
-                })
+                let entries = filter.clusters.iter_mut().enumerate();
+                (entries.flat_map(|(k, cluster)| {
+                    let step = match cluster.degenerate {
+                        true => Step::Adopt(k),
+                        false => Step::Verify(k),
+                    };
+                    (cluster.verify.values_mut()).map(move |group| Unit { group, step })
+                }))
+                .collect()
             }
         };
+        // In ascending order of first member, each chunk reports its users
+        // nearly sorted, as the canonical order wants them (exactly so
+        // while every unit has one member).
+        units.sort_unstable_by_key(|unit| unit.group.members[0]);
+        let chunks = run_chunks(&mut units, workers, |chunk| phase_b(chunk, &batch, expires));
         let mut columns = Vec::with_capacity(chunks.len());
         for chunk in chunks {
             base.stats.record_comparisons(chunk.comparisons);
@@ -657,17 +712,30 @@ impl Monitor {
             .collect()
     }
 
-    /// The current Pareto frontier of `user`, in ascending object-id order.
+    /// The current Pareto frontier of `user`, in ascending object-id order
+    /// (empty for a user a fixed cluster list leaves out).
     pub fn frontier(&self, user: UserId) -> Vec<ObjectId> {
         match &self.layer {
             Layer::Unfiltered(_) => self.group_of(user).frontier.ids(),
-            Layer::Filtered(filter) => filter.verify[user.index()].ids(),
+            Layer::Filtered(filter) => {
+                (filter.frontier(user, &self.base)).map_or_else(Vec::new, Frontier::ids)
+            }
         }
     }
 
     /// Number of users served by this monitor.
     pub fn num_users(&self) -> usize {
         self.base.users.len()
+    }
+
+    /// Whether twins share one group on this monitor's layer (see
+    /// [`Base::key`]): without a filter layer while the alive store is
+    /// lossless, behind one as [`Filter::twins`] says.
+    fn twins(&self) -> bool {
+        match &self.layer {
+            Layer::Unfiltered(_) => self.base.alive.is_lossless(),
+            Layer::Filtered(filter) => filter.twins(&self.base),
+        }
     }
 
     /// Registers a new user mid-stream, assigning the next user id (equal
@@ -679,9 +747,12 @@ impl Monitor {
     /// start, restricted to the alive objects. With a compacting history
     /// ([`crate::HistoryMode::Compact`]) the replay is exact for every
     /// preference the monitor has ever observed (and best-effort for a
-    /// genuinely novel one, or once a hard cap bites). Backfilling reports
-    /// no notifications; only genuine arrivals do.
+    /// genuinely novel one, or once a hard cap bites). Where twins share
+    /// state a user joining a preference its group (or cluster) already
+    /// holds replays nothing. Backfilling reports no notifications; only
+    /// genuine arrivals do.
     pub fn add_user(&mut self, preference: Preference) -> UserId {
+        let twins = self.twins();
         let base = &mut self.base;
         let user = UserId::from(base.users.len());
         // Widen the compaction universe *before* any replay: from this
@@ -692,11 +763,8 @@ impl Monitor {
         let interned = base.interner.intern(&preference);
         base.users.push(interned);
         match &mut self.layer {
-            Layer::Unfiltered(groups) => base.join(groups, user),
-            Layer::Filtered(filter) => {
-                let own = base.backfill(user);
-                filter.add(user, own, base);
-            }
+            Layer::Unfiltered(groups) => base.join(groups, base.key(user, twins), user, true),
+            Layer::Filtered(filter) => filter.add(user, base),
         }
         user
     }
@@ -706,14 +774,17 @@ impl Monitor {
     ///
     /// The user's frontier is repaired by replaying the alive objects under
     /// the new preference, with the exactness contract of
-    /// [`Self::add_user`]. A filter layer additionally repairs the user's
-    /// cluster: the user stays put when its new relations still fit, else
-    /// it is moved, without touching any other user's state. Like
-    /// registration backfill, the replay reports no notifications.
+    /// [`Self::add_user`] (and, like it, no replay onto a preference a
+    /// twin's shared state already holds). A filter layer additionally
+    /// repairs the user's cluster: the user stays put when its new
+    /// relations still fit, else it is moved, without touching any other
+    /// user's state. Like registration backfill, the replay reports no
+    /// notifications.
     ///
     /// # Panics
     /// Panics if `user` is out of range.
     pub fn update_user(&mut self, user: UserId, preference: Preference) {
+        let twins = self.twins();
         let base = &mut self.base;
         let idx = user.index();
         assert!(idx < base.users.len(), "user {user} out of range");
@@ -723,22 +794,22 @@ impl Monitor {
         let interned = base.interner.intern(&preference);
         match &mut self.layer {
             Layer::Unfiltered(groups) => {
-                if base.alive.is_lossless() && interned.id == base.users[idx].id {
+                if twins && interned.id == base.users[idx].id {
                     // Unchanged preference: the shared frontier is already
                     // the exact replay outcome, nothing to do.
                     base.interner.release(interned.id);
                     return;
                 }
-                base.leave(groups, user);
+                Base::leave(groups, base.key(user, twins), user);
                 let old = std::mem::replace(&mut base.users[idx], interned);
                 base.interner.release(old.id);
-                base.join(groups, user);
+                base.join(groups, base.key(user, twins), user, true);
             }
             Layer::Filtered(filter) => {
+                filter.leave(user, base);
                 let old = std::mem::replace(&mut base.users[idx], interned);
                 base.interner.release(old.id);
-                let own = base.backfill(user);
-                filter.update(user, own, base);
+                filter.update(user, base);
             }
         }
     }
@@ -751,32 +822,29 @@ impl Monitor {
     /// # Panics
     /// Panics if `user` is out of range.
     pub fn remove_user(&mut self, user: UserId) -> Option<UserId> {
+        let twins = self.twins();
         let base = &mut self.base;
         let idx = user.index();
         assert!(idx < base.users.len(), "user {user} out of range");
         let last = base.users.len() - 1;
         let moved = (idx != last).then(|| UserId::from(last));
+        // The previously-last user now answers to `user`: its group moves
+        // with it when groups are keyed by user id, and either way lists it
+        // under the new name.
         match &mut self.layer {
             Layer::Unfiltered(groups) => {
-                base.leave(groups, user);
+                Base::leave(groups, base.key(user, twins), user);
                 if let Some(moved) = moved {
-                    // The previously-last user now answers to `user`: its
-                    // group moves with it when groups are keyed by user id,
-                    // and either way lists it under the new name.
-                    let from = base.key(moved);
-                    base.users.swap(idx, last);
-                    let to = base.key(user);
-                    groups.swap(from, to);
-                    let group = groups[to].as_mut().expect("every user is in its group");
-                    group.rename(moved, user);
+                    let keys = base.renumber(moved, user, twins);
+                    rekey(groups, keys, moved, user);
                 }
             }
             Layer::Filtered(filter) => {
                 filter.remove(user, base);
-                base.users.swap(idx, last);
-                filter.verify.swap_remove(idx);
                 if let Some(moved) = moved {
-                    filter.rename(moved, user);
+                    let cluster = filter.cluster_of(moved);
+                    let keys = base.renumber(moved, user, twins);
+                    filter.rename(moved, user, cluster, keys);
                 }
             }
         }
@@ -787,7 +855,7 @@ impl Monitor {
 
     fn group_of(&self, user: UserId) -> &Group {
         match &self.layer {
-            Layer::Unfiltered(groups) => groups[self.base.key(user)].as_ref(),
+            Layer::Unfiltered(groups) => groups.get(&self.base.key(user, self.twins())),
             Layer::Filtered(_) => None,
         }
         .expect("every user of an unfiltered monitor is in its group")
@@ -938,7 +1006,7 @@ impl Monitor {
     fn cluster(&self, cluster: usize) -> &Group {
         match &self.layer {
             Layer::Unfiltered(_) => panic!("the monitor has no filter layer"),
-            Layer::Filtered(filter) => &filter.clusters[cluster],
+            Layer::Filtered(filter) => &filter.clusters[cluster].virtual_user,
         }
     }
 
@@ -1572,6 +1640,151 @@ mod tests {
         let own = m.frontier(added);
         assert_eq!(m.remove_user(UserId::new(0)), Some(added));
         assert_eq!(m.frontier(UserId::new(0)), own);
+    }
+
+    /// On `ftv:0.4` — exact, append-only, with an unlimited or an uncapped
+    /// compacting history — twins share verify state: a population in which
+    /// every preference has two holders does exactly the per-arrival work of
+    /// one holder each, and a REGISTER or UPDATE onto a preference its
+    /// cluster already holds spends no comparison.
+    #[test]
+    fn twins_share_verify_work_on_append_only_exact_filters() {
+        let users = laptop_users();
+        let wider = |user: &Preference, better: u32, worse: u32| {
+            let mut wider = user.clone();
+            let brand = pm_model::AttrId::new(1);
+            wider.prefer(
+                brand,
+                pm_model::ValueId::new(better),
+                pm_model::ValueId::new(worse),
+            );
+            wider
+        };
+        let distinct = vec![
+            users[0].clone(),
+            users[1].clone(),
+            wider(&users[0], 3, 4),
+            wider(&users[1], 0, 2),
+        ];
+        let doubled: Vec<Preference> = distinct.iter().chain(&distinct).cloned().collect();
+        let stream: Vec<Object> = (0..80u64)
+            .map(|i| {
+                obj(
+                    i,
+                    &[(i * 7 + 3) % 5, (i * 11 + 1) % 5, (i * 13 + 2) % 4].map(|v| v as u32),
+                )
+            })
+            .collect();
+        for lifetime in [Lifetime::UNLIMITED, COMPACT] {
+            let mut single = maintained(&distinct, lifetime, 0.4);
+            let mut double = maintained(&doubled, lifetime, 0.4);
+            assert_eq!(single.num_clusters(), double.num_clusters());
+            let mixed = |monitor: &Monitor, k: usize| {
+                let members = monitor.cluster_members(k);
+                let first = monitor.preference(members[0]);
+                members.iter().any(|&m| monitor.preference(m) != first)
+            };
+            let verifies = (0..double.num_clusters()).any(|k| mixed(&double, k));
+            assert!(verifies, "some cluster verifies");
+            for object in &stream {
+                let before = (single.stats().comparisons, double.stats().comparisons);
+                let one = single.process(object.clone());
+                let two = double.process(object.clone());
+                assert_eq!(
+                    single.stats().comparisons - before.0,
+                    double.stats().comparisons - before.1,
+                    "{lifetime:?}, {object}"
+                );
+                let mut twins: Vec<UserId> = (one.target_users.iter())
+                    .flat_map(|&u| [u, UserId::from(u.index() + distinct.len())])
+                    .collect();
+                twins.sort_unstable();
+                assert_eq!(two.target_users, twins, "{lifetime:?}, {object}");
+            }
+            // A REGISTER onto a held preference joins the holders' entry.
+            let held = double.stats().comparisons;
+            let added = double.add_user(distinct[1].clone());
+            assert_eq!(double.stats().comparisons, held, "{lifetime:?}: REGISTER");
+            assert_eq!(double.frontier(added), double.frontier(UserId::new(1)));
+            // So does an UPDATE onto a preference of the user's cluster.
+            let cluster = (0..double.num_clusters())
+                .find(|&k| mixed(&double, k) && double.cluster_members(k).contains(&UserId::new(0)))
+                .expect("user 0 shares a cluster with another preference");
+            let members = double.cluster_members(cluster).to_vec();
+            let other = *(members.iter())
+                .find(|&&m| double.preference(m) != double.preference(UserId::new(0)))
+                .unwrap();
+            double.update_user(UserId::new(0), double.preference(other).clone());
+            assert_eq!(double.stats().comparisons, held, "{lifetime:?}: UPDATE");
+            for user in (0..double.num_users()).map(UserId::from) {
+                let oracle = oracle_frontier(double.preference(user), &stream);
+                assert_eq!(double.frontier(user), oracle, "{lifetime:?}: {user}");
+            }
+        }
+    }
+
+    /// A fixed cluster list keeps its virtual preference verbatim: twins
+    /// under a weaker relation than their own are still verified, and
+    /// `P_U` stays the frontier of the given relation.
+    #[test]
+    fn twins_under_a_weaker_virtual_preference_are_still_verified() {
+        let twin = laptop_users()[0].clone();
+        let weaker = Preference::new(3);
+        let members = vec![UserId::new(0), UserId::new(1)];
+        let filter = Filter::virtual_users(vec![(members, weaker.clone())]);
+        let mut ftv = Monitor::new(
+            &[twin.clone(), twin.clone()],
+            Lifetime::UNLIMITED,
+            Some(filter),
+        );
+        ftv.process_all(laptop_objects());
+        assert_eq!(ftv.virtual_preference(0), &weaker);
+        let everything = oracle_frontier(&weaker, &laptop_objects());
+        assert_eq!(ftv.cluster_frontier(0), everything);
+        for user in [UserId::new(0), UserId::new(1)] {
+            assert_eq!(
+                ftv.frontier(user),
+                oracle_frontier(&twin, &laptop_objects())
+            );
+        }
+    }
+
+    /// Where a live verify frontier may legitimately differ from a replay —
+    /// the Alg. 3 approximation, Alg. 5 on a window, a history under a hard
+    /// cap — a late twin of a clustered user gets a replay of its own, not
+    /// the live twin's frontier.
+    #[test]
+    fn late_twins_replay_where_live_verify_frontiers_may_differ() {
+        let users = laptop_users();
+        let approx = ApproxConfig::new(64, 0.4);
+        let stream = laptop_objects()[..12].to_vec();
+        let cases = [
+            // Alg. 3 lets c1's tuples prune o3 and o7 for c2.
+            ("approx", Lifetime::UNLIMITED, Some(approx), stream.len()),
+            // Alg. 5 does not promote o10 for c2 when o8 expires.
+            ("window", Lifetime::Window(4), None, 4),
+            ("capped", capped(4), None, 4),
+        ];
+        for (name, lifetime, approx, alive) in cases {
+            // A branch cut of 0.2 keeps c1 and c2 clustered together.
+            let clustering = Clustering::new(&users, ExactMeasure::Jaccard, 0.2);
+            let mut filter = Filter::maintained(clustering);
+            if let Some(config) = approx {
+                filter = filter.approx(config);
+            }
+            let mut ftv = Monitor::new(&users, lifetime, Some(filter));
+            assert_eq!(ftv.num_clusters(), 1);
+            ftv.process_all(stream.clone());
+            let replay = oracle_frontier(&users[1], &stream[stream.len() - alive..]);
+            assert_ne!(
+                ftv.frontier(UserId::new(1)),
+                replay,
+                "{name}: a lossy live frontier"
+            );
+            let twin = ftv.add_user(users[1].clone());
+            assert_eq!(ftv.num_clusters(), 1, "{name}: the twin joins the cluster");
+            assert_eq!(ftv.frontier(twin), replay, "{name}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use pm_core::Arrival;
 use pm_model::{AttrId, Object, ObjectId, UserId, ValueId};
-use pm_porder::Preference;
+use pm_porder::{Preference, MAX_PREFERENCE_VALUE};
 use pm_wal::{write_snapshot, EngineState, WalRecord};
 
 use crate::backend::BackendSpec;
@@ -364,9 +364,11 @@ impl EngineService {
         }
     }
 
-    /// Validates wire-format preference rows against the schema arity and
-    /// the strict-partial-order laws, building the preference they denote.
-    /// Shared by `REGISTER` and `UPDATE`, which accept the same payload.
+    /// Validates wire-format preference rows against the schema arity, the
+    /// value bound [`MAX_PREFERENCE_VALUE`] (compiled relations size a table
+    /// by the largest value id) and the strict-partial-order laws, building
+    /// the preference they denote. Shared by `REGISTER` and `UPDATE`, which
+    /// accept the same payload.
     fn preference_from_rows(
         &self,
         rows: Vec<Vec<(ValueId, ValueId)>>,
@@ -376,6 +378,13 @@ impl EngineService {
                 "preference has {} attribute rows, schema has {} attributes",
                 rows.len(),
                 self.arity
+            ));
+        }
+        let values = rows.iter().flatten().flat_map(|&(x, y)| [x, y]);
+        if let Some(value) = values.max().filter(|v| v.raw() > MAX_PREFERENCE_VALUE) {
+            return Err(format!(
+                "preference value {} exceeds the maximum {MAX_PREFERENCE_VALUE}",
+                value.raw()
             ));
         }
         let mut preference = Preference::new(self.arity);

@@ -55,6 +55,16 @@ use crate::relation::Relation;
 /// Sentinel for "value not in this relation's universe".
 const NONE: u32 = u32::MAX;
 
+/// The largest preference value id a serving layer should accept.
+///
+/// A [`CompiledRelation`] (and a [`crate::RelationUnion`]) maps values to
+/// dense indices through a table indexed by raw value id, so its size is
+/// set by the largest id a preference mentions: 4 bytes per id up to it,
+/// 4 MiB at this bound. The bundled movie and publication domains stay
+/// below 100. Object values are not bounded: a value outside a relation's
+/// universe maps to an outside code without any table growing.
+pub const MAX_PREFERENCE_VALUE: u32 = 1 << 20;
+
 /// Universes at least this large are candidates for the sparse row
 /// representation (below that, the dense matrix is at most a few KiB and
 /// simpler is faster).

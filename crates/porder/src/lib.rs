@@ -38,7 +38,7 @@ pub mod preference;
 pub mod relation;
 pub mod union;
 
-pub use compiled::{CompiledPreference, CompiledRelation, Prepared};
+pub use compiled::{CompiledPreference, CompiledRelation, Prepared, MAX_PREFERENCE_VALUE};
 pub use fingerprint::{Fingerprint, Interned, PreferenceInterner};
 pub use frontier::naive_pareto_frontier;
 pub use hasse::HasseDiagram;

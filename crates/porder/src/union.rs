@@ -26,16 +26,23 @@
 //!   current union) — the one case where an already-compacted history
 //!   cannot promise exact backfill.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use pm_model::{AttrId, Object, ValueId};
 
 use crate::compiled::CompiledPreference;
 use crate::preference::Preference;
 
+/// `RelationUnion::index_of` marker for a value never interned.
+const NONE: u32 = u32::MAX;
+
 /// The union of several strict partial orders over one attribute, as a
 /// growable bit matrix: bit `j` of row `i` is set iff some absorbed
-/// relation prefers `universe[i]` to `universe[j]`.
+/// relation prefers `universe[i]` to `universe[j]`. Values map to rows
+/// through a table indexed by raw value id, as in
+/// [`CompiledRelation`](crate::CompiledRelation), so the table is as long
+/// as the largest absorbed value id (see
+/// [`MAX_PREFERENCE_VALUE`](crate::MAX_PREFERENCE_VALUE)).
 ///
 /// The union of strict partial orders is generally *not* a strict partial
 /// order (observers may disagree on a pair's direction), so this type keeps
@@ -45,8 +52,9 @@ use crate::preference::Preference;
 /// [`CompiledRelation::prefers`]: crate::CompiledRelation::prefers
 #[derive(Debug, Clone, Default)]
 pub struct RelationUnion {
-    /// `ValueId.raw() → dense index`; values are interned on first sight.
-    index_of: HashMap<u32, u32>,
+    /// `ValueId.raw() → dense index` (`NONE` where unseen); values are
+    /// interned on first sight.
+    index_of: Vec<u32>,
     /// Dense index → interned value, in interning order.
     universe: Vec<ValueId>,
     /// Width of each bit-row in 64-bit words.
@@ -76,23 +84,34 @@ impl RelationUnion {
     /// Whether some absorbed relation prefers `x` to `y`.
     #[inline]
     pub fn contains(&self, x: ValueId, y: ValueId) -> bool {
-        match (self.index_of.get(&x.raw()), self.index_of.get(&y.raw())) {
-            (Some(&ix), Some(&iy)) => {
-                let (ix, iy) = (ix as usize, iy as usize);
+        match (self.dense(x), self.dense(y)) {
+            (Some(ix), Some(iy)) => {
                 (self.bits[ix * self.words_per_row + iy / 64] >> (iy % 64)) & 1 == 1
             }
             _ => false,
         }
     }
 
+    /// The dense index of `v`, if interned.
+    #[inline]
+    fn dense(&self, v: ValueId) -> Option<usize> {
+        match self.index_of.get(v.index()) {
+            Some(&ix) if ix != NONE => Some(ix as usize),
+            _ => None,
+        }
+    }
+
     /// Interns `v`, growing (and if necessary re-laying-out) the bit matrix.
     fn intern(&mut self, v: ValueId) -> usize {
-        if let Some(&ix) = self.index_of.get(&v.raw()) {
-            return ix as usize;
+        if let Some(ix) = self.dense(v) {
+            return ix;
         }
         let ix = self.universe.len();
         self.universe.push(v);
-        self.index_of.insert(v.raw(), ix as u32);
+        if self.index_of.len() <= v.index() {
+            self.index_of.resize(v.index() + 1, NONE);
+        }
+        self.index_of[v.index()] = ix as u32;
         let words = (ix + 1).div_ceil(64);
         if words != self.words_per_row {
             // Row width grew: re-lay out the matrix word by word.

@@ -405,6 +405,36 @@ fn unregister_of_unknown_users_is_an_error_not_fatal() {
     assert!(svc.respond_line("HEALTH").starts_with("OK HEALTH"));
 }
 
+/// A compiled relation sizes a table by its largest value id, so a value
+/// near `u32::MAX` would ask for gigabytes: REGISTER and UPDATE refuse
+/// values above `MAX_PREFERENCE_VALUE`, while INGEST takes any value.
+#[test]
+fn preference_values_above_the_bound_are_refused() {
+    let svc = movie_service("ftv:0.4");
+    let max = pm_porder::MAX_PREFERENCE_VALUE;
+    for line in [
+        "REGISTER 900 4000000000>1;-;-;-".to_owned(),
+        format!("REGISTER 900 -;{}>0;-;-", max + 1),
+        "UPDATE 3 0>4000000000;-;-;-".to_owned(),
+    ] {
+        let response = svc.respond_line(&line);
+        assert!(
+            response.starts_with("ERR preference value"),
+            "{line} -> {response}"
+        );
+    }
+    assert!(svc.respond_line("HEALTH").starts_with("OK HEALTH"));
+    assert!(svc
+        .respond_line(&format!("REGISTER 900 -;{max}>0;-;-"))
+        .starts_with("OK REGISTERED 900"));
+    assert!(svc
+        .respond_line("INGEST 4000000000,1,2,3")
+        .starts_with("OK INGESTED 1"));
+    assert!(svc
+        .respond_line("FRONTIER 900")
+        .starts_with("OK FRONTIER 900"));
+}
+
 #[test]
 fn register_churn_over_tcp_survives_and_is_observable() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");

@@ -158,8 +158,21 @@ fn layout_spines_are_two_word_and_sparse() {
 /// hosts, and more threads than cores or users.
 const WORKERS: [usize; 4] = [1, 2, 3, 8];
 
-/// A fixed cluster list that splits users `1..` by parity and leaves user 0
-/// in no cluster.
+/// Strategy: a twin-heavy population of 2–6 users drawn from a pool of 1–3
+/// distinct preferences.
+fn population_strategy() -> impl Strategy<Value = Vec<Preference>> {
+    let pool = proptest::collection::vec(preference_strategy(), 1..4);
+    let holders = proptest::collection::vec(0usize..3, 2..7);
+    (pool, holders).prop_map(|(pool, holders)| {
+        holders
+            .iter()
+            .map(|&k| pool[k % pool.len()].clone())
+            .collect()
+    })
+}
+
+/// A fixed cluster list that splits users `1..` by parity — and with it
+/// twins — and leaves user 0 in no cluster.
 fn clusters_without_user_0(prefs: &[Preference]) -> Filter {
     let clusters = (0..2)
         .filter_map(|parity| {
@@ -213,6 +226,50 @@ fn monitor_view(monitor: &Monitor) -> MonitorView {
     )
 }
 
+/// The configurations whose frontiers must equal the naive oracle here:
+/// the exact backends (no stream is long enough for a compaction sweep),
+/// and a fixed cluster list on an unlimited history for its clustered users.
+fn is_exact(label: &str) -> bool {
+    [
+        "baseline",
+        "baseline:compact",
+        "ftv:0.4",
+        "ftv:0.4:compact",
+        "baseline-sw:24",
+        "user 0 unclustered, History(Unlimited)",
+    ]
+    .contains(&label)
+}
+
+/// Asserts every user's frontier equals the naive frontier of its
+/// preference over `alive` — on a fixed cluster list, every clustered
+/// user's.
+fn assert_oracle_frontiers(monitor: &Monitor, alive: &[Object], label: &str) {
+    let clustered: Vec<UserId> = (0..monitor.num_clusters())
+        .flat_map(|k| monitor.cluster_members(k).to_vec())
+        .collect();
+    for user in (0..monitor.num_users()).map(UserId::from) {
+        if label.starts_with("user 0 unclustered") && !clustered.contains(&user) {
+            continue;
+        }
+        let mut oracle = naive_pareto_frontier(monitor.preference(user), alive);
+        oracle.sort_unstable();
+        assert_eq!(monitor.frontier(user), oracle, "{label}: user {user}");
+    }
+}
+
+/// The preference a REGISTER or UPDATE brings: an even `source` copies a
+/// current user's preference (a twin), an odd one brings `novel`.
+fn churn_preference(monitor: &Monitor, source: u8, novel: &Preference) -> Preference {
+    match source % 2 {
+        0 => {
+            let holder = UserId::from(source as usize / 2 % monitor.num_users());
+            monitor.preference(holder).clone()
+        }
+        _ => novel.clone(),
+    }
+}
+
 /// REGISTER (`op` 1), UPDATE (2) or UNREGISTER (3) between two batches.
 fn churn(monitor: &mut Monitor, op: u8, preference: &Preference, pick: u8) {
     let user = UserId::from(pick as usize % monitor.num_users());
@@ -236,20 +293,29 @@ proptest! {
     /// (targets and deltas) of one `process` call per object, and leaves
     /// exactly its frontiers, buffers and counters — `comparisons` included
     /// — on every backend of the golden transcript and on fixed cluster
-    /// lists that leave a user in no cluster, with REGISTER, UPDATE and
-    /// UNREGISTER between batches.
+    /// lists that leave a user in no cluster and split twins, with
+    /// REGISTER, UPDATE and UNREGISTER between batches. The populations are
+    /// twin-heavy and churn registers and updates onto a current user's
+    /// preference as often as onto a novel one, so twins join, leave and
+    /// are swap-renumbered; every exact configuration's frontiers equal the
+    /// naive oracle throughout.
     #[test]
     fn batched_parallel_processing_equals_per_object_processing(
-        initial in proptest::collection::vec(preference_strategy(), 2..5),
+        initial in population_strategy(),
         segments in proptest::collection::vec(
-            ((objects_strategy(12), 1usize..6), 0u8..4, preference_strategy(), 0u8..255),
+            ((objects_strategy(12), 1usize..6), 0u8..4, (0u8..255, preference_strategy()), 0u8..255),
             1..6,
         ),
     ) {
         for (label, mut reference) in batch_configurations(&initial) {
             let mut batched: Vec<Monitor> = WORKERS.iter().map(|_| reference.clone()).collect();
             let mut next_id = 0u64;
-            for ((objects, cut), op, preference, pick) in &segments {
+            let mut stream: Vec<Object> = Vec::new();
+            let alive = |stream: &[Object], monitor: &Monitor| match monitor.lifetime() {
+                Lifetime::Window(size) => stream[stream.len().saturating_sub(size)..].to_vec(),
+                Lifetime::History(_) => stream.to_vec(),
+            };
+            for ((objects, cut), op, (source, novel), pick) in &segments {
                 let objects: Vec<Object> = objects
                     .iter()
                     .map(|object| {
@@ -263,11 +329,20 @@ proptest! {
                         let got = monitor.process_batch(batch, workers);
                         prop_assert_eq!(got, expected.clone(), "{} with {} workers", label, workers);
                     }
+                    stream.extend_from_slice(batch);
+                    if is_exact(&label) {
+                        assert_oracle_frontiers(&reference, &alive(&stream, &reference), &label);
+                    }
                 }
-                churn(&mut reference, *op, preference, *pick);
+                let preference = churn_preference(&reference, *source, novel);
+                churn(&mut reference, *op, &preference, *pick);
+                if is_exact(&label) {
+                    let label = format!("{label} after op {op}");
+                    assert_oracle_frontiers(&reference, &alive(&stream, &reference), &label);
+                }
                 let want = monitor_view(&reference);
                 for (monitor, workers) in batched.iter_mut().zip(WORKERS) {
-                    churn(monitor, *op, preference, *pick);
+                    churn(monitor, *op, &preference, *pick);
                     prop_assert_eq!(
                         monitor_view(monitor), want.clone(),
                         "{} with {} workers after op {}", label, workers, op
