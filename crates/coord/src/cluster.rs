@@ -37,6 +37,8 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
+use pm_engine::response::write_ids;
+use pm_engine::{render_text, Response};
 use pm_model::{ObjectId, Partitioner, UserId, ValueId};
 
 use crate::node::NodeClient;
@@ -523,12 +525,10 @@ impl Cluster {
         if answered < self.nodes.len() {
             return format!("ERR degraded node={}", self.degraded_list());
         }
-        let joined = users
-            .iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("OK QUERY {} {joined}", object.raw())
+        render_text(&Response::Query {
+            object,
+            users: users.into_iter().map(UserId::new).collect(),
+        })
     }
 
     /// Relays an owner-routed verb byte-for-byte, or degrades its range.
@@ -872,19 +872,16 @@ fn merge_ingested(responses: &[String]) -> String {
             }
         }
     }
-    let body = merged
-        .iter()
-        .map(|(id, users)| {
-            let joined = users
-                .iter()
-                .map(u32::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("{id}:{joined}")
-        })
-        .collect::<Vec<_>>()
-        .join(";");
-    format!("OK INGESTED {count} {body}")
+    let mut out = format!("OK INGESTED {count} ").into_bytes();
+    for (index, (id, users)) in merged.iter().enumerate() {
+        if index > 0 {
+            out.push(b';');
+        }
+        out.extend_from_slice(id.as_bytes());
+        out.push(b':');
+        write_ids(&mut out, users.iter().map(|&user| u64::from(user)));
+    }
+    String::from_utf8(out).expect("node replies are UTF-8")
 }
 
 /// Extracts `key=<u64>` from a STATS body; `key` includes the `=`.

@@ -242,10 +242,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let seq = seq_text
                 .parse::<u64>()
                 .map_err(|_| format!("bad sequence number `{seq_text}`"))?;
-            let inner = parse_request(inner_text)?;
-            if matches!(inner, Request::Sequenced { .. }) {
+            // Check the wrapped verb before parsing it: recursing first
+            // would let a line of many `SEQ n` prefixes exhaust the stack.
+            let inner_verb = inner_text.split_whitespace().next().unwrap_or("");
+            if inner_verb.eq_ignore_ascii_case("SEQ") {
                 return Err("SEQ cannot nest".to_owned());
             }
+            let inner = parse_request(inner_text)?;
             Ok(Request::Sequenced {
                 seq,
                 inner: Box::new(inner),
@@ -266,24 +269,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
              HEALTH, QUIT, EXPORT or SEQ)"
         )),
     }
-}
-
-/// Formats a `u32`-raw id list (users) as a comma-separated string.
-pub(crate) fn format_users(users: &[UserId]) -> String {
-    users
-        .iter()
-        .map(|u| u.raw().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Formats an object id list as a comma-separated string.
-pub(crate) fn format_objects(objects: &[ObjectId]) -> String {
-    objects
-        .iter()
-        .map(|o| o.raw().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 #[cfg(test)]
@@ -483,16 +468,17 @@ mod tests {
         assert!(parse_request("SEQ 5").is_err());
         assert!(parse_request("SEQ x INGEST 1").is_err());
         assert!(parse_request("SEQ 5 BOGUS").is_err());
-        assert!(
-            parse_request("SEQ 5 SEQ 6 INGEST 1").is_err(),
-            "nested SEQ must be rejected"
+        assert_eq!(
+            parse_request("SEQ 5 SEQ 6 INGEST 1"),
+            Err("SEQ cannot nest".to_owned())
         );
-    }
-
-    #[test]
-    fn formats_id_lists() {
-        assert_eq!(format_users(&[UserId::new(1), UserId::new(9)]), "1,9");
-        assert_eq!(format_users(&[]), "");
-        assert_eq!(format_objects(&[ObjectId::new(4)]), "4");
+        assert_eq!(
+            parse_request("seq 5 seq x"),
+            Err("SEQ cannot nest".to_owned())
+        );
+        // Rejected without recursing: deep enough to overflow the stack if
+        // the inner request were parsed first.
+        let deep = format!("{}HEALTH", "SEQ 0 ".repeat(400_000));
+        assert_eq!(parse_request(&deep), Err("SEQ cannot nest".to_owned()));
     }
 }

@@ -45,7 +45,7 @@ use pm_reactor::conn::{Acceptor, Conn, Extracted, LISTENER, SHUTDOWN};
 use pm_reactor::{Event, Poller};
 
 use crate::protocol::Request;
-use crate::response::{render_frame, render_text, Response, WireMode};
+use crate::response::{write_event, write_message, Response, WireMode};
 use crate::server::EngineService;
 
 /// A connection plus the users it subscribes to.
@@ -67,6 +67,12 @@ struct Reactor {
     /// Total unsent outbox bytes (mirrored into
     /// `pm_subscriber_outbox_depth`).
     outbox_total: usize,
+    /// Render buffers, cleared and reused rather than freed: the reply
+    /// being enqueued, and during fan-out the current user's `EVENT` in
+    /// each wire mode.
+    reply: Vec<u8>,
+    event_text: Vec<u8>,
+    event_frame: Vec<u8>,
 }
 
 /// Serves `listener` with a single reactor thread using `config`; see the
@@ -113,6 +119,9 @@ fn serve_reactor(
         user_subs: HashMap::new(),
         subscriber_count: 0,
         outbox_total: 0,
+        reply: Vec::new(),
+        event_text: Vec::new(),
+        event_frame: Vec::new(),
     };
     let result = reactor.run();
     // `shutdown` must outlive the loop: its fd is registered with the
@@ -122,16 +131,30 @@ fn serve_reactor(
     result
 }
 
-/// Renders `response` in `mode`, newline-terminated in text mode.
-fn render(response: &Response, mode: WireMode) -> Vec<u8> {
-    match mode {
-        WireMode::Text => {
-            let mut b = render_text(response).into_bytes();
-            b.push(b'\n');
-            b
-        }
-        WireMode::Frame => render_frame(response),
+/// Appends rendered bytes to `client`'s outbox, enforcing the outbox
+/// bound: over [`ReactorConfig::max_outbox`] a terminal `ERR lagged` is
+/// appended and the connection closes once its buffer drains. Returns
+/// whether it lagged — the caller then evicts its subscriptions (no
+/// further events accrue; pushes to a closing connection are dropped).
+fn push_bounded(
+    client: &mut Client,
+    bytes: &[u8],
+    max_outbox: usize,
+    outbox_total: &mut usize,
+) -> bool {
+    let before = client.conn.pending_out();
+    let lagged = client.conn.push(bytes, max_outbox);
+    if lagged {
+        let mut notice = Vec::new();
+        write_message(
+            &Response::Err("lagged".to_owned()),
+            client.conn.mode,
+            &mut notice,
+        );
+        client.conn.push_terminal(&notice);
     }
+    *outbox_total += client.conn.pending_out() - before;
+    lagged
 }
 
 impl Reactor {
@@ -315,66 +338,69 @@ impl Reactor {
     }
 
     /// Pushes one arrival's deltas (sorted by user, then object) to every
-    /// subscriber of each affected user, rendering each user's event once
-    /// per wire mode.
+    /// subscriber of each affected user. Each user's event is encoded once
+    /// per wire mode straight from its borrowed run of deltas, and the
+    /// bytes are shared by that user's subscribers. Lagged subscribers are
+    /// evicted after the loop, which iterates the subscriber index.
     fn fan_out(&mut self, deltas: &[FrontierDelta], touched: &mut Vec<u64>) {
-        let mut at = 0;
-        while at < deltas.len() {
-            let user = deltas[at].user;
-            let end = at + deltas[at..].iter().take_while(|d| d.user == user).count();
-            if let Some(subs) = self.user_subs.get(&user) {
-                let subs: Vec<u64> = subs.iter().copied().collect();
-                let event = Response::Event {
-                    user,
-                    deltas: deltas[at..end].to_vec(),
+        let mut lagged = Vec::new();
+        for run in deltas.chunk_by(|a, b| a.user == b.user) {
+            let user = run[0].user;
+            let Some(subs) = self.user_subs.get(&user) else {
+                continue;
+            };
+            let (mut text_ready, mut frame_ready) = (false, false);
+            for &sub in subs {
+                let Some(client) = self.clients.get_mut(&sub) else {
+                    continue;
                 };
-                let mut text: Option<Vec<u8>> = None;
-                let mut frame: Option<Vec<u8>> = None;
-                for sub in subs {
-                    let Some(client) = self.clients.get(&sub) else {
-                        continue;
-                    };
-                    let mode = client.conn.mode;
-                    let bytes = match mode {
-                        WireMode::Text => &mut text,
-                        WireMode::Frame => &mut frame,
-                    }
-                    .get_or_insert_with(|| render(&event, mode));
-                    self.enqueue_bytes(sub, bytes);
-                    touched.push(sub);
+                let mode = client.conn.mode;
+                let (bytes, ready) = match mode {
+                    WireMode::Text => (&mut self.event_text, &mut text_ready),
+                    WireMode::Frame => (&mut self.event_frame, &mut frame_ready),
+                };
+                if !*ready {
+                    bytes.clear();
+                    write_event(user, run, mode, bytes);
+                    *ready = true;
                 }
+                if push_bounded(
+                    client,
+                    bytes,
+                    self.config.max_outbox,
+                    &mut self.outbox_total,
+                ) {
+                    lagged.push(sub);
+                }
+                touched.push(sub);
             }
-            at = end;
+        }
+        for token in lagged {
+            self.evict(token);
         }
     }
 
-    /// Renders `response` in the connection's current mode and appends it
-    /// to the outbox.
+    /// Renders `response` in the connection's current mode into the reply
+    /// buffer and appends it to the outbox.
     fn enqueue_response(&mut self, token: u64, response: &Response) {
-        let Some(client) = self.clients.get(&token) else {
-            return;
-        };
-        let bytes = render(response, client.conn.mode);
-        self.enqueue_bytes(token, &bytes);
-    }
-
-    /// Appends raw rendered bytes, enforcing the outbox bound: a
-    /// connection over [`ReactorConfig::max_outbox`] is evicted — its
-    /// subscriptions are dropped (no further events accrue), a terminal
-    /// `ERR lagged` is appended, and the connection closes once its buffer
-    /// drains.
-    fn enqueue_bytes(&mut self, token: u64, bytes: &[u8]) {
         let Some(client) = self.clients.get_mut(&token) else {
             return;
         };
-        let before = client.conn.pending_out();
-        let lagged = client.conn.push(bytes, self.config.max_outbox);
-        if lagged {
-            let message = render(&Response::Err("lagged".to_owned()), client.conn.mode);
-            client.conn.push_terminal(&message);
+        self.reply.clear();
+        write_message(response, client.conn.mode, &mut self.reply);
+        if push_bounded(
+            client,
+            &self.reply,
+            self.config.max_outbox,
+            &mut self.outbox_total,
+        ) {
+            self.evict(token);
         }
-        self.outbox_total += client.conn.pending_out() - before;
-        if lagged {
+    }
+
+    /// Drops every subscription of a lagged connection.
+    fn evict(&mut self, token: u64) {
+        if let Some(client) = self.clients.get_mut(&token) {
             let users = std::mem::take(&mut client.subscriptions);
             self.unindex(token, users);
         }

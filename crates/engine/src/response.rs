@@ -4,9 +4,9 @@
 //! builds wire strings. The same value renders as either of two negotiated
 //! wire formats (see `HELLO` in [`crate::protocol`]):
 //!
-//! - **text** ([`render_text`]): the classic newline-delimited `OK`/`ERR`
+//! - **text** ([`write_text`]): the classic newline-delimited `OK`/`ERR`
 //!   lines, byte-identical to the pre-typed protocol.
-//! - **frame** ([`render_frame`]): a length-prefixed binary frame
+//! - **frame** ([`write_frame`]): a length-prefixed binary frame
 //!   `[u32 BE length][u8 kind][payload]` where `length` counts the kind
 //!   byte plus the payload. Integers are big-endian and fixed-width: user
 //!   ids are `u32`, object ids `u64`, counts `u32`, strings are UTF-8
@@ -40,13 +40,19 @@
 //! `u16 BE` length prefix, and id-list counts saturate at `u32::MAX` with
 //! the encoded elements capped to the encoded count — a frame always
 //! parses to exactly what its prefixes announce.
+//!
+//! Both renderings append to a caller-owned byte buffer, so the serving
+//! layer can reuse one buffer across replies; ids are written by one
+//! decimal writer ([`write_ids`]) with no per-id allocation. An `EVENT`
+//! push renders from a borrowed run of deltas ([`write_event`]) through the
+//! same per-mode encoders as a [`Response::Event`].
+
+use std::io::Write;
 
 use pm_core::{Arrival, FrontierDelta};
 use pm_model::{ObjectId, UserId};
 
 pub use pm_reactor::conn::WireMode;
-
-use crate::protocol::{format_objects, format_users};
 
 /// A typed server response — one per request, plus the asynchronous
 /// [`Response::Event`] pushes a subscription produces.
@@ -189,52 +195,143 @@ impl Response {
     }
 }
 
-/// Renders a response as its single text-protocol line (without the
-/// trailing newline), byte-identical to the historical `format!` strings.
-/// `METRICS` embeds interior newlines (header line + exposition body).
-pub fn render_text(response: &Response) -> String {
+/// Appends `v` in decimal: the one digit writer behind every id the text
+/// protocol renders (a reply can name thousands of users, so each id is
+/// written straight into the output instead of through `to_string`).
+#[inline]
+fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// `00`, `01`, ..., `99`: [`write_u64`] emits two digits per division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends `ids` in decimal, comma-separated (`1,9`; nothing for none) —
+/// the text protocol's one id-list encoding.
+pub fn write_ids(out: &mut Vec<u8>, ids: impl IntoIterator<Item = u64>) {
+    for (i, id) in ids.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_u64(out, id);
+    }
+}
+
+fn write_users(out: &mut Vec<u8>, users: &[UserId]) {
+    write_ids(out, users.iter().map(|u| u64::from(u.raw())));
+}
+
+fn write_objects(out: &mut Vec<u8>, objects: &[ObjectId]) {
+    write_ids(out, objects.iter().map(|o| o.raw()));
+}
+
+/// The text `EVENT <user> +a,-b` line (without its newline) for one
+/// user's deltas — shared by [`write_text`] and [`write_event`].
+fn text_event(out: &mut Vec<u8>, user: UserId, deltas: &[FrontierDelta]) {
+    out.extend_from_slice(b"EVENT ");
+    write_u64(out, u64::from(user.raw()));
+    out.push(b' ');
+    for (i, delta) in deltas.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(if delta.entered { b'+' } else { b'-' });
+        write_u64(out, delta.object.raw());
+    }
+}
+
+/// Appends a response's single text-protocol line (without the trailing
+/// newline), byte-identical to the historical `format!` strings. `METRICS`
+/// embeds interior newlines (header line + exposition body).
+pub fn write_text(response: &Response, out: &mut Vec<u8>) {
+    // `io::Write` into a `Vec` cannot fail.
+    let _ = text_line(response, out);
+}
+
+fn text_line(response: &Response, out: &mut Vec<u8>) -> std::io::Result<()> {
     match response {
         Response::Ingested(arrivals) => {
-            let body = arrivals
-                .iter()
-                .map(|a| format!("{}:{}", a.object.raw(), format_users(&a.target_users)))
-                .collect::<Vec<_>>()
-                .join(";");
-            format!("OK INGESTED {} {body}", arrivals.len())
+            out.extend_from_slice(b"OK INGESTED ");
+            write_u64(out, arrivals.len() as u64);
+            out.push(b' ');
+            for (i, arrival) in arrivals.iter().enumerate() {
+                if i > 0 {
+                    out.push(b';');
+                }
+                write_u64(out, arrival.object.raw());
+                out.push(b':');
+                write_users(out, &arrival.target_users);
+            }
+            Ok(())
         }
         Response::Expired {
             expirations,
             sliding,
         } => {
             if *sliding {
-                format!("OK EXPIRED {expirations}")
+                write!(out, "OK EXPIRED {expirations}")
             } else {
-                format!("OK EXPIRED {expirations} (append-only backend, nothing expires)")
+                write!(
+                    out,
+                    "OK EXPIRED {expirations} (append-only backend, nothing expires)"
+                )
             }
         }
         Response::Query { object, users } => {
-            format!("OK QUERY {} {}", object.raw(), format_users(users))
+            write!(out, "OK QUERY {} ", object.raw())?;
+            write_users(out, users);
+            Ok(())
         }
         Response::Frontier { user, objects } => {
-            format!("OK FRONTIER {} {}", user.raw(), format_objects(objects))
+            write!(out, "OK FRONTIER {} ", user.raw())?;
+            write_objects(out, objects);
+            Ok(())
         }
         Response::Registered { user, shard } => {
-            format!("OK REGISTERED {} shard={shard}", user.raw())
+            write!(out, "OK REGISTERED {} shard={shard}", user.raw())
         }
-        Response::Updated { user, shard } => format!("OK UPDATED {} shard={shard}", user.raw()),
-        Response::Unregistered(user) => format!("OK UNREGISTERED {}", user.raw()),
-        Response::Snapshot { lsn } => format!("OK SNAPSHOT lsn={lsn}"),
-        Response::Stats(snapshot) => format!("OK STATS {snapshot}"),
+        Response::Updated { user, shard } => {
+            write!(out, "OK UPDATED {} shard={shard}", user.raw())
+        }
+        Response::Unregistered(user) => write!(out, "OK UNREGISTERED {}", user.raw()),
+        Response::Snapshot { lsn } => write!(out, "OK SNAPSHOT lsn={lsn}"),
+        Response::Stats(snapshot) => write!(out, "OK STATS {snapshot}"),
         // The header names the body's byte length so clients can read the
         // multi-line exposition exactly; the connection's trailing newline
         // yields the blank-line terminator.
-        Response::Metrics(body) => format!("OK METRICS {}\n{body}", body.len()),
+        Response::Metrics(body) => write!(out, "OK METRICS {}\n{body}", body.len()),
         Response::Health {
             backend,
             shards,
             users,
             uptime_ms,
-        } => format!(
+        } => write!(
+            out,
             "OK HEALTH pm-server backend={backend} shards={shards} users={users} \
              uptime_ms={uptime_ms}"
         ),
@@ -244,16 +341,19 @@ pub fn render_text(response: &Response) -> String {
             backend,
             shards,
             arity,
-        } => format!(
+        } => write!(
+            out,
             "OK HELLO pm-server proto={} version={version} backend={backend} \
              shards={shards} arity={arity}",
             proto.token()
         ),
         Response::Subscribed { user, snapshot } => {
-            format!("OK SUBSCRIBED {} {}", user.raw(), format_objects(snapshot))
+            write!(out, "OK SUBSCRIBED {} ", user.raw())?;
+            write_objects(out, snapshot);
+            Ok(())
         }
-        Response::Unsubscribed(user) => format!("OK UNSUBSCRIBED {}", user.raw()),
-        Response::Exported { user, rows } => format!("OK EXPORTED {} {rows}", user.raw()),
+        Response::Unsubscribed(user) => write!(out, "OK UNSUBSCRIBED {}", user.raw()),
+        Response::Exported { user, rows } => write!(out, "OK EXPORTED {} {rows}", user.raw()),
         Response::NodeHello {
             proto,
             version,
@@ -261,21 +361,51 @@ pub fn render_text(response: &Response) -> String {
             shards,
             arity,
             next_id,
-        } => format!(
+        } => write!(
+            out,
             "OK HELLO pm-node proto={} version={version} backend={backend} \
              shards={shards} arity={arity} next_id={next_id}",
             proto.token()
         ),
         Response::Event { user, deltas } => {
-            let body = deltas
-                .iter()
-                .map(|d| format!("{}{}", if d.entered { '+' } else { '-' }, d.object.raw()))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("EVENT {} {body}", user.raw())
+            text_event(out, *user, deltas);
+            Ok(())
         }
-        Response::Bye => "OK BYE".to_owned(),
-        Response::Err(e) => format!("ERR {e}"),
+        Response::Bye => write!(out, "OK BYE"),
+        Response::Err(e) => write!(out, "ERR {e}"),
+    }
+}
+
+/// Renders a response as its single text-protocol line (without the
+/// trailing newline); see [`write_text`].
+pub fn render_text(response: &Response) -> String {
+    let mut out = Vec::new();
+    write_text(response, &mut out);
+    String::from_utf8(out).expect("text renderings are UTF-8")
+}
+
+/// Appends `response` as one complete message in `mode`: its text line
+/// plus the newline, or one frame.
+pub fn write_message(response: &Response, mode: WireMode, out: &mut Vec<u8>) {
+    match mode {
+        WireMode::Text => {
+            write_text(response, out);
+            out.push(b'\n');
+        }
+        WireMode::Frame => write_frame(response, out),
+    }
+}
+
+/// Appends the `EVENT` message for one user's deltas in `mode` straight
+/// from the borrowed run — the same bytes [`write_message`] produces for a
+/// [`Response::Event`] holding those deltas, without building one.
+pub fn write_event(user: UserId, deltas: &[FrontierDelta], mode: WireMode, out: &mut Vec<u8>) {
+    match mode {
+        WireMode::Text => {
+            text_event(out, user, deltas);
+            out.push(b'\n');
+        }
+        WireMode::Frame => framed(out, |out| frame_event(out, user, deltas)),
     }
 }
 
@@ -321,20 +451,54 @@ fn put_objects(buf: &mut Vec<u8>, objects: &[ObjectId]) {
     }
 }
 
-/// Renders a response as one binary frame (see the module docs for the
+/// The frame payload of one user's `EVENT` (`u32` user, `u32` count, then
+/// `u8` entered + `u64` object per delta) — shared by [`write_frame`] and
+/// [`write_event`]. Returns the kind byte.
+fn frame_event(out: &mut Vec<u8>, user: UserId, deltas: &[FrontierDelta]) -> u8 {
+    out.extend_from_slice(&user.raw().to_be_bytes());
+    let count = put_count(out, deltas.len());
+    for delta in &deltas[..count] {
+        out.push(u8::from(delta.entered));
+        out.extend_from_slice(&delta.object.raw().to_be_bytes());
+    }
+    15
+}
+
+/// Appends one frame `[u32 BE length][u8 kind][payload]`: `payload` writes
+/// the payload after the header and returns the kind byte, and the length
+/// is patched in afterwards.
+fn framed(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>) -> u8) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 5]);
+    out[start + 4] = payload(out);
+    // The outer length prefix is a u32 too: a body that cannot be framed
+    // (>4 GiB, practically unreachable) becomes a protocol error instead of
+    // a wrapped length that would desynchronize the stream.
+    match u32::try_from(out.len() - start - 4) {
+        Ok(len) => out[start..start + 4].copy_from_slice(&len.to_be_bytes()),
+        Err(_) => {
+            const TOO_LARGE: &[u8] = b"response too large for one frame";
+            out.truncate(start);
+            out.extend_from_slice(&(1 + TOO_LARGE.len() as u32).to_be_bytes());
+            out.push(0);
+            out.extend_from_slice(TOO_LARGE);
+        }
+    }
+}
+
+/// Appends a response as one binary frame (see the module docs for the
 /// layout): `[u32 BE length][u8 kind][payload]`.
-pub fn render_frame(response: &Response) -> Vec<u8> {
-    let mut body: Vec<u8> = vec![0];
-    body[0] = match response {
+pub fn write_frame(response: &Response, out: &mut Vec<u8>) {
+    framed(out, |body| match response {
         Response::Err(e) => {
             body.extend_from_slice(e.as_bytes());
             0
         }
         Response::Ingested(arrivals) => {
-            let count = put_count(&mut body, arrivals.len());
+            let count = put_count(body, arrivals.len());
             for arrival in &arrivals[..count] {
                 body.extend_from_slice(&arrival.object.raw().to_be_bytes());
-                put_users(&mut body, &arrival.target_users);
+                put_users(body, &arrival.target_users);
             }
             1
         }
@@ -348,12 +512,12 @@ pub fn render_frame(response: &Response) -> Vec<u8> {
         }
         Response::Query { object, users } => {
             body.extend_from_slice(&object.raw().to_be_bytes());
-            put_users(&mut body, users);
+            put_users(body, users);
             3
         }
         Response::Frontier { user, objects } => {
             body.extend_from_slice(&user.raw().to_be_bytes());
-            put_objects(&mut body, objects);
+            put_objects(body, objects);
             4
         }
         Response::Registered { user, shard } => {
@@ -388,7 +552,7 @@ pub fn render_frame(response: &Response) -> Vec<u8> {
             users,
             uptime_ms,
         } => {
-            put_str(&mut body, backend);
+            put_str(body, backend);
             body.extend_from_slice(&saturating_u32(*shards).to_be_bytes());
             body.extend_from_slice(&saturating_u32(*users).to_be_bytes());
             let uptime = u64::try_from(*uptime_ms).unwrap_or(u64::MAX);
@@ -406,15 +570,15 @@ pub fn render_frame(response: &Response) -> Vec<u8> {
                 WireMode::Text => 0,
                 WireMode::Frame => 1,
             });
-            put_str(&mut body, version);
-            put_str(&mut body, backend);
+            put_str(body, version);
+            put_str(body, backend);
             body.extend_from_slice(&saturating_u32(*shards).to_be_bytes());
             body.extend_from_slice(&saturating_u32(*arity).to_be_bytes());
             11
         }
         Response::Subscribed { user, snapshot } => {
             body.extend_from_slice(&user.raw().to_be_bytes());
-            put_objects(&mut body, snapshot);
+            put_objects(body, snapshot);
             12
         }
         Response::Unsubscribed(user) => {
@@ -438,35 +602,22 @@ pub fn render_frame(response: &Response) -> Vec<u8> {
                 WireMode::Text => 0,
                 WireMode::Frame => 1,
             });
-            put_str(&mut body, version);
-            put_str(&mut body, backend);
+            put_str(body, version);
+            put_str(body, backend);
             body.extend_from_slice(&saturating_u32(*shards).to_be_bytes());
             body.extend_from_slice(&saturating_u32(*arity).to_be_bytes());
             body.extend_from_slice(&next_id.to_be_bytes());
             18
         }
         Response::Bye => 14,
-        Response::Event { user, deltas } => {
-            body.extend_from_slice(&user.raw().to_be_bytes());
-            let count = put_count(&mut body, deltas.len());
-            for delta in &deltas[..count] {
-                body.push(u8::from(delta.entered));
-                body.extend_from_slice(&delta.object.raw().to_be_bytes());
-            }
-            15
-        }
-    };
-    // The outer length prefix is a u32 too: a body that cannot be framed
-    // (>4 GiB, practically unreachable) becomes a protocol error instead of
-    // a wrapped length that would desynchronize the stream.
-    if u32::try_from(body.len()).is_err() {
-        body.clear();
-        body.push(0);
-        body.extend_from_slice(b"response too large for one frame");
-    }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&body);
+        Response::Event { user, deltas } => frame_event(body, *user, deltas),
+    });
+}
+
+/// Renders a response as one binary frame; see [`write_frame`].
+pub fn render_frame(response: &Response) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(response, &mut frame);
     frame
 }
 
@@ -507,6 +658,41 @@ mod tests {
         );
         assert_eq!(render_text(&Response::Bye), "OK BYE");
         assert_eq!(render_text(&Response::Err("nope".to_owned())), "ERR nope");
+    }
+
+    #[test]
+    fn formats_id_lists() {
+        let ids = |ids: &[u64]| {
+            let mut out = Vec::new();
+            write_ids(&mut out, ids.iter().copied());
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(ids(&[1, 9]), "1,9");
+        assert_eq!(ids(&[]), "");
+        assert_eq!(ids(&[0, u64::MAX]), "0,18446744073709551615");
+    }
+
+    #[test]
+    fn borrowed_events_match_typed_events_in_both_modes() {
+        let user = UserId::new(u32::MAX);
+        let deltas = vec![
+            FrontierDelta::enter(user, ObjectId::new(0)),
+            FrontierDelta::leave(user, ObjectId::new(u64::MAX)),
+        ];
+        let typed = Response::Event {
+            user,
+            deltas: deltas.clone(),
+        };
+        for mode in [WireMode::Text, WireMode::Frame] {
+            let (mut borrowed, mut whole) = (vec![7], vec![7]);
+            write_event(user, &deltas, mode, &mut borrowed);
+            write_message(&typed, mode, &mut whole);
+            assert_eq!(borrowed, whole);
+        }
+        assert_eq!(
+            render_text(&typed),
+            "EVENT 4294967295 +0,-18446744073709551615"
+        );
     }
 
     #[test]

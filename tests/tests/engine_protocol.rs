@@ -258,6 +258,9 @@ fn tcp_connection_survives_a_barrage_of_garbage() {
     };
 
     let huge_row = vec!["9"; 4_096].join(",");
+    // 2.4 MB of `SEQ 0` prefixes, under the 16 MiB line limit: parsing the
+    // inner request before refusing the nesting overflowed the stack.
+    let nested_seq = format!("{}HEALTH", "SEQ 0 ".repeat(400_000));
     let garbage = [
         "GARBAGE VERB",
         "INGEST x,y,z,w",
@@ -265,12 +268,14 @@ fn tcp_connection_survives_a_barrage_of_garbage() {
         "QUERY not-an-id",
         "FRONTIER ☃",
         &huge_row, // a raw value row with no verb at all
+        &nested_seq,
     ];
     for (i, req) in garbage.iter().enumerate() {
         let response = ask(req);
         assert!(response.starts_with("ERR"), "garbage #{i} -> {response}");
     }
     // After all of that, the same connection still works end to end.
+    assert!(ask("HEALTH").starts_with("OK HEALTH"));
     assert!(ask("INGEST 0,1,2,3").starts_with("OK INGESTED 1"));
     assert!(ask("QUERY 0").starts_with("OK QUERY 0"));
     assert!(ask("FRONTIER 0").starts_with("OK FRONTIER 0"));

@@ -458,6 +458,160 @@ fn lagged_subscribers_are_evicted_with_terminal_err() {
     assert!(body.contains("\npm_subscribers 0\n"), "subscribers gauge");
 }
 
+/// The `pm_subscribers` gauge. A `METRICS` reply can outgrow a small
+/// outbox bound, so each probe uses a fresh connection: a reply is queued
+/// whole before its connection is evicted.
+fn subscribers_gauge(addr: SocketAddr) -> u64 {
+    let mut probe = Client::connect(addr);
+    let header = probe.ask("METRICS");
+    let len: usize = header
+        .strip_prefix("OK METRICS ")
+        .expect("metrics header")
+        .parse()
+        .unwrap();
+    let mut body = vec![0u8; len];
+    probe.reader.read_exact(&mut body).unwrap();
+    let body = String::from_utf8(body).unwrap();
+    body.lines()
+        .find_map(|line| line.strip_prefix("pm_subscribers "))
+        .expect("pm_subscribers gauge")
+        .parse()
+        .unwrap()
+}
+
+/// Applies signed deltas to a frontier, asserting each is a real change.
+fn apply_deltas(frontier: &mut BTreeSet<u64>, deltas: &[(bool, u64)]) {
+    for &(entered, object) in deltas {
+        if entered {
+            assert!(frontier.insert(object), "duplicate enter {object}");
+        } else {
+            assert!(frontier.remove(&object), "spurious leave {object}");
+        }
+    }
+}
+
+/// Fan-out over mixed wire modes with an eviction inside it: one user is
+/// watched from a text connection, a frame connection and a connection
+/// that never reads. Once the silent one is evicted with `ERR lagged`,
+/// the other two must still decode the same delta stream, and it must
+/// land on the user's `FRONTIER`.
+#[test]
+fn mixed_mode_subscribers_survive_an_eviction_mid_fan_out() {
+    let addr = spawn(
+        "baseline-sw:4",
+        1,
+        2,
+        ReactorConfig {
+            max_outbox: 64 << 10,
+            max_line: 16 << 20,
+        },
+    );
+    // Each INGEST puts ~1,000 events for user 0 (12-25 KB) into every
+    // subscriber's outbox in one dispatch; the readers drain theirs before
+    // the next, the silent one falls behind. One batch before subscribing
+    // makes the snapshots non-empty.
+    let row: Vec<String> = (0..1_000)
+        .map(|i| format!("{},{}", i % 5, (i + 2) % 5))
+        .collect();
+    let batch = format!("INGEST {}", row.join(";"));
+    let mut ctl = Client::connect(addr);
+    assert!(ctl.ask(&batch).starts_with("OK INGESTED 1000"));
+
+    let mut text = Client::connect(addr);
+    let reply = text.ask("SUBSCRIBE 0");
+    let snapshot = parse_objects(reply.strip_prefix("OK SUBSCRIBED 0 ").expect("subscribed"));
+
+    let mut frame = Client::connect(addr);
+    assert!(frame.ask("HELLO frame").starts_with("OK HELLO"));
+    send_frame(&mut frame.stream, "SUBSCRIBE 0");
+    let (kind, payload) = read_frame(&mut frame.reader);
+    assert_eq!(kind, 12, "Subscribed frame");
+    let count = u32::from_be_bytes(payload[4..8].try_into().unwrap()) as usize;
+    let frame_snapshot: BTreeSet<u64> = payload[8..]
+        .chunks(8)
+        .map(|id| u64::from_be_bytes(id.try_into().unwrap()))
+        .collect();
+    assert_eq!(frame_snapshot.len(), count);
+    assert!(!snapshot.is_empty());
+    assert_eq!(frame_snapshot, snapshot);
+
+    let mut silent = Client::connect(addr);
+    assert!(silent.ask("SUBSCRIBE 0").starts_with("OK SUBSCRIBED 0"));
+
+    let (mut text_deltas, mut frame_deltas) = (Vec::new(), Vec::new());
+    let mut evicted_at = None;
+    for round in 0..5_000 {
+        assert!(ctl.ask(&batch).starts_with("OK INGESTED 1000"));
+
+        text.send("HEALTH");
+        loop {
+            let line = text.read_line();
+            let Some(rest) = line.strip_prefix("EVENT 0 ") else {
+                assert!(line.starts_with("OK HEALTH"), "{line}");
+                break;
+            };
+            for delta in rest.split(',') {
+                let (sign, object) = delta.split_at(1);
+                text_deltas.push((sign == "+", object.parse::<u64>().unwrap()));
+            }
+        }
+
+        send_frame(&mut frame.stream, "HEALTH");
+        loop {
+            let (kind, payload) = read_frame(&mut frame.reader);
+            if kind == 10 {
+                break;
+            }
+            assert_eq!(kind, 15, "Event frame");
+            assert_eq!(&payload[..4], &0u32.to_be_bytes(), "user id");
+            let count = u32::from_be_bytes(payload[4..8].try_into().unwrap()) as usize;
+            assert_eq!(payload.len(), 8 + 9 * count);
+            for delta in payload[8..].chunks(9) {
+                let object = u64::from_be_bytes(delta[1..].try_into().unwrap());
+                frame_deltas.push((delta[0] == 1, object));
+            }
+        }
+
+        match evicted_at {
+            // Keep ingesting a while past the eviction.
+            Some(at) if round >= at + 5 => break,
+            None if round % 8 == 7 && subscribers_gauge(addr) == 2 => {
+                evicted_at = Some(round);
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        evicted_at.is_some(),
+        "the silent subscriber was never evicted"
+    );
+    assert!(!text_deltas.is_empty());
+    assert_eq!(text_deltas, frame_deltas, "text and frame streams differ");
+
+    let mut frontier = snapshot;
+    apply_deltas(&mut frontier, &text_deltas);
+    let reply = ctl.ask("FRONTIER 0");
+    let expected = parse_objects(reply.strip_prefix("OK FRONTIER 0 ").expect("frontier"));
+    assert_eq!(frontier, expected);
+
+    // The silent connection got a prefix of the event stream, then the
+    // terminal notice, then EOF.
+    let mut lagged = false;
+    loop {
+        let line = silent.read_line();
+        if line.is_empty() {
+            break;
+        }
+        if line == "ERR lagged" {
+            lagged = true;
+        } else {
+            assert!(!lagged, "no events after the terminal ERR");
+            assert!(line.starts_with("EVENT 0 "), "{line}");
+        }
+    }
+    assert!(lagged, "no terminal ERR lagged");
+}
+
 /// One reactor thread, not one thread per connection: thousands of idle
 /// subscribers must not grow the process' thread count.
 #[cfg(target_os = "linux")]
