@@ -752,6 +752,22 @@ impl Monitor {
     /// holds replays nothing. Backfilling reports no notifications; only
     /// genuine arrivals do.
     pub fn add_user(&mut self, preference: Preference) -> UserId {
+        let interned = self.base.interner.intern(&preference);
+        self.admit(interned)
+    }
+
+    /// [`Self::add_user`] for a preference another [`PreferenceInterner`]
+    /// already holds — a sharded engine's population interner: the
+    /// monitor adopts the handle's fingerprint, preference and compiled
+    /// form instead of hashing, copying and compiling its own.
+    pub fn add_user_interned(&mut self, shared: &Interned) -> UserId {
+        let interned = self.base.interner.adopt(shared);
+        self.admit(interned)
+    }
+
+    /// Registers the next user under an interned preference handle of this
+    /// monitor's interner.
+    fn admit(&mut self, interned: Interned) -> UserId {
         let twins = self.twins();
         let base = &mut self.base;
         let user = UserId::from(base.users.len());
@@ -759,8 +775,7 @@ impl Monitor {
         // point on no sweep may evict an object this preference's frontier
         // needs (objects evicted before a genuinely novel preference
         // arrived are the documented caveat — see `crate::history`).
-        base.alive.observe(&preference);
-        let interned = base.interner.intern(&preference);
+        base.alive.observe(&interned.preference);
         base.users.push(interned);
         match &mut self.layer {
             Layer::Unfiltered(groups) => base.join(groups, base.key(user, twins), user, true),
@@ -784,14 +799,31 @@ impl Monitor {
     /// # Panics
     /// Panics if `user` is out of range.
     pub fn update_user(&mut self, user: UserId, preference: Preference) {
+        // Intern the new preference before releasing the old handle so an
+        // update within the same distinct preference never recompiles.
+        let interned = self.base.interner.intern(&preference);
+        self.replace(user, interned);
+    }
+
+    /// [`Self::update_user`] for a preference another
+    /// [`PreferenceInterner`] already holds (see
+    /// [`Self::add_user_interned`]).
+    ///
+    /// # Panics
+    /// Panics if `user` is out of range.
+    pub fn update_user_interned(&mut self, user: UserId, shared: &Interned) {
+        let interned = self.base.interner.adopt(shared);
+        self.replace(user, interned);
+    }
+
+    /// Moves `user` onto an interned preference handle of this monitor's
+    /// interner.
+    fn replace(&mut self, user: UserId, interned: Interned) {
         let twins = self.twins();
         let base = &mut self.base;
         let idx = user.index();
         assert!(idx < base.users.len(), "user {user} out of range");
-        base.alive.observe(&preference);
-        // Intern the new preference before releasing the old handle so an
-        // update within the same distinct preference never recompiles.
-        let interned = base.interner.intern(&preference);
+        base.alive.observe(&interned.preference);
         match &mut self.layer {
             Layer::Unfiltered(groups) => {
                 if twins && interned.id == base.users[idx].id {

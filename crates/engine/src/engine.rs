@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use pm_core::{Arrival, FrontierDelta, MonitorState, MonitorStats};
 use pm_model::{Object, ObjectId, UserId};
 use pm_obs::WindowedRate;
-use pm_porder::{Preference, PreferenceInterner};
+use pm_porder::{Interned, Preference, PreferenceInterner};
 use pm_wal::{encode_ingest_batch, encode_register, encode_unregister, encode_update, Wal};
 
 use crate::backend::BackendSpec;
@@ -105,8 +105,10 @@ struct InternedPopulation {
 impl InternedPopulation {
     /// Acquires a slot for `preference` without binding it to a user yet;
     /// pair with [`Self::commit`] on success or [`Self::abort`] on failure.
-    fn acquire(&mut self, preference: &Preference) -> u32 {
-        self.interner.intern(preference).id
+    /// The owning shard adopts the returned handle, so the preference is
+    /// fingerprinted, compared and stored once per engine.
+    fn acquire(&mut self, preference: &Preference) -> Interned {
+        self.interner.intern(preference)
     }
 
     /// Binds an acquired slot to `user`, releasing any slot the user held
@@ -229,7 +231,7 @@ impl ShardedEngine {
         let num_users = preferences.len();
         let mut population = InternedPopulation::default();
         for (idx, preference) in preferences.iter().enumerate() {
-            let slot = population.acquire(preference);
+            let slot = population.acquire(preference).id;
             population.commit(UserId::from(idx), slot);
         }
         // Only compacting backends read the full preference list (to seed
@@ -393,7 +395,7 @@ impl ShardedEngine {
         &self,
         senders: &[SyncSender<ShardCmd>],
         owner: usize,
-        preference: &Preference,
+        preference: &Arc<Preference>,
     ) {
         if !self.broadcast_observes {
             return;
@@ -401,7 +403,7 @@ impl ShardedEngine {
         for (shard, sender) in senders.iter().enumerate() {
             if shard != owner {
                 let _ = sender.send(ShardCmd::Observe {
-                    preference: preference.clone(),
+                    preference: Arc::clone(preference),
                 });
             }
         }
@@ -430,16 +432,17 @@ impl ShardedEngine {
                 return Err(format!("user {} is already registered", user.raw()));
             }
             self.log_mutation(|| encode_register(user, &preference));
+            let handle = lock_recovering(&self.population).acquire(&preference);
+            slot = handle.id;
             // Non-owning shards only widen their compaction universe
             // (fire-and-forget; FIFO per shard keeps it ordered before any
             // later registration that might land there). Skipped entirely
             // when the monitors ignore observes.
-            self.broadcast_observe(&senders, shard, &preference);
-            slot = lock_recovering(&self.population).acquire(&preference);
+            self.broadcast_observe(&senders, shard, &handle.preference);
             if senders[shard]
                 .send(ShardCmd::AddUser {
                     user,
-                    preference,
+                    preference: handle,
                     reply: reply_tx,
                 })
                 .is_err()
@@ -532,14 +535,15 @@ impl ShardedEngine {
                 return Err(format!("user {} is not registered", user.raw()));
             }
             self.log_mutation(|| encode_update(user, &preference));
+            let handle = lock_recovering(&self.population).acquire(&preference);
+            slot = handle.id;
             // Every other shard's compaction universe learns the new
             // preference too (see `register`).
-            self.broadcast_observe(&senders, shard, &preference);
-            slot = lock_recovering(&self.population).acquire(&preference);
+            self.broadcast_observe(&senders, shard, &handle.preference);
             if senders[shard]
                 .send(ShardCmd::UpdateUser {
                     user,
-                    preference,
+                    preference: handle,
                     reply: reply_tx,
                 })
                 .is_err()

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use pm_core::Arrival;
 use pm_model::{AttrId, Object, ObjectId, UserId, ValueId};
-use pm_porder::{Preference, MAX_PREFERENCE_VALUE};
+use pm_porder::{Preference, Relation, MAX_PREFERENCE_VALUE, MAX_RELATION_VALUES};
 use pm_wal::{write_snapshot, EngineState, WalRecord};
 
 use crate::backend::BackendSpec;
@@ -366,9 +366,11 @@ impl EngineService {
 
     /// Validates wire-format preference rows against the schema arity, the
     /// value bound [`MAX_PREFERENCE_VALUE`] (compiled relations size a table
-    /// by the largest value id) and the strict-partial-order laws, building
-    /// the preference they denote. Shared by `REGISTER` and `UPDATE`, which
-    /// accept the same payload.
+    /// by the largest value id), the per-attribute bound
+    /// [`MAX_RELATION_VALUES`] (a closure holds one bit row per value) and
+    /// the strict-partial-order laws, building the preference they denote.
+    /// Both bounds are checked before any closure is built. Shared by
+    /// `REGISTER` and `UPDATE`, which accept the same payload.
     fn preference_from_rows(
         &self,
         rows: Vec<Vec<(ValueId, ValueId)>>,
@@ -387,17 +389,31 @@ impl EngineService {
                 value.raw()
             ));
         }
-        let mut preference = Preference::new(self.arity);
-        for (attr, row) in rows.into_iter().enumerate() {
-            let attr = AttrId::from(attr);
-            for (x, y) in row {
-                preference
-                    .relation_mut(attr)
-                    .insert(x, y)
-                    .map_err(|e| format!("non-canonical preference row for {attr}: {e}"))?;
+        for (attr, row) in rows.iter().enumerate() {
+            let mut values: Vec<ValueId> = row.iter().flat_map(|&(x, y)| [x, y]).collect();
+            values.sort_unstable();
+            values.dedup();
+            if values.len() > MAX_RELATION_VALUES {
+                return Err(format!(
+                    "preference row for {} names {} values, the maximum is {MAX_RELATION_VALUES}",
+                    AttrId::from(attr),
+                    values.len()
+                ));
             }
         }
-        Ok(preference)
+        let relations = rows
+            .into_iter()
+            .enumerate()
+            .map(|(attr, row)| {
+                Relation::from_pairs(row).map_err(|e| {
+                    format!(
+                        "non-canonical preference row for {}: {e}",
+                        AttrId::from(attr)
+                    )
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Preference::from_relations(relations))
     }
 
     /// Registers a user from wire-format preference rows: validates the row
@@ -637,15 +653,12 @@ fn preference_rows(preference: &Preference) -> String {
     let rows: Vec<String> = preference
         .relations()
         .map(|(_, relation)| {
-            let mut pairs: Vec<(u32, u32)> =
-                relation.pairs().map(|(x, y)| (x.raw(), y.raw())).collect();
-            if pairs.is_empty() {
+            if relation.is_empty() {
                 return "-".to_owned();
             }
-            pairs.sort_unstable();
-            pairs
-                .iter()
-                .map(|(x, y)| format!("{x}>{y}"))
+            relation
+                .pairs()
+                .map(|(x, y)| format!("{}>{}", x.raw(), y.raw()))
                 .collect::<Vec<_>>()
                 .join(",")
         })

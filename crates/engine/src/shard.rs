@@ -17,7 +17,7 @@ use std::time::Instant;
 use pm_core::{FrontierDelta, Monitor, MonitorState, MonitorStats};
 use pm_model::{Object, ObjectId, UserId};
 use pm_obs::LogHistogram;
-use pm_porder::Preference;
+use pm_porder::{Interned, Preference};
 
 /// Commands accepted by a shard worker.
 pub(crate) enum ShardCmd {
@@ -38,10 +38,11 @@ pub(crate) enum ShardCmd {
         reply: Sender<Vec<ObjectId>>,
     },
     /// Register a new user on this shard, backfilling its frontier from the
-    /// alive objects. Replies once the registration is visible.
+    /// alive objects. Replies once the registration is visible. The
+    /// preference arrives interned by the engine; the monitor adopts it.
     AddUser {
         user: UserId,
-        preference: Preference,
+        preference: Interned,
         reply: Sender<()>,
     },
     /// Unregister a user from this shard. Replies whether the user existed.
@@ -53,14 +54,15 @@ pub(crate) enum ShardCmd {
     /// history has to be able to backfill it exactly. Fire-and-forget —
     /// FIFO ordering against later commands is all that is required, and
     /// monitors without a compacting history ignore it.
-    Observe { preference: Preference },
+    Observe { preference: Arc<Preference> },
     /// Replace a registered user's preference in place, keeping its global
     /// and local ids (no swap-remove renumbering anywhere). The monitor
     /// repairs the user's frontier by replay and its cluster by diffing the
-    /// old and new relations. Replies whether the user existed.
+    /// old and new relations. Replies whether the user existed. The
+    /// preference arrives interned, as with [`ShardCmd::AddUser`].
     UpdateUser {
         user: UserId,
-        preference: Preference,
+        preference: Interned,
         reply: Sender<bool>,
     },
     /// Report the monitor's work counters.
@@ -196,7 +198,7 @@ impl ShardWorker {
                     reply,
                 } => {
                     debug_assert!(!local_of.contains_key(&user), "duplicate registration");
-                    let local = self.monitor.add_user(preference);
+                    let local = self.monitor.add_user_interned(&preference);
                     debug_assert_eq!(local.index(), self.global_users.len());
                     local_of.insert(user, local.index());
                     self.global_users.push(user);
@@ -209,7 +211,8 @@ impl ShardWorker {
                 } => {
                     let updated = match local_of.get(&user) {
                         Some(&local) => {
-                            self.monitor.update_user(UserId::from(local), preference);
+                            self.monitor
+                                .update_user_interned(UserId::from(local), &preference);
                             true
                         }
                         None => false,

@@ -1,12 +1,13 @@
 //! Bitset-compiled partial orders: the immutable, cache-friendly form the
 //! monitoring hot path runs on.
 //!
-//! [`Relation`] is the *build-time* representation: hash maps support
-//! incremental transitive-closure insertion while preferences are collected.
-//! Once a monitor is constructed, its preferences never change again, yet
-//! every arriving object pays `prefers(x, y)` many times over. Compiling a
-//! relation interns its values to dense indices and stores the transitive
-//! closure as a bit matrix — one fixed-width bit-row per value — so that
+//! [`Relation`] is the *build-time* representation: a growable bit-row
+//! closure over the values it mentions, with incremental transitive-closure
+//! insertion while preferences are collected. Once a monitor is
+//! constructed, its preferences never change again, yet every arriving
+//! object pays `prefers(x, y)` many times over. Compiling a relation copies
+//! its rows — optionally into a wider shared universe — and adds a lookup
+//! table indexed by raw value id, so that
 //!
 //! * `prefers(x, y)` is two array loads plus one shift-and-mask,
 //! * intersection (the common preference relation of Def. 4.1) is a
@@ -50,7 +51,7 @@ use std::sync::{Arc, OnceLock};
 use pm_model::{AttrId, Object, ValueId};
 
 use crate::preference::{Dominance, Preference};
-use crate::relation::Relation;
+use crate::relation::{set_bits, Relation};
 
 /// Sentinel for "value not in this relation's universe".
 const NONE: u32 = u32::MAX;
@@ -64,6 +65,16 @@ const NONE: u32 = u32::MAX;
 /// below 100. Object values are not bounded: a value outside a relation's
 /// universe maps to an outside code without any table growing.
 pub const MAX_PREFERENCE_VALUE: u32 = 1 << 20;
+
+/// The most distinct values one attribute relation of a preference a
+/// serving layer should accept.
+///
+/// A [`Relation`] and its compiled form hold one bit row per mentioned
+/// value, and the compiled class matrix two bits per ordered value pair, so
+/// their size grows with the square of this count: about 128 KiB of closure
+/// and 256 KiB of class matrix at this bound. The bundled movie and
+/// publication domains hold at most 80 values per attribute.
+pub const MAX_RELATION_VALUES: usize = 1024;
 
 /// Universes at least this large are candidates for the sparse row
 /// representation (below that, the dense matrix is at most a few KiB and
@@ -136,11 +147,10 @@ impl PartialEq for CompiledRelation {
 impl Eq for CompiledRelation {}
 
 impl CompiledRelation {
-    /// Compiles `relation` over exactly the values it mentions.
+    /// Compiles `relation` over exactly the values it mentions: its own
+    /// value table, whose rows are copied as they are.
     pub fn compile(relation: &Relation) -> Self {
-        let mut universe: Vec<ValueId> = relation.values().into_iter().collect();
-        universe.sort_unstable();
-        Self::compile_with_universe(relation, &universe)
+        Self::compile_with_universe(relation, relation.value_table())
     }
 
     /// Compiles `relation` over a caller-chosen `universe` (sorted,
@@ -165,73 +175,62 @@ impl CompiledRelation {
         }
         let n = universe.len();
         let words_per_row = n.div_ceil(64);
-        let dense = |v: ValueId| -> u32 {
-            match index_of.get(v.index()).copied() {
+        // Relation table position → universe index. Both tables ascend, so
+        // when they are equally long they are equal and rows copy as-is.
+        let slots: Vec<u32> = relation
+            .value_table()
+            .iter()
+            .map(|&v| match index_of.get(v.index()).copied() {
                 Some(slot) if slot != NONE => slot,
                 _ => panic!("universe does not cover value {v} of the relation"),
+            })
+            .collect();
+        let same_table = slots.len() == n;
+        let nonempty: Vec<usize> = (0..slots.len())
+            .filter(|&i| relation.row(i).iter().any(|&word| word != 0))
+            .collect();
+        // Writes row `i` of the relation into `row`, in universe indices.
+        let place = |i: usize, row: &mut [u64]| {
+            if same_table {
+                row.copy_from_slice(relation.row(i));
+            } else {
+                for j in set_bits(relation.row(i)) {
+                    let iy = slots[j] as usize;
+                    row[iy / 64] |= 1u64 << (iy % 64);
+                }
             }
         };
-        let mut pairs: Vec<(u32, u32)> = relation
-            .pairs()
-            .map(|(x, y)| (dense(x), dense(y)))
-            .collect();
-        let len = pairs.len();
-        pairs.sort_unstable();
-        // Group the (already sorted) tuples into per-source bit-rows.
-        let mut sparse_rows: Vec<(u32, Box<[u64]>)> = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let ix = pairs[i].0;
-            let mut row = vec![0u64; words_per_row];
-            while i < pairs.len() && pairs[i].0 == ix {
-                let iy = pairs[i].1 as usize;
-                row[iy / 64] |= 1u64 << (iy % 64);
-                i += 1;
-            }
-            sparse_rows.push((ix, row.into_boxed_slice()));
-        }
-        Self::with_rows(
-            index_of.into(),
-            universe.to_vec().into(),
-            words_per_row,
-            sparse_rows,
-            len,
-        )
-    }
-
-    /// Assembles a relation from its non-empty rows, picking the dense or
-    /// sparse representation: sparse only pays off when the universe is
-    /// large ([`SPARSE_MIN_UNIVERSE`]) and most rows are empty
-    /// ([`SPARSE_ROW_DIV`]).
-    fn with_rows(
-        index_of: Arc<[u32]>,
-        universe: Arc<[ValueId]>,
-        words_per_row: usize,
-        sparse_rows: Vec<(u32, Box<[u64]>)>,
-        len: usize,
-    ) -> Self {
-        debug_assert!(sparse_rows.windows(2).all(|w| w[0].0 < w[1].0));
-        let n = universe.len();
-        let rows = if n >= SPARSE_MIN_UNIVERSE && sparse_rows.len() * SPARSE_ROW_DIV <= n {
+        // Sparse only pays off when the universe is large
+        // (`SPARSE_MIN_UNIVERSE`) and most rows are empty (`SPARSE_ROW_DIV`).
+        let rows = if n >= SPARSE_MIN_UNIVERSE && nonempty.len() * SPARSE_ROW_DIV <= n {
+            let blank = || vec![0u64; words_per_row].into_boxed_slice();
+            let rows = nonempty
+                .iter()
+                .map(|&i| {
+                    let mut row = blank();
+                    place(i, &mut row);
+                    (slots[i], row)
+                })
+                .collect();
             Rows::Sparse {
-                rows: sparse_rows,
-                zeros: vec![0u64; words_per_row].into_boxed_slice(),
+                rows,
+                zeros: blank(),
             }
         } else {
             let mut bits = vec![0u64; n * words_per_row];
-            for (ix, row) in &sparse_rows {
-                let start = *ix as usize * words_per_row;
-                bits[start..start + words_per_row].copy_from_slice(row);
+            for &i in &nonempty {
+                let start = slots[i] as usize * words_per_row;
+                place(i, &mut bits[start..start + words_per_row]);
             }
             Rows::Dense(bits)
         };
         Self {
-            index_of,
-            universe,
+            index_of: index_of.into(),
+            universe: universe.to_vec().into(),
             words_per_row,
             rows,
             classes: OnceLock::new(),
-            len,
+            len: relation.len(),
         }
     }
 
@@ -247,13 +246,18 @@ impl CompiledRelation {
     /// shared universe share them, so sums over many relations are an upper
     /// bound.
     pub fn approx_bytes(&self) -> usize {
+        self.closure_bytes() + self.classes.get().map_or(0, |classes| classes.len() * 8)
+    }
+
+    /// [`Self::approx_bytes`] without the class matrix: what compiling
+    /// fixed, whether or not a scan has prepared the relation since.
+    pub fn closure_bytes(&self) -> usize {
         let tables = self.index_of.len() * 4 + self.universe.len() * 4;
         let rows = match &self.rows {
             Rows::Dense(bits) => bits.len() * 8,
             Rows::Sparse { rows, zeros } => (rows.len() + 1) * zeros.len() * 8 + rows.len() * 16,
         };
-        let classes = self.classes.get().map_or(0, |classes| classes.len() * 8);
-        std::mem::size_of::<Self>() + tables + rows + classes
+        std::mem::size_of::<Self>() + tables + rows
     }
 
     /// The dense index of `v`, if it belongs to the compiled universe.
@@ -510,23 +514,17 @@ impl CompiledRelation {
 
     /// Iterates over the set bit positions of row `ix`.
     fn iter_row(&self, ix: usize) -> impl Iterator<Item = usize> + '_ {
-        self.row(ix).iter().enumerate().flat_map(|(w, &word)| {
-            let mut word = word;
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    return None;
-                }
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                Some(w * 64 + bit)
-            })
-        })
+        set_bits(self.row(ix))
     }
 
-    /// Decompiles back to the hash-map [`Relation`] (for interop with the
-    /// build-time APIs; the pair set is already transitively closed).
+    /// Decompiles back to the build-time [`Relation`] (for interop with the
+    /// build-time APIs): the rows are copied and the universe values no
+    /// tuple mentions dropped.
     pub fn to_relation(&self) -> Relation {
-        Relation::from_closed_pairs(self.pairs().collect())
+        let rows = (0..self.universe.len())
+            .flat_map(|ix| self.row(ix).iter().copied())
+            .collect();
+        Relation::from_closed_rows(self.universe.to_vec(), self.words_per_row, rows)
     }
 
     /// The Hasse value weights of Sec. 5 (Eq. 4), indexed by dense index:
@@ -741,6 +739,17 @@ impl CompiledPreference {
                 .relations
                 .iter()
                 .map(CompiledRelation::approx_bytes)
+                .sum::<usize>()
+    }
+
+    /// [`Self::approx_bytes`] without the class matrices (see
+    /// [`CompiledRelation::closure_bytes`]).
+    pub fn closure_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self
+                .relations
+                .iter()
+                .map(CompiledRelation::closure_bytes)
                 .sum::<usize>()
     }
 

@@ -117,17 +117,14 @@ impl Preference {
     /// Covers the arity (trailing empty relations are semantically
     /// significant: [`Preference::compare`] treats differing values on an
     /// empty-relation attribute as incomparable) and, per attribute, the
-    /// sorted tuple list of the transitive closure with a length prefix.
+    /// ascending tuple list of the transitive closure with a length prefix.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = TwoLaneHasher::new();
         h.write(self.arity() as u64);
         for (_, relation) in self.relations() {
-            let mut pairs: Vec<(u32, u32)> =
-                relation.pairs().map(|(x, y)| (x.raw(), y.raw())).collect();
-            pairs.sort_unstable();
-            h.write(pairs.len() as u64);
-            for (x, y) in pairs {
-                h.write((u64::from(x) << 32) | u64::from(y));
+            h.write(relation.len() as u64);
+            for (x, y) in relation.pairs() {
+                h.write((u64::from(x.raw()) << 32) | u64::from(y.raw()));
             }
         }
         h.finish()
@@ -180,7 +177,31 @@ impl PreferenceInterner {
     /// Interns `preference`, compiling it only if no equal preference is
     /// already present, and bumps the slot's reference count.
     pub fn intern(&mut self, preference: &Preference) -> Interned {
-        let fingerprint = preference.fingerprint();
+        self.acquire(preference.fingerprint(), preference, || {
+            (Arc::new(preference.clone()), Arc::new(preference.compile()))
+        })
+    }
+
+    /// Interns the preference behind a handle another interner issued,
+    /// reusing its fingerprint and sharing its `Arc`s: nothing is hashed,
+    /// copied or compiled. Bumps the slot's reference count like
+    /// [`Self::intern`]; the returned handle carries this interner's slot
+    /// id.
+    pub fn adopt(&mut self, shared: &Interned) -> Interned {
+        self.acquire(shared.fingerprint, &shared.preference, || {
+            (shared.preference.clone(), shared.compiled.clone())
+        })
+    }
+
+    /// The slot of `preference` (whose fingerprint is `fingerprint`), made
+    /// from `make` when no equal preference is held yet.
+    fn acquire(
+        &mut self,
+        fingerprint: Fingerprint,
+        preference: &Preference,
+        make: impl FnOnce() -> (Arc<Preference>, Arc<CompiledPreference>),
+    ) -> Interned {
+        self.total += 1;
         if let Some(ids) = self.by_fp.get(&fingerprint) {
             for &id in ids {
                 let entry = self.entries[id as usize]
@@ -188,7 +209,6 @@ impl PreferenceInterner {
                     .expect("by_fp points at a live slot");
                 if entry.preference.as_ref() == preference {
                     entry.refs += 1;
-                    self.total += 1;
                     return Interned {
                         id,
                         fingerprint,
@@ -198,11 +218,10 @@ impl PreferenceInterner {
                 }
             }
         }
-        let preference_arc = Arc::new(preference.clone());
-        let compiled = Arc::new(preference.compile());
+        let (preference, compiled) = make();
         let entry = InternEntry {
             fingerprint,
-            preference: preference_arc.clone(),
+            preference: preference.clone(),
             compiled: compiled.clone(),
             refs: 1,
         };
@@ -217,11 +236,10 @@ impl PreferenceInterner {
             }
         };
         self.by_fp.entry(fingerprint).or_default().push(id);
-        self.total += 1;
         Interned {
             id,
             fingerprint,
-            preference: preference_arc,
+            preference,
             compiled,
         }
     }
@@ -266,12 +284,16 @@ impl PreferenceInterner {
     }
 
     /// Approximate heap bytes held by the distinct preferences (build-time
-    /// and compiled forms). Shared `Arc` copies cost nothing extra.
+    /// and compiled forms). Shared `Arc` copies cost nothing extra. The
+    /// class matrices a scan builds lazily are left out
+    /// ([`CompiledPreference::closure_bytes`]): interners share compiled
+    /// forms ([`Self::adopt`]), so counting them would make the figure
+    /// depend on which monitor has scanned with a preference yet.
     pub fn approx_bytes(&self) -> usize {
         self.entries
             .iter()
             .flatten()
-            .map(|e| e.preference.approx_bytes() + e.compiled.approx_bytes())
+            .map(|e| e.preference.approx_bytes() + e.compiled.closure_bytes())
             .sum()
     }
 

@@ -5,8 +5,9 @@
 //! of Sultana & Li (EDBT 2018).
 //!
 //! * [`Relation`] — a strict partial order `≻ᵈ_c` over one attribute's value
-//!   domain, stored as its transitive closure with incremental-closure
-//!   insertion and validation of irreflexivity / asymmetry / transitivity.
+//!   domain, stored as its transitive closure in bit rows over the values it
+//!   mentions, with incremental-closure insertion and validation of
+//!   irreflexivity / asymmetry / transitivity.
 //! * [`CompiledRelation`] / [`CompiledPreference`] — the immutable bitset
 //!   form the monitoring hot path runs on: values interned to dense indices,
 //!   the closure as one bit-row per value, `prefers` a single shift+mask and
@@ -38,7 +39,9 @@ pub mod preference;
 pub mod relation;
 pub mod union;
 
-pub use compiled::{CompiledPreference, CompiledRelation, Prepared, MAX_PREFERENCE_VALUE};
+pub use compiled::{
+    CompiledPreference, CompiledRelation, Prepared, MAX_PREFERENCE_VALUE, MAX_RELATION_VALUES,
+};
 pub use fingerprint::{Fingerprint, Interned, PreferenceInterner};
 pub use frontier::naive_pareto_frontier;
 pub use hasse::HasseDiagram;

@@ -100,10 +100,12 @@ impl Preference {
         self.relations.iter().map(Relation::len).sum()
     }
 
-    /// Approximate heap bytes of the build-time hash-map form (see
+    /// Approximate heap bytes of the build-time bit-row form: the relation
+    /// vector plus each relation's value table and rows (see
     /// [`Relation::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
+            + self.relations.len() * std::mem::size_of::<Relation>()
             + self
                 .relations
                 .iter()

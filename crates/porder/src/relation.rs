@@ -2,11 +2,13 @@
 //!
 //! A [`Relation`] materialises the *transitive closure* of a preference
 //! relation `≻ᵈ_c` (Def. 3.1): the set of preference tuples `(x, y)`
-//! meaning "x is preferred to y". Storing the closure makes `prefers(x, y)`
-//! O(1) and makes intersection of relations (common preference relations,
-//! Def. 4.1) a straightforward filter. This is the *mutable, build-time*
+//! meaning "x is preferred to y". The closure is held as one bit row per
+//! mentioned value, so `prefers(x, y)` is a bit test, inserting a tuple ORs
+//! rows, and intersecting relations (common preference relations,
+//! Def. 4.1) keeps the bits both hold. This is the *mutable, build-time*
 //! representation; hot paths compile it to a
-//! [`CompiledRelation`](crate::CompiledRelation) bit matrix.
+//! [`CompiledRelation`](crate::CompiledRelation), which adds a lookup table
+//! indexed by raw value id and the class matrix of the prepared kernel.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -41,16 +43,25 @@ impl std::error::Error for RelationError {}
 
 /// A strict partial order over [`ValueId`]s, stored as its transitive closure.
 ///
-/// The closure is held only as the successor/predecessor adjacency maps; the
-/// tuple `(x, y)` is present iff `y ∈ successors[x]`, so no separate pair
-/// set is materialised (it would triple-store every tuple).
+/// The closure is a bit matrix over the relation's own value table: the
+/// values some tuple mentions, ascending, where `values[i]` owns row `i`
+/// and bit `i` of every row. Bit `j` of row `i` is set iff
+/// `values[i] ≻ values[j]`. This is the row layout of
+/// [`CompiledRelation`](crate::CompiledRelation), so compiling copies rows.
+///
+/// The form is canonical — the table holds exactly the mentioned values,
+/// rows are `⌈n/64⌉` words wide and the padding past `n` is zero — so
+/// equality is a plain comparison of the vectors and [`Self::pairs`] yields
+/// the tuples in ascending `(x, y)` order without sorting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Relation {
-    /// `successors[x]` = all `y` with `x ≻ y`. Entries are never empty.
-    successors: HashMap<ValueId, HashSet<ValueId>>,
-    /// `predecessors[y]` = all `x` with `x ≻ y`. Entries are never empty.
-    predecessors: HashMap<ValueId, HashSet<ValueId>>,
-    /// Number of preference tuples in the closure.
+    /// The values some tuple mentions, ascending by raw id.
+    values: Vec<ValueId>,
+    /// Width of a row in 64-bit words: `⌈values.len() / 64⌉`.
+    words: usize,
+    /// `values.len() * words` words, row-major.
+    rows: Vec<u64>,
+    /// Number of preference tuples (set bits).
     len: usize,
 }
 
@@ -60,37 +71,114 @@ impl Relation {
         Self::default()
     }
 
-    /// Builds a relation from explicit preference tuples, computing the
-    /// transitive closure as it goes.
+    /// Builds a relation from explicit preference tuples, computing their
+    /// transitive closure.
     ///
-    /// Returns an error if the tuples are reflexive or jointly cyclic.
+    /// Returns an error if the tuples are reflexive or jointly cyclic: the
+    /// error [`Self::insert`] returns on the first tuple that breaks the
+    /// order when the tuples are inserted one by one.
     pub fn from_pairs<I>(pairs: I) -> Result<Self, RelationError>
     where
         I: IntoIterator<Item = (ValueId, ValueId)>,
     {
-        let mut rel = Self::new();
-        for (x, y) in pairs {
-            rel.insert(x, y)?;
+        let pairs: Vec<(ValueId, ValueId)> = pairs.into_iter().collect();
+        let mut values: Vec<ValueId> = pairs.iter().flat_map(|&(x, y)| [x, y]).collect();
+        values.sort_unstable();
+        values.dedup();
+        let (n, words) = (values.len(), values.len().div_ceil(64));
+        let mut rel = Self {
+            rows: vec![0; n * words],
+            values,
+            words,
+            len: 0,
+        };
+        let at = |rel: &Self, v: ValueId| rel.index(v).expect("laid out");
+        // The edges as rows, closed by Warshall's algorithm: whoever
+        // prefers k also prefers everything k prefers.
+        for &(x, y) in &pairs {
+            let (ix, iy) = (at(&rel, x), at(&rel, y));
+            rel.rows[ix * words + iy / 64] |= 1 << (iy % 64);
         }
-        Ok(rel)
+        for k in 0..n {
+            let (k_word, k_mask) = (k / 64, 1u64 << (k % 64));
+            for i in 0..n {
+                if rel.rows[i * words + k_word] & k_mask != 0 {
+                    for w in 0..words {
+                        rel.rows[i * words + w] |= rel.rows[k * words + w];
+                    }
+                }
+            }
+        }
+        if (0..n).all(|i| !rel.bit(i, i)) {
+            rel.len = rel.rows.iter().map(|w| w.count_ones() as usize).sum();
+            return Ok(rel);
+        }
+        // A reflexive pair or a cycle: insert one pair at a time to find the
+        // first one that breaks the order.
+        rel.rows.fill(0);
+        for (x, y) in pairs {
+            let (ix, iy) = (at(&rel, x), at(&rel, y));
+            rel.insert_at(x, y, ix, iy)?;
+        }
+        unreachable!("a cyclic edge set fails to insert")
     }
 
-    /// Builds a relation from pairs that are already known to form a
-    /// transitively closed strict partial order (e.g. the intersection of
-    /// two closed relations). No closure computation is performed.
+    /// Builds a relation from a sorted, duplicate-free value table and
+    /// transitively closed rows over it (`words` words each), dropping the
+    /// values no tuple mentions. No closure computation is performed.
     ///
-    /// This is an internal fast path; debug builds verify the input.
-    pub(crate) fn from_closed_pairs(pairs: HashSet<(ValueId, ValueId)>) -> Self {
-        let mut successors: HashMap<ValueId, HashSet<ValueId>> = HashMap::new();
-        let mut predecessors: HashMap<ValueId, HashSet<ValueId>> = HashMap::new();
-        let len = pairs.len();
-        for (x, y) in pairs {
-            successors.entry(x).or_default().insert(y);
-            predecessors.entry(y).or_default().insert(x);
+    /// This is an internal fast path; debug builds verify the result.
+    pub(crate) fn from_closed_rows(values: Vec<ValueId>, words: usize, rows: Vec<u64>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "values sorted");
+        debug_assert_eq!(rows.len(), values.len() * words);
+        if values.is_empty() {
+            return Self::new();
+        }
+        // A value is mentioned when its row or its column holds a bit.
+        let mut mentioned = vec![0u64; words];
+        for row in rows.chunks_exact(words) {
+            for (m, word) in mentioned.iter_mut().zip(row) {
+                *m |= word;
+            }
+        }
+        for (i, row) in rows.chunks_exact(words).enumerate() {
+            if row.iter().any(|&word| word != 0) {
+                mentioned[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let len = rows.iter().map(|w| w.count_ones() as usize).sum();
+        let kept: usize = mentioned.iter().map(|w| w.count_ones() as usize).sum();
+        if kept == values.len() {
+            let rel = Self {
+                values,
+                words,
+                rows,
+                len,
+            };
+            debug_assert!(rel.validate().is_ok());
+            return rel;
+        }
+        // Renumber the mentioned values densely and move their bits over.
+        let mut rank = vec![usize::MAX; values.len()];
+        let mut kept_values = Vec::with_capacity(kept);
+        for (i, &v) in values.iter().enumerate() {
+            if (mentioned[i / 64] >> (i % 64)) & 1 == 1 {
+                rank[i] = kept_values.len();
+                kept_values.push(v);
+            }
+        }
+        let kept_words = kept.div_ceil(64);
+        let mut kept_rows = vec![0u64; kept * kept_words];
+        for (i, row) in rows.chunks_exact(words).enumerate() {
+            for j in set_bits(row) {
+                let (ri, rj) = (rank[i], rank[j]);
+                kept_rows[ri * kept_words + rj / 64] |= 1 << (rj % 64);
+            }
         }
         let rel = Self {
-            successors,
-            predecessors,
+            values: kept_values,
+            words: kept_words,
+            rows: kept_rows,
             len,
         };
         debug_assert!(rel.validate().is_ok());
@@ -105,25 +193,51 @@ impl Relation {
     /// statistics vector of `a` Pareto-dominates that of `b`. Such a
     /// dominance relation is automatically a strict partial order.
     pub fn from_dominance_stats(stats: &HashMap<ValueId, (f64, f64)>) -> Self {
-        let mut pairs = HashSet::new();
-        let entries: Vec<(ValueId, (f64, f64))> = stats.iter().map(|(&v, &s)| (v, s)).collect();
-        for (i, &(a, (ra, ma))) in entries.iter().enumerate() {
-            for &(b, (rb, mb)) in entries.iter().skip(i + 1) {
+        let mut entries: Vec<(ValueId, (f64, f64))> = stats.iter().map(|(&v, &s)| (v, s)).collect();
+        entries.sort_unstable_by_key(|&(v, _)| v);
+        let words = entries.len().div_ceil(64);
+        let mut rows = vec![0u64; entries.len() * words];
+        for (i, &(_, (ra, ma))) in entries.iter().enumerate() {
+            for (j, &(_, (rb, mb))) in entries.iter().enumerate() {
                 if (ra > rb && ma >= mb) || (ra >= rb && ma > mb) {
-                    pairs.insert((a, b));
-                } else if (rb > ra && mb >= ma) || (rb >= ra && mb > ma) {
-                    pairs.insert((b, a));
+                    rows[i * words + j / 64] |= 1 << (j % 64);
                 }
             }
         }
-        // 2-D dominance is transitive, so the pair set is already closed.
-        Self::from_closed_pairs(pairs)
+        // 2-D dominance is transitive, so the rows are already closed.
+        Self::from_closed_rows(entries.into_iter().map(|(v, _)| v).collect(), words, rows)
+    }
+
+    /// The position of `v` in the value table.
+    #[inline]
+    fn index(&self, v: ValueId) -> Option<usize> {
+        self.values.binary_search(&v).ok()
+    }
+
+    /// Whether `values[i] ≻ values[j]`.
+    #[inline]
+    fn bit(&self, i: usize, j: usize) -> bool {
+        (self.rows[i * self.words + j / 64] >> (j % 64)) & 1 == 1
+    }
+
+    /// The values some tuple mentions, ascending: the index space of
+    /// [`Self::row`].
+    pub(crate) fn value_table(&self) -> &[ValueId] {
+        &self.values
+    }
+
+    /// Row `i` of the closure: bit `j` set iff `values[i] ≻ values[j]`.
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..(i + 1) * self.words]
     }
 
     /// Whether `x ≻ y` holds.
     #[inline]
     pub fn prefers(&self, x: ValueId, y: ValueId) -> bool {
-        self.successors.get(&x).is_some_and(|s| s.contains(&y))
+        match (self.index(x), self.index(y)) {
+            (Some(ix), Some(iy)) => self.bit(ix, iy),
+            _ => false,
+        }
     }
 
     /// Whether the preference tuple `(x, y)` or its reverse is present.
@@ -142,39 +256,41 @@ impl Relation {
         self.len == 0
     }
 
-    /// Approximate heap bytes of the hash-map closure form. Each tuple
-    /// lives in both adjacency maps; hash-table overhead is estimated at
-    /// roughly 2x payload.
+    /// Approximate heap bytes of the bit-row closure: 4 bytes per value of
+    /// the table plus one `⌈n/64⌉`-word row per value, `n` values in all.
     pub fn approx_bytes(&self) -> usize {
-        let entries = self.successors.len() + self.predecessors.len();
-        self.len * 2 * 2 * std::mem::size_of::<ValueId>()
-            + entries * 2 * std::mem::size_of::<(ValueId, HashSet<ValueId>)>()
+        self.values.len() * std::mem::size_of::<ValueId>()
+            + self.rows.len() * std::mem::size_of::<u64>()
     }
 
-    /// Iterates over all preference tuples of the closure.
+    /// Iterates over all preference tuples of the closure, ascending by
+    /// `(x, y)`.
     pub fn pairs(&self) -> impl Iterator<Item = (ValueId, ValueId)> + '_ {
-        self.successors
-            .iter()
-            .flat_map(|(&x, ys)| ys.iter().map(move |&y| (x, y)))
+        (0..self.values.len())
+            .flat_map(move |i| set_bits(self.row(i)).map(move |j| (self.values[i], self.values[j])))
     }
 
     /// The set of values mentioned by at least one preference tuple.
     pub fn values(&self) -> HashSet<ValueId> {
-        self.successors
-            .keys()
-            .chain(self.predecessors.keys())
-            .copied()
-            .collect()
+        self.values.iter().copied().collect()
     }
 
-    /// All values preferred *by* `x` (its successors in the closure).
+    /// All values preferred *by* `x` (its successors in the closure),
+    /// ascending.
     pub fn successors(&self, x: ValueId) -> impl Iterator<Item = ValueId> + '_ {
-        self.successors.get(&x).into_iter().flatten().copied()
+        self.index(x)
+            .into_iter()
+            .flat_map(move |ix| set_bits(self.row(ix)).map(move |j| self.values[j]))
     }
 
-    /// All values preferred *over* `y` (its predecessors in the closure).
+    /// All values preferred *over* `y` (its predecessors in the closure),
+    /// ascending.
     pub fn predecessors(&self, y: ValueId) -> impl Iterator<Item = ValueId> + '_ {
-        self.predecessors.get(&y).into_iter().flatten().copied()
+        self.index(y).into_iter().flat_map(move |iy| {
+            (0..self.values.len())
+                .filter(move |&i| self.bit(i, iy))
+                .map(move |i| self.values[i])
+        })
     }
 
     /// Inserts the preference tuple `x ≻ y`, maintaining the transitive
@@ -190,17 +306,77 @@ impl Relation {
         if self.prefers(x, y) {
             return Ok(false);
         }
-        // Everything at or above x must now prefer everything at or below y.
-        let mut lefts: Vec<ValueId> = vec![x];
-        lefts.extend(self.predecessors(x));
-        let mut rights: Vec<ValueId> = vec![y];
-        rights.extend(self.successors(y));
-        for &a in &lefts {
-            for &b in &rights {
-                self.add_closed_pair(a, b);
+        self.intern(x);
+        self.intern(y);
+        let (ix, iy) = (self.index(x), self.index(y));
+        self.insert_at(x, y, ix.expect("interned"), iy.expect("interned"))
+    }
+
+    /// [`Self::insert`] of `x ≻ y` on table positions `ix` and `iy`.
+    fn insert_at(
+        &mut self,
+        x: ValueId,
+        y: ValueId,
+        ix: usize,
+        iy: usize,
+    ) -> Result<bool, RelationError> {
+        if ix == iy {
+            return Err(RelationError::Reflexive(x));
+        }
+        if self.bit(iy, ix) {
+            return Err(RelationError::AsymmetryViolation(x, y));
+        }
+        if self.bit(ix, iy) {
+            return Ok(false);
+        }
+        // Everything at or above x now prefers everything at or below y:
+        // every such row ORs in row y plus y itself. Row y is never one of
+        // them (y ≻ x would have been an asymmetry violation), so it can be
+        // read while the others are written.
+        let words = self.words;
+        let (x_word, x_mask) = (ix / 64, 1u64 << (ix % 64));
+        for a in 0..self.values.len() {
+            if a != ix && self.rows[a * words + x_word] & x_mask == 0 {
+                continue;
+            }
+            for w in 0..words {
+                let mut below = self.rows[iy * words + w];
+                if w == iy / 64 {
+                    below |= 1 << (iy % 64);
+                }
+                let word = &mut self.rows[a * words + w];
+                self.len += (below & !*word).count_ones() as usize;
+                *word |= below;
             }
         }
         Ok(true)
+    }
+
+    /// Adds `v` to the value table with an empty row and column, keeping
+    /// the table sorted, and returns its position.
+    fn intern(&mut self, v: ValueId) -> usize {
+        let at = match self.values.binary_search(&v) {
+            Ok(at) => return at,
+            Err(at) => at,
+        };
+        self.values.insert(at, v);
+        let words = self.values.len().div_ceil(64);
+        if words != self.words {
+            // One more word per row; the old rows keep their bits.
+            let old = std::mem::take(&mut self.rows);
+            self.rows.reserve(self.values.len() * words);
+            for row in old.chunks_exact(self.words.max(1)) {
+                self.rows.extend_from_slice(row);
+                self.rows.push(0);
+            }
+            self.words = words;
+        }
+        for row in self.rows.chunks_exact_mut(words) {
+            open_bit(row, at);
+        }
+        self.rows
+            .splice(at * words..at * words, std::iter::repeat(0).take(words));
+        at
     }
 
     /// Checks whether inserting `x ≻ y` would keep the relation a strict
@@ -209,11 +385,42 @@ impl Relation {
         x != y && !self.prefers(y, x)
     }
 
-    #[inline]
-    fn add_closed_pair(&mut self, x: ValueId, y: ValueId) {
-        if self.successors.entry(x).or_default().insert(y) {
-            self.predecessors.entry(y).or_default().insert(x);
-            self.len += 1;
+    /// The tuples `self` and `other` share, as rows over `self`'s value
+    /// table.
+    fn shared_rows(&self, other: &Relation) -> Vec<u64> {
+        // Position in `other`'s table of each of `self`'s values (a merge
+        // of the two sorted tables).
+        let mut theirs = vec![None; self.values.len()];
+        let (mut i, mut j) = (0, 0);
+        while i < self.values.len() && j < other.values.len() {
+            match self.values[i].cmp(&other.values[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    theirs[i] = Some(j);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        let mut rows = vec![0u64; self.rows.len()];
+        for (i, oi) in theirs.iter().enumerate() {
+            let Some(oi) = *oi else { continue };
+            for j in set_bits(self.row(i)) {
+                if theirs[j].is_some_and(|oj| other.bit(oi, oj)) {
+                    rows[i * self.words + j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+        rows
+    }
+
+    /// The smaller and the larger of two relations, by tuple count.
+    fn by_size<'a>(&'a self, other: &'a Relation) -> (&'a Relation, &'a Relation) {
+        if self.len() <= other.len() {
+            (self, other)
+        } else {
+            (other, self)
         }
     }
 
@@ -222,16 +429,9 @@ impl Relation {
     /// The intersection of strict partial orders is a strict partial order
     /// (Theorem 4.2), so no closure recomputation is needed.
     pub fn intersection(&self, other: &Relation) -> Relation {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let pairs: HashSet<(ValueId, ValueId)> = small
-            .pairs()
-            .filter(|&(x, y)| large.prefers(x, y))
-            .collect();
-        Relation::from_closed_pairs(pairs)
+        let (small, large) = self.by_size(other);
+        let rows = small.shared_rows(large);
+        Relation::from_closed_rows(small.values.clone(), small.words, rows)
     }
 
     /// Intersects many relations at once. Returns the empty relation if the
@@ -257,12 +457,12 @@ impl Relation {
     /// Size of the intersection with `other` (`simᵈ_i`, Eq. 2) without
     /// materialising it.
     pub fn intersection_size(&self, other: &Relation) -> usize {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small.pairs().filter(|&(x, y)| large.prefers(x, y)).count()
+        let (small, large) = self.by_size(other);
+        small
+            .shared_rows(large)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Size of the union with `other` (denominator of the Jaccard measure,
@@ -272,7 +472,7 @@ impl Relation {
     }
 
     /// Iterates over the tuples present in `self` but not in `other`
-    /// (`≻ᵈ_U1 − ≻ᵈ_U2` in Eq. 5).
+    /// (`≻ᵈ_U1 − ≻ᵈ_U2` in Eq. 5), ascending.
     pub fn difference<'a>(
         &'a self,
         other: &'a Relation,
@@ -304,9 +504,30 @@ impl Relation {
         Some(gain)
     }
 
-    /// Verifies irreflexivity, asymmetry and transitivity of the stored pair
-    /// set. Intended for tests and debug assertions.
+    /// Verifies irreflexivity, asymmetry and transitivity of the stored
+    /// closure, and that its form is canonical (sorted table of mentioned
+    /// values, zero padding, exact tuple count). Intended for tests and
+    /// debug assertions.
     pub fn validate(&self) -> Result<(), String> {
+        let n = self.values.len();
+        if !self.values.windows(2).all(|w| w[0] < w[1]) {
+            return Err("value table not strictly ascending".to_owned());
+        }
+        if self.words != n.div_ceil(64) || self.rows.len() != n * self.words {
+            return Err(format!("{n} values laid out in {} words", self.rows.len()));
+        }
+        let bits: usize = self.rows.iter().map(|w| w.count_ones() as usize).sum();
+        if bits != self.len {
+            return Err(format!("len {} but {bits} tuples", self.len));
+        }
+        for i in 0..n {
+            if set_bits(self.row(i)).any(|j| j >= n) {
+                return Err(format!("row {i} sets a bit past the table"));
+            }
+            if set_bits(self.row(i)).next().is_none() && !(0..n).any(|a| self.bit(a, i)) {
+                return Err(format!("value {} is in no tuple", self.values[i]));
+            }
+        }
         for (x, y) in self.pairs() {
             if x == y {
                 return Err(format!("reflexive pair ({x}, {y})"));
@@ -314,18 +535,40 @@ impl Relation {
             if self.prefers(y, x) {
                 return Err(format!("asymmetry violated for ({x}, {y})"));
             }
-        }
-        for (x, y) in self.pairs() {
-            if let Some(succ) = self.successors.get(&y) {
-                for &z in succ {
-                    if !self.prefers(x, z) {
-                        return Err(format!("transitivity violated: ({x},{y}),({y},{z})"));
-                    }
+            for z in self.successors(y) {
+                if !self.prefers(x, z) {
+                    return Err(format!("transitivity violated: ({x},{y}),({y},{z})"));
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The set bit positions of a bit row, ascending.
+pub(crate) fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            if word == 0 {
+                return None;
+            }
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some(w * 64 + bit)
+        })
+    })
+}
+
+/// Opens a zero bit at position `at` of a bit row: the bits at or above it
+/// move up by one. The row's top bit must be clear.
+fn open_bit(row: &mut [u64], at: usize) {
+    let (word, bit) = (at / 64, at % 64);
+    for w in (word + 1..row.len()).rev() {
+        row[w] = (row[w] << 1) | (row[w - 1] >> 63);
+    }
+    let low = (1u64 << bit) - 1;
+    row[word] = (row[word] & low) | ((row[word] & !low) << 1);
 }
 
 impl FromIterator<(ValueId, ValueId)> for Relation {
@@ -339,9 +582,7 @@ impl FromIterator<(ValueId, ValueId)> for Relation {
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut pairs: Vec<(ValueId, ValueId)> = self.pairs().collect();
-        pairs.sort();
-        let rendered: Vec<String> = pairs.iter().map(|(x, y)| format!("({x}≻{y})")).collect();
+        let rendered: Vec<String> = self.pairs().map(|(x, y)| format!("({x}≻{y})")).collect();
         write!(f, "{{{}}}", rendered.join(", "))
     }
 }

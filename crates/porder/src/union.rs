@@ -160,18 +160,14 @@ impl RelationUnion {
     }
 }
 
-/// Per-attribute sorted tuple lists — the structural identity of a
+/// Per-attribute ascending tuple lists — the structural identity of a
 /// preference, used to deduplicate universe members.
 type Fingerprint = Vec<Vec<(u32, u32)>>;
 
 fn fingerprint(preference: &Preference) -> Fingerprint {
     preference
         .relations()
-        .map(|(_, rel)| {
-            let mut pairs: Vec<(u32, u32)> = rel.pairs().map(|(x, y)| (x.raw(), y.raw())).collect();
-            pairs.sort_unstable();
-            pairs
-        })
+        .map(|(_, rel)| rel.pairs().map(|(x, y)| (x.raw(), y.raw())).collect())
         .collect()
 }
 

@@ -12,7 +12,7 @@ use std::fmt;
 
 use pm_core::{HistoryState, MonitorState};
 use pm_model::{Object, ObjectId, UserId, ValueId};
-use pm_porder::{Fingerprint, Preference};
+use pm_porder::{Fingerprint, Preference, Relation};
 
 /// One logged engine mutation. The serving path's only mutations are
 /// object ingest and user churn — `EXPIRE` is a read-only wire verb
@@ -114,12 +114,13 @@ impl Enc {
             self.u32(v.raw());
         }
     }
+    /// The closure's tuples per attribute, ascending, so equal preferences
+    /// encode to equal bytes.
     fn preference(&mut self, p: &Preference) {
         self.usize(p.arity());
         for (_, relation) in p.relations() {
-            let pairs: Vec<_> = relation.pairs().collect();
-            self.usize(pairs.len());
-            for (x, y) in pairs {
+            self.usize(relation.len());
+            for (x, y) in relation.pairs() {
                 self.u32(x.raw());
                 self.u32(y.raw());
             }
@@ -182,21 +183,21 @@ impl<'a> Dec<'a> {
     }
     fn preference(&mut self) -> Result<Preference, DecodeError> {
         let arity = self.len_of(8)?;
-        let mut p = Preference::new(arity);
-        for attr in 0..arity {
-            let pairs = self.len_of(8)?;
-            for _ in 0..pairs {
-                let x = ValueId::new(self.u32()?);
-                let y = ValueId::new(self.u32()?);
-                // Pairs of a transitively closed strict order re-insert
-                // cleanly in any order; an error means the payload was
-                // not produced by our encoder.
-                p.relation_mut(pm_model::AttrId::from(attr))
-                    .insert(x, y)
-                    .map_err(|e| DecodeError::BadPreference(e.to_string()))?;
+        let mut relations = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            let n = self.len_of(8)?;
+            let mut pairs = Vec::with_capacity(n);
+            for _ in 0..n {
+                pairs.push((ValueId::new(self.u32()?), ValueId::new(self.u32()?)));
             }
+            // Pairs of a transitively closed strict order re-insert
+            // cleanly in any order; an error means the payload was not
+            // produced by our encoder.
+            let relation = Relation::from_pairs(pairs)
+                .map_err(|e| DecodeError::BadPreference(e.to_string()))?;
+            relations.push(relation);
         }
-        Ok(p)
+        Ok(Preference::from_relations(relations))
     }
     fn finish(self) -> Result<(), DecodeError> {
         let rest = self.buf.len() - self.pos;
@@ -654,6 +655,49 @@ mod tests {
         let mut bytes = vec![super::TAG_INGEST];
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(WalRecord::decode(&bytes), Err(DecodeError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn equal_preferences_encode_to_equal_bytes() {
+        // One preference over 100 values per attribute (two-word rows),
+        // reached by three insertion orders: cover edges forward, cover
+        // edges backward, and the whole closure in a scrambled order.
+        let edges: Vec<(u32, u32)> = (0..99u32)
+            .flat_map(|x| [(x, x + 1), (x, (x * 7 + 3) % 100)])
+            .filter(|&(x, y)| y > x)
+            .collect();
+        let build = |order: &mut dyn Iterator<Item = (u32, u32)>| {
+            let pairs: Vec<(ValueId, ValueId)> = order
+                .map(|(x, y)| (ValueId::new(x), ValueId::new(y)))
+                .collect();
+            let relation = Relation::from_pairs(pairs.iter().copied()).unwrap();
+            let mut stepwise = Relation::new();
+            for &(x, y) in pairs.iter().rev() {
+                stepwise.insert(x, y).unwrap();
+            }
+            assert_eq!(relation, stepwise);
+            Preference::from_relations(vec![relation, Relation::new(), stepwise])
+        };
+        let forward = build(&mut edges.iter().copied());
+        let backward = build(&mut edges.iter().rev().copied());
+        let closure: Vec<(u32, u32)> = forward
+            .relation(AttrId::new(0))
+            .pairs()
+            .map(|(x, y)| (x.raw(), y.raw()))
+            .collect();
+        let mut scrambled: Vec<(u32, u32)> = closure.clone();
+        scrambled.sort_unstable_by_key(|&(x, y)| (x * 31 + y * 17) % 101);
+        let from_closure = build(&mut scrambled.into_iter());
+        assert_eq!(forward, backward);
+        assert_eq!(forward, from_closure);
+        let bytes = encode_register(UserId::new(0), &forward);
+        assert_eq!(bytes, encode_register(UserId::new(0), &backward));
+        assert_eq!(bytes, encode_register(UserId::new(0), &from_closure));
+        match WalRecord::decode(&bytes).unwrap() {
+            WalRecord::Register { preference, .. } => assert_eq!(preference, forward),
+            other => panic!("decoded {other:?}"),
+        }
+        assert_eq!(encode_update(UserId::new(0), &forward)[1..], bytes[1..]);
     }
 
     fn rich_state() -> EngineState {

@@ -440,6 +440,48 @@ fn preference_values_above_the_bound_are_refused() {
         .starts_with("OK FRONTIER 900"));
 }
 
+/// A closure holds one bit row per value of its relation, so a REGISTER
+/// line of 40,000 disjoint pairs (469 KB, far below the line limit) would
+/// ask for gigabytes, and the class matrix the next INGEST builds for more:
+/// REGISTER and UPDATE refuse a row naming more than `MAX_RELATION_VALUES`
+/// distinct values before any closure is built, and a row at the bound
+/// registers.
+#[test]
+fn preference_rows_over_the_value_bound_are_refused() {
+    let svc = movie_service("ftv:0.4");
+    let disjoint = |pairs: u32| -> String {
+        let tuples: Vec<String> = (0..pairs)
+            .map(|i| format!("{}>{}", 2 * i, 2 * i + 1))
+            .collect();
+        tuples.join(",")
+    };
+    let wide = disjoint(40_000);
+    assert!(wide.len() > 400_000);
+    let half = pm_porder::MAX_RELATION_VALUES as u32 / 2;
+    for line in [
+        format!("REGISTER 900 -;{wide};-;-"),
+        format!("UPDATE 3 {wide};-;-;-"),
+        format!("REGISTER 900 {};-;-;-", disjoint(half + 1)),
+    ] {
+        let response = svc.respond_line(&line);
+        assert!(
+            response.starts_with("ERR preference row for"),
+            "{} -> {response}",
+            &line[..40]
+        );
+    }
+    assert!(svc.respond_line("HEALTH").starts_with("OK HEALTH"));
+    assert!(svc
+        .respond_line(&format!("REGISTER 900 {};-;-;-", disjoint(half)))
+        .starts_with("OK REGISTERED 900"));
+    assert!(svc
+        .respond_line("INGEST 0,1,2,3")
+        .starts_with("OK INGESTED 1"));
+    assert!(svc
+        .respond_line("FRONTIER 900")
+        .starts_with("OK FRONTIER 900"));
+}
+
 #[test]
 fn register_churn_over_tcp_survives_and_is_observable() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
