@@ -1,15 +1,15 @@
 //! Component microbenchmarks (not in the paper): transitive-closure
-//! insertion, Hasse-diagram construction, similarity measures, dominance
-//! checks and approximate-relation construction.
+//! insertion, Hasse-diagram construction, the compiled similarity measures,
+//! dominance checks and approximate-relation construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pm_bench::setup::generate_dataset;
 use pm_bench::Scale;
-use pm_cluster::{approx_common_relation, ApproxConfig, ExactMeasure, SimilarityMeasure};
+use pm_cluster::{approx_common_relation, ApproxConfig, ExactMeasure};
 use pm_datagen::DatasetProfile;
 use pm_model::{AttrId, ValueId};
-use pm_porder::{HasseDiagram, Relation};
+use pm_porder::{CompiledRelation, HasseDiagram, Relation};
 
 fn chain_relation(n: u32) -> Relation {
     Relation::from_pairs((0..n - 1).map(|i| (ValueId::new(i), ValueId::new(i + 1)))).unwrap()
@@ -37,13 +37,41 @@ fn bench_similarity_and_dominance(c: &mut Criterion) {
     let dataset = generate_dataset(&DatasetProfile::movie(), &scale);
     let a = &dataset.preferences[0];
     let b2 = &dataset.preferences[1];
+    // Both preferences compiled over the population's per-attribute value
+    // universes, each relation with its Hasse weights: the form the
+    // clustering loop measures.
+    let compiled: Vec<Vec<(CompiledRelation, Vec<f64>)>> = [a, b2]
+        .iter()
+        .map(|pref| {
+            pref.relations()
+                .map(|(attr, rel)| {
+                    let mut universe: Vec<ValueId> = dataset
+                        .preferences
+                        .iter()
+                        .flat_map(|p| p.relation(attr).values().iter().copied())
+                        .collect();
+                    universe.sort_unstable();
+                    universe.dedup();
+                    let compiled = CompiledRelation::compile_with_universe(rel, &universe);
+                    let weights = compiled.value_weights();
+                    (compiled, weights)
+                })
+                .collect()
+        })
+        .collect();
     let mut group = c.benchmark_group("micro_similarity");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     for measure in ExactMeasure::ALL {
         group.bench_function(measure.name(), |bench| {
-            bench.iter(|| measure.similarity(a, b2))
+            bench.iter(|| {
+                compiled[0]
+                    .iter()
+                    .zip(&compiled[1])
+                    .map(|((ca, wa), (cb, wb))| measure.compiled_attr_similarity(ca, wa, cb, wb))
+                    .sum::<f64>()
+            })
         });
     }
     group.bench_function("dominance_compare", |bench| {

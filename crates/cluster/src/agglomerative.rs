@@ -15,15 +15,18 @@
 //!   universe per attribute: similarities are AND + popcount over bit-rows
 //!   and a merge narrows the keeper's common relation by a word-wise AND in
 //!   place ([`pm_porder::CompiledRelation::intersect_assign`]). The Hasse
-//!   value weights are computed only under the two weighted measures, which
-//!   alone read them.
+//!   value weights ([`pm_porder::CompiledRelation::value_weights`], the one
+//!   Hasse reduction of `pm_porder`) are computed only under the two
+//!   weighted measures, which alone read them.
 //! * **Approximate** ([`ApproxMeasure`]) — cluster similarity is computed on
 //!   per-cluster frequency vectors (Sec. 6.3); merging adds the vectors.
+//!   The vectors are pair-sorted, so a run's merges and their similarities
+//!   are the same on every run.
 //!   The merged cluster's exact common relation is still materialised for
 //!   the output, while the *approximate* common relation (Alg. 3) is built
 //!   later by [`crate::approx::approx_common_preference`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use pm_model::{AttrId, UserId, ValueId};
 use pm_porder::{CompiledRelation, Fingerprint, Preference, Relation};
@@ -122,18 +125,14 @@ impl ClusteringOutcome {
 /// The sorted value universe of every attribute across all users, so that
 /// all clusters' compiled relations of one attribute share an index space.
 pub(crate) fn attribute_universes(preferences: &[Preference], arity: usize) -> Vec<Vec<ValueId>> {
-    let mut sets: Vec<HashSet<ValueId>> = vec![HashSet::new(); arity];
+    let mut sets: Vec<BTreeSet<ValueId>> = vec![BTreeSet::new(); arity];
     for pref in preferences {
         for (attr, rel) in pref.relations() {
             sets[attr.index()].extend(rel.values());
         }
     }
     sets.into_iter()
-        .map(|set| {
-            let mut universe: Vec<ValueId> = set.into_iter().collect();
-            universe.sort_unstable();
-            universe
-        })
+        .map(|set| set.into_iter().collect())
         .collect()
 }
 
@@ -439,6 +438,7 @@ mod tests {
     use super::*;
     use pm_model::ValueId;
     use pm_porder::Relation;
+    use std::collections::HashSet;
 
     fn v(i: u32) -> ValueId {
         ValueId::new(i)

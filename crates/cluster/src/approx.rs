@@ -117,6 +117,13 @@ mod tests {
         Relation::from_pairs(pairs.iter().map(|&(x, y)| (v(x), v(y)))).unwrap()
     }
 
+    /// The common relation of `users` (Def. 4.1).
+    fn common_of(users: &[Relation]) -> Relation {
+        users[1..]
+            .iter()
+            .fold(users[0].clone(), |acc, r| acc.intersection(r))
+    }
+
     /// The three users of Figure 1a / Example 6.2.
     /// Encoding chosen so the deterministic tie-break reproduces the
     /// paper's enumeration order: Apple=0, Lenovo=1, Toshiba=2, Samsung=3.
@@ -178,7 +185,7 @@ mod tests {
     #[test]
     fn approx_relation_is_superset_of_common_relation() {
         let users = figure1_users();
-        let common = Relation::intersection_of(users.iter());
+        let common = common_of(&users);
         for theta1 in [0, 1, 4, 100] {
             for theta2 in [0.0, 0.4, 0.7, 1.0] {
                 let approx =
@@ -197,7 +204,7 @@ mod tests {
     #[test]
     fn tight_thresholds_reduce_to_common_relation() {
         let users = figure1_users();
-        let common = Relation::intersection_of(users.iter());
+        let common = common_of(&users);
         // θ2 = 1.0 excludes every non-common tuple.
         let approx = approx_common_relation(users.iter(), ApproxConfig::new(100, 1.0));
         assert_eq!(
@@ -213,7 +220,7 @@ mod tests {
     fn loose_thresholds_grow_but_stay_partial_order() {
         let users = figure1_users();
         let approx = approx_common_relation(users.iter(), ApproxConfig::new(usize::MAX, 0.0));
-        assert!(approx.len() >= Relation::intersection_of(users.iter()).len());
+        assert!(approx.len() >= common_of(&users).len());
         approx.validate().unwrap();
         // Asymmetry: (S,L) and (L,S) cannot both be present.
         assert!(!(approx.prefers(v(3), v(1)) && approx.prefers(v(1), v(3))));

@@ -9,8 +9,13 @@
 //! contain `A_i` (weighted variant). Cluster similarity is then the
 //! generalised Jaccard similarity `Σ min / Σ max` of the two vectors,
 //! summed over attributes.
+//!
+//! Each attribute's vector is held ascending by pair — the order
+//! [`pm_porder::Relation::pairs`] yields — so merging two vectors and
+//! comparing them are linear merges that sum in one fixed order: the same
+//! clusters always give bit-identical similarities.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use pm_model::{AttrId, ValueId};
 use pm_porder::{HasseDiagram, Preference};
@@ -34,6 +39,10 @@ impl ApproxMeasure {
     }
 }
 
+/// One entry of an attribute's sparse vector: a pair and its sum over the
+/// members.
+type Entry = ((ValueId, ValueId), f64);
+
 /// Sparse per-attribute frequency vectors for a cluster of users.
 ///
 /// Internally stores *sums* over members plus the member count, so that two
@@ -42,30 +51,25 @@ impl ApproxMeasure {
 #[derive(Debug, Clone, Default)]
 pub struct FrequencyVectors {
     member_count: usize,
-    attrs: Vec<HashMap<(ValueId, ValueId), f64>>,
+    /// Per attribute, the non-zero entries ascending by pair.
+    attrs: Vec<Vec<Entry>>,
 }
 
 impl FrequencyVectors {
     /// Builds the vectors of a singleton cluster containing just `pref`.
     pub fn of_user(pref: &Preference, measure: ApproxMeasure) -> Self {
-        let mut attrs = Vec::with_capacity(pref.arity());
-        for (_, rel) in pref.relations() {
-            let mut map = HashMap::with_capacity(rel.len());
-            match measure {
-                ApproxMeasure::Jaccard => {
-                    for pair in rel.pairs() {
-                        map.insert(pair, 1.0);
-                    }
-                }
+        let attrs = pref
+            .relations()
+            .map(|(_, rel)| match measure {
+                ApproxMeasure::Jaccard => rel.pairs().map(|pair| (pair, 1.0)).collect(),
                 ApproxMeasure::WeightedJaccard => {
                     let hasse = HasseDiagram::of(rel);
-                    for (x, y) in rel.pairs() {
-                        map.insert((x, y), hasse.weight(x));
-                    }
+                    rel.pairs()
+                        .map(|(x, y)| ((x, y), hasse.weight(x)))
+                        .collect()
                 }
-            }
-            attrs.push(map);
-        }
+            })
+            .collect();
         Self {
             member_count: 1,
             attrs,
@@ -91,20 +95,22 @@ impl FrequencyVectors {
     /// Merges two clusters' vectors (sums add, member counts add).
     pub fn merge(&self, other: &FrequencyVectors) -> FrequencyVectors {
         let arity = self.attrs.len().max(other.attrs.len());
-        let mut attrs = Vec::with_capacity(arity);
-        for idx in 0..arity {
-            let mut map = self.attrs.get(idx).cloned().unwrap_or_default();
-            if let Some(other_map) = other.attrs.get(idx) {
-                for (&pair, &v) in other_map {
-                    *map.entry(pair).or_insert(0.0) += v;
-                }
-            }
-            attrs.push(map);
-        }
+        let attrs = (0..arity)
+            .map(|idx| {
+                zip_sorted(self.attr(idx), other.attr(idx))
+                    .map(|(pair, a, b)| (pair, a + b))
+                    .collect()
+            })
+            .collect();
         FrequencyVectors {
             member_count: self.member_count + other.member_count,
             attrs,
         }
+    }
+
+    /// Attribute `idx`'s entries, empty past the arity.
+    fn attr(&self, idx: usize) -> &[Entry] {
+        self.attrs.get(idx).map_or(&[], Vec::as_slice)
     }
 
     /// Number of member users summarised by these vectors.
@@ -122,36 +128,26 @@ impl FrequencyVectors {
         if self.member_count == 0 {
             return 0.0;
         }
-        self.attrs
-            .get(attr.index())
-            .and_then(|m| m.get(&pair))
-            .copied()
-            .unwrap_or(0.0)
+        let entries = self.attr(attr.index());
+        entries
+            .binary_search_by_key(&pair, |&(p, _)| p)
+            .map_or(0.0, |i| entries[i].1)
             / self.member_count as f64
     }
 
     /// Generalised Jaccard similarity of two clusters on one attribute:
     /// `Σ_i min(U(i), V(i)) / Σ_i max(U(i), V(i))`.
     pub fn attr_similarity(&self, other: &FrequencyVectors, attr: AttrId) -> f64 {
-        let empty = HashMap::new();
-        let a = self.attrs.get(attr.index()).unwrap_or(&empty);
-        let b = other.attrs.get(attr.index()).unwrap_or(&empty);
         let (na, nb) = (
             self.member_count.max(1) as f64,
             other.member_count.max(1) as f64,
         );
         let mut min_sum = 0.0;
         let mut max_sum = 0.0;
-        for (&pair, &sa) in a {
-            let fa = sa / na;
-            let fb = b.get(&pair).copied().unwrap_or(0.0) / nb;
+        for (_, sa, sb) in zip_sorted(self.attr(attr.index()), other.attr(attr.index())) {
+            let (fa, fb) = (sa / na, sb / nb);
             min_sum += fa.min(fb);
             max_sum += fa.max(fb);
-        }
-        for (&pair, &sb) in b {
-            if !a.contains_key(&pair) {
-                max_sum += sb / nb;
-            }
         }
         if max_sum == 0.0 {
             0.0
@@ -168,6 +164,37 @@ impl FrequencyVectors {
             .map(|i| self.attr_similarity(other, AttrId::from(i)))
             .sum()
     }
+}
+
+/// Walks two pair-sorted vectors in step, ascending by pair, yielding each
+/// pair with its sum on either side (0 on a side that lacks it).
+fn zip_sorted<'a>(
+    a: &'a [Entry],
+    b: &'a [Entry],
+) -> impl Iterator<Item = ((ValueId, ValueId), f64, f64)> + 'a {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((pa, _)), Some((pb, _))) => pa.cmp(pb),
+        };
+        Some(match order {
+            Ordering::Less => {
+                let &(pair, sa) = a.next()?;
+                (pair, sa, 0.0)
+            }
+            Ordering::Greater => {
+                let &(pair, sb) = b.next()?;
+                (pair, 0.0, sb)
+            }
+            Ordering::Equal => {
+                let (&(pair, sa), &(_, sb)) = (a.next()?, b.next()?);
+                (pair, sa, sb)
+            }
+        })
+    })
 }
 
 #[cfg(test)]

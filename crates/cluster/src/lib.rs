@@ -5,9 +5,9 @@
 //!
 //! * [`similarity`] — the four exact similarity measures between clusters'
 //!   common preference relations: intersection size, Jaccard, weighted
-//!   intersection size and weighted Jaccard (Eq. 1–5). Each comes in a
-//!   hash-map reference form and a `compiled_*` bit-row form (word-wise
-//!   AND + popcount) that the clustering loop runs on.
+//!   intersection size and weighted Jaccard (Eq. 1–5), each once, on
+//!   compiled bit-rows (word-wise AND + popcount) with the Hasse value
+//!   weights of `pm_porder`'s one reduction.
 //! * [`approx_similarity`] — the frequency-vector Jaccard and weighted
 //!   Jaccard measures used when clustering for approximate common
 //!   preference relations (Eq. 9–10).
@@ -36,4 +36,4 @@ pub use agglomerative::{cluster_users, Cluster, ClusteringConfig, ClusteringOutc
 pub use approx::{approx_common_preference, approx_common_relation, ApproxConfig};
 pub use approx_similarity::{ApproxMeasure, FrequencyVectors};
 pub use maintain::{Clustering, Placement, Removal, Update};
-pub use similarity::{ExactMeasure, SimilarityMeasure};
+pub use similarity::ExactMeasure;

@@ -308,8 +308,8 @@ impl Clustering {
             && pref.relations().all(|(attr, rel)| {
                 let universe = &self.universes[attr.index()];
                 rel.values()
-                    .into_iter()
-                    .all(|v| universe.binary_search(&v).is_ok())
+                    .iter()
+                    .all(|v| universe.binary_search(v).is_ok())
             });
         if covered {
             return;

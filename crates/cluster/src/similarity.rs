@@ -7,13 +7,15 @@
 //! weight is the inverse of (1 + its minimum distance from a maximal value
 //! on the cluster's Hasse diagram).
 //!
-//! Two implementations are provided: the original hash-map form on
-//! [`Relation`] (kept as the reference and for one-off comparisons), and the
-//! `compiled_*` functions on [`CompiledRelation`] bit-rows, where every
-//! measure reduces to word-wise AND / AND-NOT plus popcount. The clustering
-//! loop ([`crate::cluster_users`]) runs on the compiled form.
+//! The measures run on [`CompiledRelation`] bit-rows sharing one universe
+//! per attribute, where every measure reduces to word-wise AND / AND-NOT
+//! plus popcount, and the weights come from
+//! [`CompiledRelation::value_weights`]. This is their only implementation:
+//! the clustering loop ([`crate::cluster_users`]) and the incrementally
+//! maintained [`crate::Clustering`] both sum
+//! [`ExactMeasure::compiled_attr_similarity`] over attributes.
 
-use pm_porder::{CompiledRelation, HasseDiagram, Preference, Relation};
+use pm_porder::CompiledRelation;
 
 /// Which exact similarity measure to use (Sec. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,88 +56,6 @@ impl ExactMeasure {
             self,
             ExactMeasure::WeightedIntersectionSize | ExactMeasure::WeightedJaccard
         )
-    }
-}
-
-/// A similarity measure over per-attribute preference relations.
-pub trait SimilarityMeasure {
-    /// Similarity between two clusters' relations on one attribute.
-    fn attr_similarity(&self, a: &Relation, b: &Relation) -> f64;
-
-    /// Similarity between two clusters' full preferences: the sum of
-    /// per-attribute similarities (Eq. 1).
-    fn similarity(&self, a: &Preference, b: &Preference) -> f64 {
-        debug_assert_eq!(a.arity(), b.arity());
-        a.relations()
-            .zip(b.relations())
-            .map(|((_, ra), (_, rb))| self.attr_similarity(ra, rb))
-            .sum()
-    }
-}
-
-impl SimilarityMeasure for ExactMeasure {
-    fn attr_similarity(&self, a: &Relation, b: &Relation) -> f64 {
-        match self {
-            ExactMeasure::IntersectionSize => intersection_size(a, b),
-            ExactMeasure::Jaccard => jaccard(a, b),
-            ExactMeasure::WeightedIntersectionSize => weighted_intersection(a, b),
-            ExactMeasure::WeightedJaccard => weighted_jaccard(a, b),
-        }
-    }
-}
-
-/// `simᵈ_i(U1, U2) = |≻ᵈ_U1 ∩ ≻ᵈ_U2|` (Eq. 2).
-pub fn intersection_size(a: &Relation, b: &Relation) -> f64 {
-    a.intersection_size(b) as f64
-}
-
-/// `simᵈ_j(U1, U2) = |∩| / |∪|` (Eq. 3). Defined as 0 when both relations
-/// are empty.
-pub fn jaccard(a: &Relation, b: &Relation) -> f64 {
-    let union = a.union_size(b);
-    if union == 0 {
-        0.0
-    } else {
-        a.intersection_size(b) as f64 / union as f64
-    }
-}
-
-/// `simᵈ_wi(U1, U2)` (Eq. 4): for every common preference tuple `(v, v')`,
-/// add the average of `v`'s weights in the two clusters.
-pub fn weighted_intersection(a: &Relation, b: &Relation) -> f64 {
-    let ha = HasseDiagram::of(a);
-    let hb = HasseDiagram::of(b);
-    weighted_intersection_with(a, b, &ha, &hb)
-}
-
-fn weighted_intersection_with(
-    a: &Relation,
-    b: &Relation,
-    ha: &HasseDiagram,
-    hb: &HasseDiagram,
-) -> f64 {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small
-        .pairs()
-        .filter(|&(x, y)| large.prefers(x, y))
-        .map(|(v, _)| 0.5 * (ha.weight(v) + hb.weight(v)))
-        .sum()
-}
-
-/// `simᵈ_wj(U1, U2)` (Eq. 5): weighted intersection over weighted union,
-/// where tuples exclusive to one cluster contribute their better value's
-/// weight in that cluster alone.
-pub fn weighted_jaccard(a: &Relation, b: &Relation) -> f64 {
-    let ha = HasseDiagram::of(a);
-    let hb = HasseDiagram::of(b);
-    let wi = weighted_intersection_with(a, b, &ha, &hb);
-    let only_a: f64 = a.difference(b).map(|(v, _)| ha.weight(v)).sum();
-    let only_b: f64 = b.difference(a).map(|(v, _)| hb.weight(v)).sum();
-    let denom = wi + only_a + only_b;
-    if denom == 0.0 {
-        0.0
-    } else {
-        wi / denom
     }
 }
 
@@ -238,7 +158,9 @@ impl ExactMeasure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agglomerative::{attribute_universes, ExactState};
     use pm_model::ValueId;
+    use pm_porder::{Preference, Relation};
 
     fn v(i: u32) -> ValueId {
         ValueId::new(i)
@@ -261,33 +183,45 @@ mod tests {
         Relation::from_pairs([(v(1), v(0)), (v(0), v(2)), (v(1), v(3))]).unwrap()
     }
 
+    /// `m` between `a` and `b`, compiled over the shared brand universe.
+    fn sim(m: ExactMeasure, a: &Relation, b: &Relation) -> f64 {
+        let universe: Vec<ValueId> = (0..4).map(v).collect();
+        let ca = CompiledRelation::compile_with_universe(a, &universe);
+        let cb = CompiledRelation::compile_with_universe(b, &universe);
+        m.compiled_attr_similarity(&ca, &ca.value_weights(), &cb, &cb.value_weights())
+    }
+
     #[test]
     fn example_5_1_intersection_sizes() {
-        assert_eq!(intersection_size(&u1(), &u2()), 0.0);
-        assert_eq!(intersection_size(&u1(), &u3()), 2.0); // (Apple,Samsung), (Lenovo,Samsung)
-        assert_eq!(intersection_size(&u2(), &u3()), 2.0); // (Lenovo,Apple), (Lenovo,Toshiba)
+        let m = ExactMeasure::IntersectionSize;
+        assert_eq!(sim(m, &u1(), &u2()), 0.0);
+        assert_eq!(sim(m, &u1(), &u3()), 2.0); // (Apple,Samsung), (Lenovo,Samsung)
+        assert_eq!(sim(m, &u2(), &u3()), 2.0); // (Lenovo,Apple), (Lenovo,Toshiba)
     }
 
     #[test]
     fn example_5_2_jaccard() {
-        assert!((jaccard(&u1(), &u3()) - 2.0 / 6.0).abs() < 1e-12);
-        assert!((jaccard(&u2(), &u3()) - 2.0 / 7.0).abs() < 1e-12);
-        assert_eq!(jaccard(&u1(), &u2()), 0.0);
+        let m = ExactMeasure::Jaccard;
+        assert!((sim(m, &u1(), &u3()) - 2.0 / 6.0).abs() < 1e-12);
+        assert!((sim(m, &u2(), &u3()) - 2.0 / 7.0).abs() < 1e-12);
+        assert_eq!(sim(m, &u1(), &u2()), 0.0);
     }
 
     #[test]
     fn example_5_4_weighted_intersection() {
         // Both pairs' better values (Apple, Lenovo resp. Lenovo) average to 3/4,
         // giving 3/2 for both cluster pairs.
-        assert!((weighted_intersection(&u1(), &u3()) - 1.5).abs() < 1e-12);
-        assert!((weighted_intersection(&u2(), &u3()) - 1.5).abs() < 1e-12);
-        assert_eq!(weighted_intersection(&u1(), &u2()), 0.0);
+        let m = ExactMeasure::WeightedIntersectionSize;
+        assert!((sim(m, &u1(), &u3()) - 1.5).abs() < 1e-12);
+        assert!((sim(m, &u2(), &u3()) - 1.5).abs() < 1e-12);
+        assert_eq!(sim(m, &u1(), &u2()), 0.0);
     }
 
     #[test]
     fn example_5_5_weighted_jaccard_breaks_tie() {
-        let wj13 = weighted_jaccard(&u1(), &u3());
-        let wj23 = weighted_jaccard(&u2(), &u3());
+        let m = ExactMeasure::WeightedJaccard;
+        let wj13 = sim(m, &u1(), &u3());
+        let wj23 = sim(m, &u2(), &u3());
         assert!((wj13 - 3.0 / 11.0).abs() < 1e-12, "got {wj13}");
         assert!((wj23 - 3.0 / 12.0).abs() < 1e-12, "got {wj23}");
         assert!(wj13 > wj23);
@@ -296,8 +230,8 @@ mod tests {
     #[test]
     fn measures_are_symmetric() {
         for m in ExactMeasure::ALL {
-            let ab = m.attr_similarity(&u1(), &u3());
-            let ba = m.attr_similarity(&u3(), &u1());
+            let ab = sim(m, &u1(), &u3());
+            let ba = sim(m, &u3(), &u1());
             assert!((ab - ba).abs() < 1e-12, "{} not symmetric", m.name());
         }
     }
@@ -306,58 +240,31 @@ mod tests {
     fn empty_relations_have_zero_similarity() {
         let e = Relation::new();
         for m in ExactMeasure::ALL {
-            assert_eq!(m.attr_similarity(&e, &e), 0.0, "{}", m.name());
-            assert_eq!(m.attr_similarity(&e, &u1()), 0.0, "{}", m.name());
+            assert_eq!(sim(m, &e, &e), 0.0, "{}", m.name());
+            assert_eq!(sim(m, &e, &u1()), 0.0, "{}", m.name());
         }
     }
 
     #[test]
     fn self_similarity_jaccard_is_one() {
-        assert_eq!(jaccard(&u1(), &u1()), 1.0);
-        assert_eq!(weighted_jaccard(&u1(), &u1()), 1.0);
+        assert_eq!(sim(ExactMeasure::Jaccard, &u1(), &u1()), 1.0);
+        assert_eq!(sim(ExactMeasure::WeightedJaccard, &u1(), &u1()), 1.0);
     }
 
     #[test]
     fn preference_similarity_sums_over_attributes() {
-        use pm_porder::Preference;
         let p1 = Preference::from_relations(vec![u1(), u1()]);
         let p2 = Preference::from_relations(vec![u3(), u3()]);
-        let m = ExactMeasure::IntersectionSize;
-        assert_eq!(m.similarity(&p1, &p2), 4.0);
-    }
-
-    #[test]
-    fn compiled_measures_match_reference_on_table3() {
-        let rels = [u1(), u2(), u3()];
-        let mut universe: Vec<ValueId> = rels
-            .iter()
-            .flat_map(|r| r.values())
-            .collect::<std::collections::HashSet<_>>()
-            .into_iter()
-            .collect();
-        universe.sort_unstable();
-        let compiled: Vec<CompiledRelation> = rels
-            .iter()
-            .map(|r| CompiledRelation::compile_with_universe(r, &universe))
-            .collect();
-        let weights: Vec<Vec<f64>> = compiled.iter().map(|c| c.value_weights()).collect();
-        for i in 0..rels.len() {
-            for j in 0..rels.len() {
-                for m in ExactMeasure::ALL {
-                    let reference = m.attr_similarity(&rels[i], &rels[j]);
-                    let bitset = m.compiled_attr_similarity(
-                        &compiled[i],
-                        &weights[i],
-                        &compiled[j],
-                        &weights[j],
-                    );
-                    assert!(
-                        (reference - bitset).abs() < 1e-12,
-                        "{} mismatch on ({i}, {j}): {reference} vs {bitset}",
-                        m.name()
-                    );
-                }
-            }
+        let prefs = [p1, p2];
+        let universes = attribute_universes(&prefs, 2);
+        for (m, want) in [
+            (ExactMeasure::IntersectionSize, 4.0),
+            (ExactMeasure::WeightedIntersectionSize, 3.0),
+        ] {
+            let [a, b] = prefs
+                .each_ref()
+                .map(|p| ExactState::of_user(p, &universes, m));
+            assert!((a.similarity(&b, m) - want).abs() < 1e-12, "{}", m.name());
         }
     }
 

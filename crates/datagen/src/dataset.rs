@@ -362,7 +362,7 @@ mod tests {
         let b = &d.preferences[1];
         let mut shared = 0usize;
         for (attr, rel) in a.relations() {
-            shared += rel.intersection_size(b.relation(attr));
+            shared += rel.intersection(b.relation(attr)).len();
         }
         assert!(shared > 0, "archetype-mates must share preference tuples");
     }

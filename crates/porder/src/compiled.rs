@@ -45,11 +45,11 @@
 //! popcount path, a compaction universe's pairwise tests or an engine-level
 //! interner never pay for it.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 use pm_model::{AttrId, Object, ValueId};
 
+use crate::hasse::Reduction;
 use crate::preference::{Dominance, Preference};
 use crate::relation::{set_bits, Relation};
 
@@ -150,7 +150,7 @@ impl CompiledRelation {
     /// Compiles `relation` over exactly the values it mentions: its own
     /// value table, whose rows are copied as they are.
     pub fn compile(relation: &Relation) -> Self {
-        Self::compile_with_universe(relation, relation.value_table())
+        Self::compile_with_universe(relation, relation.values())
     }
 
     /// Compiles `relation` over a caller-chosen `universe` (sorted,
@@ -178,7 +178,7 @@ impl CompiledRelation {
         // Relation table position → universe index. Both tables ascend, so
         // when they are equally long they are equal and rows copy as-is.
         let slots: Vec<u32> = relation
-            .value_table()
+            .values()
             .iter()
             .map(|&v| match index_of.get(v.index()).copied() {
                 Some(slot) if slot != NONE => slot,
@@ -507,14 +507,8 @@ impl CompiledRelation {
     /// Iterates over all preference tuples of the closure.
     pub fn pairs(&self) -> impl Iterator<Item = (ValueId, ValueId)> + '_ {
         (0..self.universe.len()).flat_map(move |ix| {
-            self.iter_row(ix)
-                .map(move |iy| (self.universe[ix], self.universe[iy]))
+            set_bits(self.row(ix)).map(move |iy| (self.universe[ix], self.universe[iy]))
         })
-    }
-
-    /// Iterates over the set bit positions of row `ix`.
-    fn iter_row(&self, ix: usize) -> impl Iterator<Item = usize> + '_ {
-        set_bits(self.row(ix))
     }
 
     /// Decompiles back to the build-time [`Relation`] (for interop with the
@@ -528,60 +522,16 @@ impl CompiledRelation {
     }
 
     /// The Hasse value weights of Sec. 5 (Eq. 4), indexed by dense index:
-    /// `1 / (1 + min distance from a maximal value over the Hasse diagram)`.
+    /// `1 / (1 + min distance from a maximal value over the Hasse diagram)`,
+    /// from the same reduction [`crate::HasseDiagram`] runs.
     ///
     /// Values of the universe not mentioned by any tuple get weight 1,
     /// matching [`crate::HasseDiagram::weight`]'s convention that an
     /// unconstrained value is trivially maximal.
     pub fn value_weights(&self) -> Vec<f64> {
         let n = self.universe.len();
-        // Successor lists and predecessor counts from the bit matrix.
-        let succ: Vec<Vec<usize>> = (0..n).map(|ix| self.iter_row(ix).collect()).collect();
-        let mut pred_count = vec![0usize; n];
-        for ys in &succ {
-            for &y in ys {
-                pred_count[y] += 1;
-            }
-        }
-        // Cover (Hasse) edges: (x, y) with no z between them. The inner test
-        // is a single bit lookup per candidate intermediate.
-        let mut cover: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (x, ys) in succ.iter().enumerate() {
-            for &y in ys {
-                let is_cover = !ys.iter().any(|&z| z != y && self.bit(z, y));
-                if is_cover {
-                    cover[x].push(y);
-                }
-            }
-        }
-        // Multi-source BFS from the maximal (predecessor-free, mentioned)
-        // values, exactly as HasseDiagram::of does on the hash-map form.
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        for x in 0..n {
-            let mentioned = !succ[x].is_empty() || pred_count[x] > 0;
-            if mentioned && pred_count[x] == 0 {
-                dist[x] = 0;
-                queue.push_back(x);
-            }
-        }
-        while let Some(x) = queue.pop_front() {
-            for &y in &cover[x] {
-                if dist[y] == u32::MAX {
-                    dist[y] = dist[x] + 1;
-                    queue.push_back(y);
-                }
-            }
-        }
-        dist.into_iter()
-            .map(|d| {
-                if d == u32::MAX {
-                    1.0
-                } else {
-                    1.0 / (f64::from(d) + 1.0)
-                }
-            })
-            .collect()
+        let reduction = Reduction::of(n, |ix| self.row(ix));
+        (0..n).map(|ix| reduction.weight(ix)).collect()
     }
 }
 
@@ -939,14 +889,15 @@ mod tests {
     fn shared_universe_intersection_is_and_popcount() {
         let a = Relation::from_pairs([(v(1), v(0)), (v(2), v(0)), (v(3), v(0))]).unwrap();
         let b = Relation::from_pairs([(v(1), v(0)), (v(3), v(2)), (v(3), v(0))]).unwrap();
-        let (va, vb) = (a.values(), b.values());
-        let mut universe: Vec<ValueId> = va.union(&vb).copied().collect();
+        let mut universe: Vec<ValueId> = [a.values(), b.values()].concat();
         universe.sort_unstable();
+        universe.dedup();
         let ca = CompiledRelation::compile_with_universe(&a, &universe);
         let cb = CompiledRelation::compile_with_universe(&b, &universe);
-        assert_eq!(ca.intersection_size(&cb), a.intersection_size(&b));
-        assert_eq!(ca.union_size(&cb), a.union_size(&b));
-        assert_eq!(ca.intersect(&cb).to_relation(), a.intersection(&b));
+        let common = a.intersection(&b);
+        assert_eq!(ca.intersection_size(&cb), common.len());
+        assert_eq!(ca.union_size(&cb), a.len() + b.len() - common.len());
+        assert_eq!(ca.intersect(&cb).to_relation(), common);
     }
 
     #[test]
@@ -1027,10 +978,11 @@ mod tests {
         let ca = CompiledRelation::compile_with_universe(&a, &universe);
         let cb = CompiledRelation::compile_with_universe(&b, &universe);
         assert!(ca.is_sparse() && cb.is_sparse());
-        assert_eq!(ca.intersection_size(&cb), a.intersection_size(&b));
-        assert_eq!(cb.intersection_size(&ca), a.intersection_size(&b));
-        assert_eq!(ca.union_size(&cb), a.union_size(&b));
-        assert_eq!(ca.intersect(&cb).to_relation(), a.intersection(&b));
+        let common = a.intersection(&b);
+        assert_eq!(ca.intersection_size(&cb), common.len());
+        assert_eq!(cb.intersection_size(&ca), common.len());
+        assert_eq!(ca.union_size(&cb), a.len() + b.len() - common.len());
+        assert_eq!(ca.intersect(&cb).to_relation(), common);
     }
 
     #[test]

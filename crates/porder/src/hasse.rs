@@ -6,91 +6,138 @@
 //! shortest-path distance from `s` to `v` in the Hasse diagram. Example 5.4
 //! of the paper measures these distances on the Hasse diagram rather than on
 //! the transitive closure, which is why the reduction is materialised here.
-
-use std::collections::{HashMap, HashSet, VecDeque};
+//!
+//! One row-level reduction computes all of it, over any transitively closed
+//! bit matrix: [`HasseDiagram::of`] runs it over a [`Relation`]'s own value
+//! table, and [`CompiledRelation::value_weights`](crate::CompiledRelation::value_weights)
+//! over a compiled relation's (possibly wider) universe.
 
 use pm_model::ValueId;
 
-use crate::relation::Relation;
+use crate::relation::{set_bits, Relation};
+
+/// The Hasse structure of a transitively closed bit matrix over `n` values
+/// (bit `y` of row `x` set iff `x ≻ y`): the cover rows and each value's
+/// cover-edge depth from the maximal values. The one place cover edges and
+/// Hasse depths are computed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Reduction {
+    /// Width of a row in 64-bit words: `⌈n/64⌉`.
+    words: usize,
+    /// `n * words` words, row-major: bit `y` of row `x` set iff `x`
+    /// covers `y`, i.e. `x ≻ y` with no `z` such that `x ≻ z ≻ y`.
+    cover: Vec<u64>,
+    /// Cover-edge distance from the nearest maximal value, or `None` for a
+    /// value no tuple mentions.
+    depth: Vec<Option<u32>>,
+}
+
+impl Reduction {
+    /// Reduces the closed rows `row(0) .. row(n - 1)`, each `⌈n/64⌉` words.
+    pub(crate) fn of<'a>(n: usize, row: impl Fn(usize) -> &'a [u64]) -> Self {
+        let words = n.div_ceil(64);
+        // cover[x] = row(x) & !⋃_{z ∈ row(x)} row(z): what x prefers with
+        // nothing in between.
+        let mut cover = Vec::with_capacity(n * words);
+        let mut through = vec![0u64; words];
+        let mut beaten = vec![0u64; words];
+        for x in 0..n {
+            through.fill(0);
+            for z in set_bits(row(x)) {
+                or_into(&mut through, row(z));
+            }
+            cover.extend(row(x).iter().zip(&through).map(|(r, t)| r & !t));
+            or_into(&mut beaten, row(x));
+        }
+        // Layered BFS over the cover rows from the maximal values: the
+        // mentioned (non-empty row) values nothing is preferred to.
+        let mut depth = vec![None; n];
+        let mut layer: Vec<usize> = (0..n)
+            .filter(|&x| !has_bit(&beaten, x) && row(x).iter().any(|&word| word != 0))
+            .collect();
+        let (mut next, mut d) = (vec![0u64; words], 0);
+        while !layer.is_empty() {
+            next.fill(0);
+            for &x in &layer {
+                depth[x] = Some(d);
+                or_into(&mut next, &cover[x * words..(x + 1) * words]);
+            }
+            layer = set_bits(&next).filter(|&y| depth[y].is_none()).collect();
+            d += 1;
+        }
+        Self {
+            words,
+            cover,
+            depth,
+        }
+    }
+
+    /// The values `x` covers, as a bit row.
+    fn cover(&self, x: usize) -> &[u64] {
+        &self.cover[x * self.words..(x + 1) * self.words]
+    }
+
+    /// The weight of value `x`: `1 / (depth + 1)` (Eq. 4), and 1 for a value
+    /// no tuple mentions — an unconstrained value is trivially maximal.
+    pub(crate) fn weight(&self, x: usize) -> f64 {
+        self.depth[x].map_or(1.0, |d| 1.0 / (f64::from(d) + 1.0))
+    }
+}
+
+/// ORs `row` into `acc` word by word.
+fn or_into(acc: &mut [u64], row: &[u64]) {
+    for (a, word) in acc.iter_mut().zip(row) {
+        *a |= word;
+    }
+}
+
+/// Whether bit `i` of `row` is set.
+fn has_bit(row: &[u64], i: usize) -> bool {
+    (row[i / 64] >> (i % 64)) & 1 == 1
+}
 
 /// The transitive reduction of a [`Relation`], with the derived quantities
 /// used by the weighted similarity measures.
 #[derive(Debug, Clone, Default)]
 pub struct HasseDiagram {
-    /// Direct-cover edges: `edges[x]` = values covered by `x`.
-    edges: HashMap<ValueId, HashSet<ValueId>>,
-    /// Maximal values `Sᵈ_U` (no value preferred over them).
-    maximal: HashSet<ValueId>,
-    /// Minimum distance from any maximal value, per value.
-    distance: HashMap<ValueId, u32>,
+    /// The relation's value table, ascending: the index space of
+    /// `reduction`.
+    values: Vec<ValueId>,
+    reduction: Reduction,
 }
 
 impl HasseDiagram {
     /// Builds the Hasse diagram of `relation`.
     pub fn of(relation: &Relation) -> Self {
-        let values = relation.values();
-        let mut edges: HashMap<ValueId, HashSet<ValueId>> = HashMap::new();
-        for (x, y) in relation.pairs() {
-            // (x, y) is a cover edge iff there is no z with x ≻ z ≻ y.
-            let is_cover = !relation
-                .successors(x)
-                .any(|z| z != y && relation.prefers(z, y));
-            if is_cover {
-                edges.entry(x).or_default().insert(y);
-            }
-        }
-        let maximal: HashSet<ValueId> = values
+        let values = relation.values().to_vec();
+        let reduction = Reduction::of(values.len(), |i| relation.row(i));
+        Self { values, reduction }
+    }
+
+    /// The maximal values `Sᵈ_U` of the underlying relation (Def. 5.3),
+    /// ascending.
+    pub fn maximal_values(&self) -> impl Iterator<Item = ValueId> + '_ {
+        self.values
             .iter()
-            .copied()
-            .filter(|&x| relation.predecessors(x).next().is_none())
-            .collect();
-        let distance = Self::multi_source_bfs(&edges, &maximal);
-        Self {
-            edges,
-            maximal,
-            distance,
-        }
+            .zip(&self.reduction.depth)
+            .filter(|&(_, &depth)| depth == Some(0))
+            .map(|(&v, _)| v)
     }
 
-    fn multi_source_bfs(
-        edges: &HashMap<ValueId, HashSet<ValueId>>,
-        sources: &HashSet<ValueId>,
-    ) -> HashMap<ValueId, u32> {
-        let mut dist: HashMap<ValueId, u32> = HashMap::new();
-        let mut queue: VecDeque<ValueId> = VecDeque::new();
-        for &s in sources {
-            dist.insert(s, 0);
-            queue.push_back(s);
-        }
-        while let Some(x) = queue.pop_front() {
-            let dx = dist[&x];
-            if let Some(succ) = edges.get(&x) {
-                for &y in succ {
-                    if let std::collections::hash_map::Entry::Vacant(slot) = dist.entry(y) {
-                        slot.insert(dx + 1);
-                        queue.push_back(y);
-                    }
-                }
-            }
-        }
-        dist
-    }
-
-    /// The maximal values `Sᵈ_U` of the underlying relation (Def. 5.3).
-    pub fn maximal_values(&self) -> &HashSet<ValueId> {
-        &self.maximal
-    }
-
-    /// The cover ("Hasse") edges of the reduction.
+    /// The cover ("Hasse") edges of the reduction, ascending by `(x, y)`.
     pub fn cover_edges(&self) -> impl Iterator<Item = (ValueId, ValueId)> + '_ {
-        self.edges
-            .iter()
-            .flat_map(|(&x, ys)| ys.iter().map(move |&y| (x, y)))
+        (0..self.values.len()).flat_map(move |x| {
+            set_bits(self.reduction.cover(x)).map(move |y| (self.values[x], self.values[y]))
+        })
     }
 
     /// Number of cover edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.values().map(HashSet::len).sum()
+        self.reduction
+            .cover
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
     }
 
     /// Minimum shortest-path distance from any maximal value to `v`
@@ -100,7 +147,8 @@ impl HasseDiagram {
     /// (or unreachable, which cannot happen in a finite strict partial
     /// order) return `None`.
     pub fn distance_from_maximal(&self, v: ValueId) -> Option<u32> {
-        self.distance.get(&v).copied()
+        let i = self.values.binary_search(&v).ok()?;
+        self.reduction.depth[i]
     }
 
     /// The weight of value `v`: `1 / (distance + 1)` (Eq. 4).
@@ -108,22 +156,10 @@ impl HasseDiagram {
     /// Values unknown to the relation get weight 1, matching the convention
     /// that an unconstrained value is trivially maximal.
     pub fn weight(&self, v: ValueId) -> f64 {
-        match self.distance_from_maximal(v) {
-            Some(d) => 1.0 / (f64::from(d) + 1.0),
-            None => 1.0,
-        }
+        self.values
+            .binary_search(&v)
+            .map_or(1.0, |i| self.reduction.weight(i))
     }
-}
-
-/// Convenience: build the Hasse diagram and return it together with the
-/// relation's value weights, keyed by value.
-pub fn value_weights(relation: &Relation) -> HashMap<ValueId, f64> {
-    let hasse = HasseDiagram::of(relation);
-    relation
-        .values()
-        .into_iter()
-        .map(|v| (v, hasse.weight(v)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -134,14 +170,18 @@ mod tests {
         ValueId::new(i)
     }
 
+    fn maximal(h: &HasseDiagram) -> Vec<ValueId> {
+        h.maximal_values().collect()
+    }
+
     #[test]
     fn chain_reduction_drops_transitive_edges() {
         let r = Relation::from_pairs([(v(0), v(1)), (v(1), v(2))]).unwrap();
         let h = HasseDiagram::of(&r);
-        let edges: HashSet<_> = h.cover_edges().collect();
-        assert_eq!(edges, [(v(0), v(1)), (v(1), v(2))].into_iter().collect());
+        let edges: Vec<_> = h.cover_edges().collect();
+        assert_eq!(edges, [(v(0), v(1)), (v(1), v(2))]);
         assert_eq!(h.edge_count(), 2);
-        assert_eq!(h.maximal_values(), &[v(0)].into_iter().collect());
+        assert_eq!(maximal(&h), [v(0)]);
         assert_eq!(h.distance_from_maximal(v(0)), Some(0));
         assert_eq!(h.distance_from_maximal(v(1)), Some(1));
         assert_eq!(h.distance_from_maximal(v(2)), Some(2));
@@ -170,10 +210,7 @@ mod tests {
             Relation::from_pairs([(apple, lenovo), (lenovo, samsung), (toshiba, samsung)]).unwrap();
         assert!(r.prefers(apple, samsung), "closure");
         let h = HasseDiagram::of(&r);
-        assert_eq!(
-            h.maximal_values(),
-            &[apple, toshiba].into_iter().collect::<HashSet<_>>()
-        );
+        assert_eq!(maximal(&h), [apple, toshiba]);
         assert_eq!(h.weight(apple), 1.0);
         assert_eq!(h.weight(toshiba), 1.0);
         assert_eq!(h.weight(lenovo), 0.5);
@@ -188,10 +225,7 @@ mod tests {
         let r =
             Relation::from_pairs([(samsung, lenovo), (lenovo, apple), (lenovo, toshiba)]).unwrap();
         let h = HasseDiagram::of(&r);
-        assert_eq!(
-            h.maximal_values(),
-            &[samsung].into_iter().collect::<HashSet<_>>()
-        );
+        assert_eq!(maximal(&h), [samsung]);
         assert!((h.weight(apple) - 1.0 / 3.0).abs() < 1e-12);
         assert!((h.weight(toshiba) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(h.weight(lenovo), 0.5);
@@ -203,7 +237,7 @@ mod tests {
         let r = Relation::new();
         let h = HasseDiagram::of(&r);
         assert_eq!(h.edge_count(), 0);
-        assert!(h.maximal_values().is_empty());
+        assert!(maximal(&h).is_empty());
         assert_eq!(h.distance_from_maximal(v(0)), None);
         assert_eq!(h.weight(v(0)), 1.0);
     }
@@ -211,11 +245,13 @@ mod tests {
     #[test]
     fn value_weights_covers_all_mentioned_values() {
         let r = Relation::from_pairs([(v(0), v(1)), (v(0), v(2))]).unwrap();
-        let w = value_weights(&r);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[&v(0)], 1.0);
-        assert_eq!(w[&v(1)], 0.5);
-        assert_eq!(w[&v(2)], 0.5);
+        let h = HasseDiagram::of(&r);
+        let w: Vec<f64> = r.values().iter().map(|&x| h.weight(x)).collect();
+        assert_eq!(w, [1.0, 0.5, 0.5]);
+        assert!(r
+            .values()
+            .iter()
+            .all(|&x| h.distance_from_maximal(x).is_some()));
     }
 
     #[test]
@@ -224,9 +260,6 @@ mod tests {
         r.insert(v(0), v(1)).unwrap();
         r.insert(v(2), v(3)).unwrap();
         let h = HasseDiagram::of(&r);
-        assert_eq!(
-            h.maximal_values(),
-            &[v(0), v(2)].into_iter().collect::<HashSet<_>>()
-        );
+        assert_eq!(maximal(&h), [v(0), v(2)]);
     }
 }

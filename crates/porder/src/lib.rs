@@ -14,7 +14,9 @@
 //!   intersection a bitwise AND (+ popcount for the similarity measures).
 //! * [`HasseDiagram`] — the transitive reduction of a relation, plus maximal
 //!   values (Def. 5.3) and minimum distances from maximal values used by the
-//!   weighted similarity measures (Eq. 4–5).
+//!   weighted similarity measures (Eq. 4–5). One row-level reduction in
+//!   [`hasse`] computes them, and [`CompiledRelation::value_weights`] runs
+//!   the same reduction over a compiled universe.
 //! * [`Preference`] — a user's (or virtual user's) preferences on all
 //!   attributes, with the object-dominance test of Def. 3.2.
 //! * [`Fingerprint`] / [`PreferenceInterner`] — canonical 128-bit preference

@@ -10,7 +10,7 @@
 //! [`CompiledRelation`](crate::CompiledRelation), which adds a lookup table
 //! indexed by raw value id and the class matrix of the prepared kernel.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use pm_model::ValueId;
@@ -220,13 +220,8 @@ impl Relation {
         (self.rows[i * self.words + j / 64] >> (j % 64)) & 1 == 1
     }
 
-    /// The values some tuple mentions, ascending: the index space of
-    /// [`Self::row`].
-    pub(crate) fn value_table(&self) -> &[ValueId] {
-        &self.values
-    }
-
-    /// Row `i` of the closure: bit `j` set iff `values[i] ≻ values[j]`.
+    /// Row `i` of the closure: bit `j` set iff `values[i] ≻ values[j]`,
+    /// indexed by [`Self::values`].
     pub(crate) fn row(&self, i: usize) -> &[u64] {
         &self.rows[i * self.words..(i + 1) * self.words]
     }
@@ -270,9 +265,10 @@ impl Relation {
             .flat_map(move |i| set_bits(self.row(i)).map(move |j| (self.values[i], self.values[j])))
     }
 
-    /// The set of values mentioned by at least one preference tuple.
-    pub fn values(&self) -> HashSet<ValueId> {
-        self.values.iter().copied().collect()
+    /// The values mentioned by at least one preference tuple, ascending:
+    /// the relation's value table.
+    pub fn values(&self) -> &[ValueId] {
+        &self.values
     }
 
     /// All values preferred *by* `x` (its successors in the closure),
@@ -415,93 +411,18 @@ impl Relation {
         rows
     }
 
-    /// The smaller and the larger of two relations, by tuple count.
-    fn by_size<'a>(&'a self, other: &'a Relation) -> (&'a Relation, &'a Relation) {
-        if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        }
-    }
-
     /// The common preference relation `≻ᵈ_U = ⋂ ≻ᵈ_c` (Def. 4.1).
     ///
     /// The intersection of strict partial orders is a strict partial order
     /// (Theorem 4.2), so no closure recomputation is needed.
     pub fn intersection(&self, other: &Relation) -> Relation {
-        let (small, large) = self.by_size(other);
+        let (small, large) = if self.len <= other.len {
+            (self, other)
+        } else {
+            (other, self)
+        };
         let rows = small.shared_rows(large);
         Relation::from_closed_rows(small.values.clone(), small.words, rows)
-    }
-
-    /// Intersects many relations at once. Returns the empty relation if the
-    /// iterator is empty.
-    pub fn intersection_of<'a, I>(relations: I) -> Relation
-    where
-        I: IntoIterator<Item = &'a Relation>,
-    {
-        let mut iter = relations.into_iter();
-        let Some(first) = iter.next() else {
-            return Relation::new();
-        };
-        let mut acc = first.clone();
-        for rel in iter {
-            if acc.is_empty() {
-                break;
-            }
-            acc = acc.intersection(rel);
-        }
-        acc
-    }
-
-    /// Size of the intersection with `other` (`simᵈ_i`, Eq. 2) without
-    /// materialising it.
-    pub fn intersection_size(&self, other: &Relation) -> usize {
-        let (small, large) = self.by_size(other);
-        small
-            .shared_rows(large)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Size of the union with `other` (denominator of the Jaccard measure,
-    /// Eq. 3).
-    pub fn union_size(&self, other: &Relation) -> usize {
-        self.len() + other.len() - self.intersection_size(other)
-    }
-
-    /// Iterates over the tuples present in `self` but not in `other`
-    /// (`≻ᵈ_U1 − ≻ᵈ_U2` in Eq. 5), ascending.
-    pub fn difference<'a>(
-        &'a self,
-        other: &'a Relation,
-    ) -> impl Iterator<Item = (ValueId, ValueId)> + 'a {
-        self.pairs().filter(move |&(x, y)| !other.prefers(x, y))
-    }
-
-    /// Number of tuples the closure would gain if `x ≻ y` were inserted.
-    /// Returns `None` when the insertion is invalid.
-    pub fn closure_gain(&self, x: ValueId, y: ValueId) -> Option<usize> {
-        if !self.can_insert(x, y) {
-            return None;
-        }
-        if self.prefers(x, y) {
-            return Some(0);
-        }
-        let mut lefts: Vec<ValueId> = vec![x];
-        lefts.extend(self.predecessors(x));
-        let mut rights: Vec<ValueId> = vec![y];
-        rights.extend(self.successors(y));
-        let mut gain = 0;
-        for &a in &lefts {
-            for &b in &rights {
-                if !self.prefers(a, b) {
-                    gain += 1;
-                }
-            }
-        }
-        Some(gain)
     }
 
     /// Verifies irreflexivity, asymmetry and transitivity of the stored
@@ -590,6 +511,7 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn v(i: u32) -> ValueId {
         ValueId::new(i)
@@ -674,8 +596,7 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(common.pairs().collect::<HashSet<_>>(), expected);
-        assert_eq!(c1.intersection_size(&c2), 3);
-        assert_eq!(c1.union_size(&c2), 8);
+        assert_eq!(common.len(), 3);
         common.validate().unwrap();
     }
 
@@ -684,19 +605,11 @@ mod tests {
         let a = Relation::from_pairs([(v(0), v(1)), (v(1), v(2))]).unwrap();
         let b = Relation::from_pairs([(v(0), v(1)), (v(0), v(2))]).unwrap();
         let c = Relation::from_pairs([(v(0), v(1))]).unwrap();
-        let common = Relation::intersection_of([&a, &b, &c]);
+        let common = a.intersection(&b).intersection(&c);
         assert_eq!(common.len(), 1);
         assert!(common.prefers(v(0), v(1)));
-        assert!(Relation::intersection_of(std::iter::empty::<&Relation>()).is_empty());
-    }
-
-    #[test]
-    fn difference_lists_unshared_pairs() {
-        let a = Relation::from_pairs([(v(0), v(1)), (v(2), v(3))]).unwrap();
-        let b = Relation::from_pairs([(v(0), v(1))]).unwrap();
-        let diff: HashSet<_> = a.difference(&b).collect();
-        assert_eq!(diff, [(v(2), v(3))].into_iter().collect());
-        assert_eq!(b.difference(&a).count(), 0);
+        assert_eq!(common, c.intersection(&b).intersection(&a));
+        assert!(a.intersection(&Relation::new()).is_empty());
     }
 
     #[test]
@@ -717,15 +630,6 @@ mod tests {
         // 3 has higher rating but lower count than 0 ⇒ incomparable.
         assert!(!r.comparable(v(0), v(3)));
         r.validate().unwrap();
-    }
-
-    #[test]
-    fn closure_gain_counts_new_pairs() {
-        let r = Relation::from_pairs([(v(0), v(1)), (v(2), v(3))]).unwrap();
-        // Inserting 1 ≻ 2 links the two chains: adds (1,2),(1,3),(0,2),(0,3).
-        assert_eq!(r.closure_gain(v(1), v(2)), Some(4));
-        assert_eq!(r.closure_gain(v(0), v(1)), Some(0));
-        assert_eq!(r.closure_gain(v(1), v(0)), None);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 
 use proptest::prelude::*;
 
-use pm_cluster::{Clustering, ExactMeasure};
+use pm_cluster::{
+    cluster_users, ApproxMeasure, Clustering, ClusteringConfig, ExactMeasure, FrequencyVectors,
+};
 use pm_core::{Filter, HistoryMode, Lifetime, Monitor, MonitorStats};
+use pm_datagen::{Dataset, DatasetProfile};
 use pm_engine::BackendSpec;
 use pm_integration_tests::{one_cluster, TRANSCRIPT_BACKENDS};
 use pm_model::{AttrId, Object, ObjectId, UserId, ValueId};
@@ -152,6 +155,45 @@ fn layout_spines_are_two_word_and_sparse() {
     let star = Relation::from_pairs((0..=130).map(|y| (ValueId::new(200), ValueId::new(y))));
     let star = CompiledRelation::compile(&star.unwrap());
     assert!(star.num_values() >= 128 && star.is_sparse());
+}
+
+/// Approximate similarity (Sec. 6.3) is a function of the clusters alone:
+/// two builds of the same frequency vectors give bit-identical similarities
+/// on a movie population, and repeated clustering runs merge the same
+/// clusters at bit-identical similarities.
+#[test]
+fn approximate_similarity_is_reproducible() {
+    let dataset = Dataset::generate(&DatasetProfile::movie().with_users(120), 42);
+    let prefs = &dataset.preferences;
+    for measure in [ApproxMeasure::Jaccard, ApproxMeasure::WeightedJaccard] {
+        let build = || -> Vec<FrequencyVectors> {
+            prefs
+                .chunks(3)
+                .map(|members| FrequencyVectors::of_users(members, measure))
+                .collect()
+        };
+        let (first, second) = (build(), build());
+        for (a1, a2) in first.iter().zip(&second) {
+            for (b1, b2) in first.iter().zip(&second) {
+                let (s1, s2) = (a1.similarity(b1), a2.similarity(b2));
+                assert_eq!(s1.to_bits(), s2.to_bits(), "{}", measure.name());
+            }
+        }
+        let config = ClusteringConfig::Approx {
+            measure,
+            branch_cut: 0.4,
+        };
+        let merges = || -> Vec<(usize, usize, u64)> {
+            cluster_users(prefs, config)
+                .merges
+                .iter()
+                .map(|step| (step.kept, step.absorbed, step.similarity.to_bits()))
+                .collect()
+        };
+        let once = merges();
+        assert!(!once.is_empty());
+        assert_eq!(merges(), once, "{}", measure.name());
+    }
 }
 
 /// Worker counts for `Monitor::process_batch`: the inline path, two-core
@@ -371,8 +413,6 @@ proptest! {
         for (x, y) in common.pairs() {
             prop_assert!(a.prefers(x, y) && b.prefers(x, y));
         }
-        prop_assert_eq!(common.len(), a.intersection_size(&b));
-        prop_assert_eq!(a.union_size(&b), a.len() + b.len() - common.len());
     }
 
     /// The Hasse diagram is a subgraph of the relation whose reachability
@@ -384,12 +424,12 @@ proptest! {
             prop_assert!(rel.prefers(x, y));
         }
         prop_assert!(hasse.edge_count() <= rel.len());
-        for v in rel.values() {
+        for &v in rel.values() {
             prop_assert!(hasse.distance_from_maximal(v).is_some());
             let w = hasse.weight(v);
             prop_assert!(w > 0.0 && w <= 1.0);
         }
-        for &m in hasse.maximal_values() {
+        for m in hasse.maximal_values() {
             prop_assert_eq!(hasse.distance_from_maximal(m), Some(0));
             prop_assert_eq!(hasse.weight(m), 1.0);
         }
@@ -512,7 +552,7 @@ proptest! {
         }
     }
 
-    /// The bitset-compiled relation agrees with the hash-map relation on
+    /// The bitset-compiled relation agrees with the build-time relation on
     /// every value pair of the domain, plus size and round-trip.
     #[test]
     fn compiled_relation_agrees_with_relation(rel in relation_strategy()) {
@@ -530,24 +570,25 @@ proptest! {
     }
 
     /// Compiled relations over a shared universe reproduce intersection,
-    /// union and the bitwise-AND common relation of the hash-map form.
+    /// union and the bitwise-AND common relation of the build-time form.
     #[test]
     fn compiled_intersection_agrees_with_relation(
         a in relation_strategy(),
         b in relation_strategy(),
     ) {
-        let (va, vb) = (a.values(), b.values());
-        let mut universe: Vec<ValueId> = va.union(&vb).copied().collect();
+        let mut universe: Vec<ValueId> = [a.values(), b.values()].concat();
         universe.sort_unstable();
+        universe.dedup();
         let ca = CompiledRelation::compile_with_universe(&a, &universe);
         let cb = CompiledRelation::compile_with_universe(&b, &universe);
-        prop_assert_eq!(ca.intersection_size(&cb), a.intersection_size(&b));
-        prop_assert_eq!(ca.union_size(&cb), a.union_size(&b));
-        prop_assert_eq!(ca.intersect(&cb).to_relation(), a.intersection(&b));
+        let common = a.intersection(&b);
+        prop_assert_eq!(ca.intersection_size(&cb), common.len());
+        prop_assert_eq!(ca.union_size(&cb), a.len() + b.len() - common.len());
+        prop_assert_eq!(ca.intersect(&cb).to_relation(), common);
     }
 
     /// The in-place AND narrows a relation to exactly what `intersect` and
-    /// a relation compiled from the hash-map intersection hold — tuple set
+    /// a relation compiled from the build-time intersection hold — tuple set
     /// and `len()` — on one-word dense, two-word dense and sparse layouts
     /// and mixes of them, and the prepared kernel afterwards answers as the
     /// freshly compiled relation does: the class matrix `prepare` built
@@ -558,9 +599,9 @@ proptest! {
         b in layout_relation_strategy(),
         values in proptest::collection::vec(kernel_value_strategy(), 2..10),
     ) {
-        let (va, vb) = (a.values(), b.values());
-        let mut universe: Vec<ValueId> = va.union(&vb).copied().collect();
+        let mut universe: Vec<ValueId> = [a.values(), b.values()].concat();
         universe.sort_unstable();
+        universe.dedup();
         let ca = CompiledRelation::compile_with_universe(&a, &universe);
         let cb = CompiledRelation::compile_with_universe(&b, &universe);
         let fresh = CompiledRelation::compile_with_universe(&a.intersection(&b), &universe);
@@ -595,23 +636,8 @@ proptest! {
         }
     }
 
-    /// The compiled Hasse value weights match HasseDiagram's on every
-    /// interned value (the weighted similarity measures rely on this).
-    #[test]
-    fn compiled_weights_agree_with_hasse(rel in relation_strategy()) {
-        let compiled = CompiledRelation::compile(&rel);
-        let hasse = HasseDiagram::of(&rel);
-        let weights = compiled.value_weights();
-        for (idx, &value) in compiled.universe().iter().enumerate() {
-            prop_assert!(
-                (weights[idx] - hasse.weight(value)).abs() < 1e-15,
-                "weight mismatch at {}", value
-            );
-        }
-    }
-
     /// The compiled preference's object comparison agrees with the
-    /// hash-map preference on random objects, hence so does dominance.
+    /// build-time preference on random objects, hence so does dominance.
     #[test]
     fn compiled_preference_compare_agrees(
         pref in preference_strategy(),

@@ -1,20 +1,27 @@
-//! The bit-row `Relation` against the hash-map closure it replaced.
+//! The bit-row `Relation`, its Hasse reduction and the compiled similarity
+//! measures against the hash-map forms they replaced.
 //!
 //! `pm_porder::Relation` keeps its transitive closure as one bit row per
 //! mentioned value. The adjacency-map form it replaced — a successor and a
 //! predecessor `HashMap<ValueId, HashSet<ValueId>>` — is kept below as a
 //! reference, together with the two-lane hash that fingerprints a
-//! preference from its sorted tuple list. Random edge lists over up to 150
-//! values (so rows span three words), with reflexive and cycle-closing
-//! pairs, are inserted in two orders into both forms, and every query of
-//! the public API must agree: the outcome of each insert, the closure, its
-//! size and values, intersection, difference, closure gain, Hasse cover
-//! edges and fingerprints.
+//! preference from its sorted tuple list, the hash-map Hasse diagram (cover
+//! edges by pairwise test, then a multi-source BFS from the maximal values)
+//! and Eq. 2–5 of the paper evaluated tuple by tuple. Random edge lists over
+//! up to 150 values (so rows span three words), with reflexive and
+//! cycle-closing pairs, are inserted in two orders into both forms, and
+//! every query of the public API must agree: the outcome of each insert,
+//! the closure, its size and values, intersection, Hasse cover edges,
+//! maximal values, distances and weights — also as compiled value weights
+//! over the relation's own table and over a wide sparse universe — the four
+//! exact similarity measures, and fingerprints.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
+use pm_cluster::ExactMeasure;
 use pm_model::ValueId;
-use pm_porder::{HasseDiagram, Preference, Relation, RelationError};
+use pm_porder::{CompiledRelation, HasseDiagram, Preference, Relation, RelationError};
 use proptest::prelude::*;
 
 /// The hash-map closure, as `pm_porder::Relation` held it.
@@ -91,36 +98,104 @@ impl Reference {
         Self::from_closed_pairs(self.pairs().filter(|&(x, y)| other.prefers(x, y)))
     }
 
-    fn closure_gain(&self, x: ValueId, y: ValueId) -> Option<usize> {
-        if x == y || self.prefers(y, x) {
-            return None;
-        }
-        if self.prefers(x, y) {
-            return Some(0);
-        }
-        let mut lefts: Vec<ValueId> = vec![x];
-        lefts.extend(self.predecessors(x));
-        let mut rights: Vec<ValueId> = vec![y];
-        rights.extend(self.successors(y));
-        let gain = lefts
-            .iter()
-            .flat_map(|&a| rights.iter().map(move |&b| (a, b)))
-            .filter(|&(a, b)| !self.prefers(a, b))
-            .count();
-        Some(gain)
-    }
-
-    /// Cover edges: `(x, y)` with no `z` such that `x ≻ z ≻ y`.
-    fn cover_edges(&self) -> BTreeSet<(ValueId, ValueId)> {
-        self.pairs()
-            .filter(|&(x, y)| !self.successors(x).any(|z| z != y && self.prefers(z, y)))
-            .collect()
-    }
-
     fn sorted_pairs(&self) -> Vec<(ValueId, ValueId)> {
         let mut pairs: Vec<_> = self.pairs().collect();
         pairs.sort_unstable();
         pairs
+    }
+}
+
+/// The Hasse diagram as `pm_porder::HasseDiagram` held it: hash-map cover
+/// edges and a multi-source BFS over them.
+struct ReferenceHasse {
+    edges: HashMap<ValueId, HashSet<ValueId>>,
+    maximal: HashSet<ValueId>,
+    distance: HashMap<ValueId, u32>,
+}
+
+impl ReferenceHasse {
+    fn of(relation: &Reference) -> Self {
+        let mut edges: HashMap<ValueId, HashSet<ValueId>> = HashMap::new();
+        for (x, y) in relation.pairs() {
+            // (x, y) is a cover edge iff there is no z with x ≻ z ≻ y.
+            let is_cover = !relation
+                .successors(x)
+                .any(|z| z != y && relation.prefers(z, y));
+            if is_cover {
+                edges.entry(x).or_default().insert(y);
+            }
+        }
+        let maximal: HashSet<ValueId> = relation
+            .values()
+            .into_iter()
+            .filter(|&x| relation.predecessors(x).next().is_none())
+            .collect();
+        let mut distance: HashMap<ValueId, u32> = HashMap::new();
+        let mut queue: VecDeque<ValueId> = VecDeque::new();
+        for &s in &maximal {
+            distance.insert(s, 0);
+            queue.push_back(s);
+        }
+        while let Some(x) = queue.pop_front() {
+            let dx = distance[&x];
+            for &y in edges.get(&x).into_iter().flatten() {
+                if let Entry::Vacant(slot) = distance.entry(y) {
+                    slot.insert(dx + 1);
+                    queue.push_back(y);
+                }
+            }
+        }
+        Self {
+            edges,
+            maximal,
+            distance,
+        }
+    }
+
+    fn cover_edges(&self) -> Vec<(ValueId, ValueId)> {
+        let edges: BTreeSet<_> = self
+            .edges
+            .iter()
+            .flat_map(|(&x, ys)| ys.iter().map(move |&y| (x, y)))
+            .collect();
+        edges.into_iter().collect()
+    }
+
+    /// `1 / (distance + 1)` (Eq. 4), and 1 for an unmentioned value.
+    fn weight(&self, v: ValueId) -> f64 {
+        match self.distance.get(&v) {
+            Some(&d) => 1.0 / (f64::from(d) + 1.0),
+            None => 1.0,
+        }
+    }
+}
+
+/// Eq. 2–5 evaluated tuple by tuple on the hash-map forms: `measure`
+/// between two clusters' relations on one attribute.
+fn per_tuple(measure: ExactMeasure, a: &Reference, b: &Reference) -> f64 {
+    let (ha, hb) = (ReferenceHasse::of(a), ReferenceHasse::of(b));
+    let common: Vec<_> = a.pairs().filter(|&(x, y)| b.prefers(x, y)).collect();
+    let union = a.len + b.len - common.len();
+    let weighted_common: f64 = common
+        .iter()
+        .map(|&(x, _)| 0.5 * (ha.weight(x) + hb.weight(x)))
+        .sum();
+    // Tuples of `r` that `other` lacks, weighted by `r`'s weights alone.
+    let only = |r: &Reference, other: &Reference, h: &ReferenceHasse| -> f64 {
+        r.pairs()
+            .filter(|&(x, y)| !other.prefers(x, y))
+            .map(|(x, _)| h.weight(x))
+            .sum()
+    };
+    let ratio = |num: f64, denom: f64| if denom == 0.0 { 0.0 } else { num / denom };
+    match measure {
+        ExactMeasure::IntersectionSize => common.len() as f64,
+        ExactMeasure::Jaccard => ratio(common.len() as f64, union as f64),
+        ExactMeasure::WeightedIntersectionSize => weighted_common,
+        ExactMeasure::WeightedJaccard => ratio(
+            weighted_common,
+            weighted_common + only(a, b, &ha) + only(b, a, &hb),
+        ),
     }
 }
 
@@ -193,15 +268,55 @@ fn assert_same(rel: &Relation, reference: &Reference) {
     assert_eq!(pairs, reference.sorted_pairs(), "closure, ascending");
     assert_eq!(rel.len(), reference.len);
     assert_eq!(rel.is_empty(), reference.len == 0);
-    assert_eq!(rel.values(), reference.values());
-    for value in reference.values() {
+    let mut values: Vec<_> = reference.values().into_iter().collect();
+    values.sort_unstable();
+    assert_eq!(rel.values(), values);
+    for value in values {
         let want: BTreeSet<_> = reference.successors(value).collect();
         assert_eq!(rel.successors(value).collect::<BTreeSet<_>>(), want);
         let want: BTreeSet<_> = reference.predecessors(value).collect();
         assert_eq!(rel.predecessors(value).collect::<BTreeSet<_>>(), want);
     }
-    let covers: BTreeSet<_> = HasseDiagram::of(rel).cover_edges().collect();
-    assert_eq!(covers, reference.cover_edges(), "Hasse cover edges");
+    assert_same_hasse(rel, reference);
+}
+
+/// A universe wide enough that every relation of [`edges`] compiles sparse
+/// over it.
+fn wide_universe() -> Vec<ValueId> {
+    (0..640).map(v).collect()
+}
+
+/// The Hasse diagram and the compiled value weights equal the hash-map
+/// diagram's, bit for bit, on every value of the wide universe.
+fn assert_same_hasse(rel: &Relation, reference: &Reference) {
+    let (hasse, want) = (HasseDiagram::of(rel), ReferenceHasse::of(reference));
+    let covers: Vec<_> = hasse.cover_edges().collect();
+    assert_eq!(covers, want.cover_edges(), "Hasse cover edges, ascending");
+    assert_eq!(hasse.edge_count(), covers.len());
+    let maximal: HashSet<_> = hasse.maximal_values().collect();
+    assert_eq!(maximal, want.maximal, "maximal values");
+    let own = CompiledRelation::compile(rel);
+    for (value, weight) in own.universe().iter().zip(own.value_weights()) {
+        assert_eq!(
+            weight.to_bits(),
+            want.weight(*value).to_bits(),
+            "own {value}"
+        );
+    }
+    let universe = wide_universe();
+    let wide = CompiledRelation::compile_with_universe(rel, &universe);
+    assert!(wide.is_sparse());
+    for (&value, weight) in universe.iter().zip(wide.value_weights()) {
+        let distance = want.distance.get(&value).copied();
+        assert_eq!(hasse.distance_from_maximal(value), distance, "{value}");
+        let weight_bits = want.weight(value).to_bits();
+        assert_eq!(
+            hasse.weight(value).to_bits(),
+            weight_bits,
+            "weight of {value}"
+        );
+        assert_eq!(weight.to_bits(), weight_bits, "wide {value}");
+    }
 }
 
 proptest! {
@@ -235,21 +350,14 @@ proptest! {
         let first_error = first.iter().map(|&(x, y)| probe.insert(x, y)).find_map(Result::err);
         prop_assert_eq!(Relation::from_pairs(first.iter().copied()).err(), first_error);
 
-        // Intersection, difference and their sizes.
+        // Intersection.
         let common = a.intersection(&b);
         assert_same(&common, &a_ref.intersection(&b_ref));
         prop_assert_eq!(&common, &b.intersection(&a));
-        prop_assert_eq!(a.intersection_size(&b), common.len());
-        prop_assert_eq!(a.union_size(&b), a.len() + b.len() - common.len());
-        let only_a: Vec<_> = a.difference(&b).collect();
-        let mut want: Vec<_> = a_ref.pairs().filter(|&(x, y)| !b_ref.prefers(x, y)).collect();
-        want.sort_unstable();
-        prop_assert_eq!(only_a, want);
 
-        // Closure gain and the plain predicates on arbitrary pairs.
+        // The plain predicates on arbitrary pairs.
         for &(x, y) in &probes {
             let (x, y) = (v(x), v(y));
-            prop_assert_eq!(a.closure_gain(x, y), a_ref.closure_gain(x, y));
             prop_assert_eq!(a.prefers(x, y), a_ref.prefers(x, y));
             prop_assert_eq!(a.can_insert(x, y), x != y && !a_ref.prefers(y, x));
         }
@@ -264,5 +372,46 @@ proptest! {
         let reordered = Preference::from_relations(vec![again_rev, b.clone(), common]);
         prop_assert_eq!(&reordered, &preference);
         prop_assert_eq!(reordered.fingerprint(), preference.fingerprint());
+    }
+
+    /// Each exact measure, compiled over a shared universe — the pair's own
+    /// values, and a wide sparse one — equals Eq. 2–5 evaluated tuple by
+    /// tuple: bit for bit for the unweighted measures, within a relative
+    /// 1e-12 for the weighted ones, whose sums run in another order.
+    #[test]
+    fn exact_measures_match_per_tuple_evaluation(first in edges(), second in edges()) {
+        let (a, a_ref, _) = build(&first);
+        let (b, b_ref, _) = build(&second);
+        let (common, common_ref) = (a.intersection(&b), a_ref.intersection(&b_ref));
+        let mut pair_universe = [a.values(), b.values()].concat();
+        pair_universe.sort_unstable();
+        pair_universe.dedup();
+        for universe in [pair_universe, wide_universe()] {
+            let compile = |rel: &Relation| {
+                let compiled = CompiledRelation::compile_with_universe(rel, &universe);
+                let weights = compiled.value_weights();
+                (compiled, weights)
+            };
+            let (ca, cb, cc) = (compile(&a), compile(&b), compile(&common));
+            for ((x, wx), x_ref, (y, wy), y_ref) in [
+                (&ca, &a_ref, &cb, &b_ref),
+                (&cb, &b_ref, &ca, &a_ref),
+                (&ca, &a_ref, &ca, &a_ref),
+                (&ca, &a_ref, &cc, &common_ref),
+            ] {
+                for m in ExactMeasure::ALL {
+                    let got = m.compiled_attr_similarity(x, wx, y, wy);
+                    let want = per_tuple(m, x_ref, y_ref);
+                    if m.is_weighted() {
+                        prop_assert!(
+                            (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                            "{}: {} vs {}", m.name(), got, want
+                        );
+                    } else {
+                        prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", m.name());
+                    }
+                }
+            }
+        }
     }
 }
