@@ -1,16 +1,19 @@
 //! Dominance hot-path microbenchmark: the build-time
 //! [`pm_porder::Relation`] form vs the compiled
 //! [`pm_porder::CompiledPreference`] form, on the movie-profile workload
-//! (group `dominance`), and the work one `REGISTER` does on its preference
-//! before any monitor sees it (group `relation`). CI runs it once as a
-//! smoke (`-- --test`); the benchmark's per-layer ladder tracks
-//! `porder.dominates_ops_per_s` and `porder.compile_us_per_pref`.
+//! (group `dominance`); the monitor's indexed frontier updates over the
+//! movie population's stream (group `frontier`); and the work one
+//! `REGISTER` does on its preference before any monitor sees it (group
+//! `relation`). CI runs it once as a smoke (`-- --test`); the benchmark's
+//! per-layer ladder tracks `porder.dominates_ops_per_s`,
+//! `porder.compile_us_per_pref` and `core.us_per_obj`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use pm_bench::setup::generate_dataset;
 use pm_bench::workload::{object_pair_indices, value_pair, WORKLOAD_PREFS};
 use pm_bench::Scale;
+use pm_core::{Lifetime, Monitor};
 use pm_datagen::{Dataset, DatasetProfile};
 use pm_model::{AttrId, Object, ValueId};
 use pm_porder::{CompiledPreference, HasseDiagram, Preference, Relation};
@@ -76,25 +79,33 @@ fn bench_dominance(c: &mut Criterion) {
         })
     });
 
-    // The shape of the monitor's frontier scans: one object prepared once,
-    // every other side streamed past it as value codes.
-    group.bench_function("prepared/compiled", |b| {
-        let candidate = &dataset.objects[0];
-        let codes: Vec<u32> = dataset
-            .objects
-            .iter()
-            .cycle()
-            .take(BATCH)
-            .flat_map(|other| compiled[0].codes(other))
-            .collect();
-        b.iter(|| {
-            let prepared = compiled[0].prepare(candidate);
-            codes
-                .chunks_exact(compiled[0].arity())
-                .map(|other| prepared.compare(other) as usize)
-                .sum::<usize>()
-        })
-    });
+    group.finish();
+}
+
+/// Alg. 1 and Alg. 4 without a filter layer: every arrival of the movie
+/// population's stream updates each user's frontier from its index — and
+/// on a window the user's buffer too, with expiry mending from it. One
+/// element is one (user, arrival) pair.
+fn bench_frontier(c: &mut Criterion) {
+    let dataset = generate_dataset(&DatasetProfile::movie(), &Scale::smoke());
+    let pairs = (dataset.preferences.len() * dataset.objects.len()) as u64;
+
+    let mut group = c.benchmark_group("frontier");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.throughput(Throughput::Elements(pairs));
+    for (name, lifetime) in [
+        ("history", Lifetime::UNLIMITED),
+        ("window", Lifetime::Window(dataset.objects.len() / 4)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut monitor = Monitor::new(&dataset.preferences, lifetime, None);
+                monitor.process_batch(&dataset.objects, 1);
+                monitor.stats().comparisons
+            })
+        });
+    }
     group.finish();
 }
 
@@ -184,5 +195,5 @@ fn bench_relation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dominance, bench_relation);
+criterion_group!(benches, bench_dominance, bench_frontier, bench_relation);
 criterion_main!(benches);

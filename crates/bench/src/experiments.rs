@@ -595,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_then_verify_does_less_work_than_baseline() {
+    fn approximate_filter_then_verify_does_no_more_work_than_baseline() {
         let rows = arrival_experiment(&DatasetProfile::movie(), &smoke(), 0.3);
         let last = |algo: &str| {
             rows.iter()
@@ -604,9 +604,9 @@ mod tests {
                 .max()
                 .unwrap()
         };
-        // The headline claim of the paper: the filter-then-verify family does
-        // not exceed the baseline's comparison count (it typically does far
-        // fewer once clusters are non-trivial).
+        // Only the approximate variant is held to this: its comparison count
+        // does not exceed the baseline's. Whether the exact one ever does less
+        // work than Baseline is ROADMAP item 1.
         assert!(
             last(FTVA) <= last(BASELINE),
             "FTVA {} vs Baseline {}",

@@ -126,10 +126,9 @@ impl Alive {
         preference: &CompiledPreference,
         stats: &mut MonitorStats,
     ) -> Frontier {
-        let mut frontier = Frontier::new(preference);
+        let mut frontier = Frontier::default();
         let mut replay = |frontier: &mut Frontier, object: &Object| {
-            let prepared = preference.prepare(object);
-            update_frontier(&prepared, frontier, object, OnIdentical::Stop, stats).is_pareto
+            update_frontier(preference, frontier, object, OnIdentical::Stop, stats).is_pareto
         };
         match self {
             Alive::Window(window) => {
@@ -144,7 +143,7 @@ impl Alive {
                         if replay(&mut frontier, &representative) {
                             for &id in ids.iter().skip(1) {
                                 let twin = representative.with_id(id);
-                                frontier.insert(&twin, preference.codes(&twin));
+                                frontier.insert(&twin, preference);
                             }
                         }
                     }
@@ -167,10 +166,10 @@ impl Alive {
         preference: &CompiledPreference,
         stats: &mut MonitorStats,
     ) -> Frontier {
-        let mut buffer = Frontier::new(preference);
+        let mut buffer = Frontier::default();
         if let Alive::Window(window) = self {
             for object in window.iter() {
-                refresh_buffer(&preference.prepare(object), &mut buffer, object, stats);
+                refresh_buffer(preference, &mut buffer, object, stats);
             }
         }
         buffer

@@ -62,16 +62,16 @@ impl Group {
         let compiled = preference.compile();
         Self {
             members,
-            frontier: Frontier::new(&compiled),
-            buffer: Frontier::new(&compiled),
+            frontier: Frontier::default(),
+            buffer: Frontier::default(),
             compiled: Arc::new(compiled),
             preference: Arc::new(preference),
         }
     }
 
     /// Replaces the group's relation, keeping its frontier and buffer:
-    /// their value codes were issued by the old relation, so both are
-    /// re-encoded under the new one.
+    /// their postings are keyed by the old relation's universes, so both
+    /// are re-indexed under the new one.
     fn set_preference(&mut self, preference: Preference) {
         self.compiled = Arc::new(preference.compile());
         self.preference = Arc::new(preference);
@@ -337,7 +337,7 @@ impl Filter {
                         members: vec![user],
                         preference: Arc::clone(&interned.preference),
                         compiled: Arc::clone(&interned.compiled),
-                        frontier: Frontier::new(&interned.compiled),
+                        frontier: Frontier::default(),
                         buffer,
                     },
                     verify: Groups::new(),

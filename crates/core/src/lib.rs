@@ -35,18 +35,24 @@
 //!
 //! # The hot path
 //!
-//! Every procedure above compares *one* object — the arrival, the expired
-//! object, a promotion candidate — with every member of one frontier. A
-//! frontier is therefore stored for exactly that scan: parallel vectors in
-//! ascending object-id (= arrival) order holding the objects, whose value
-//! rows are shared with the window / history and every other frontier, and
-//! flat next to them each member's value *codes* under the frontier's
-//! preference. A scan resolves its one object once
-//! ([`pm_porder::CompiledPreference::prepare`]) and streams the codes past
-//! it ([`pm_porder::Prepared::compare`]), oldest member first. Because
-//! storage order is arrival order, the comparison counter is a pure
-//! function of the script a monitor is driven with, `frontier()` needs no
-//! sort, and Alg. 5's oldest-first mending walks the buffer in place.
+//! Every procedure above relates *one* object — the arrival, the expired
+//! object, a promotion candidate — with the members of one frontier. A
+//! frontier therefore keeps, next to its objects (ascending object id =
+//! arrival order, value rows shared with the window / history and every
+//! other frontier), an index built for exactly that question: per attribute
+//! a posting — a bitset over member positions — per value a member holds,
+//! plus one posting shared by every value outside the preference's
+//! universe. The members that may dominate an object are the AND over the
+//! attributes of the OR of the postings of its value and of the values
+//! beating it (a row of the closure's transpose,
+//! [`pm_porder::CompiledRelation::predecessors`]); the members it may
+//! dominate likewise from a closure row. Only candidates on an outside
+//! value are confirmed against the member's own row. Because members sit
+//! at their arrival rank, the comparison counter still reads what an
+//! oldest-first scan would have counted — the first dominator's position —
+//! so it is a pure function of the script a monitor is driven with,
+//! `frontier()` needs no sort, and Alg. 5's oldest-first mending walks the
+//! buffer's dominated members in order.
 //!
 //! Arrivals are applied a batch at a time ([`Monitor::process_batch`]):
 //! first the cluster level for the whole batch on one thread (Phase A),

@@ -35,13 +35,14 @@
 use std::sync::Mutex;
 
 use pm_model::{Object, ObjectId, UserId};
-use pm_porder::{Dominance, Interned, Preference, PreferenceInterner};
+use pm_porder::{Interned, Preference, PreferenceInterner};
 
 use crate::alive::{Alive, Lifetime};
 use crate::delta::{DeltaLog, FrontierDelta};
 use crate::filter::{rekey, Filter, Group, Groups};
 use crate::frontier::{
-    mend_frontier, refresh_buffer, update_frontier, Frontier, FrontierUpdate, OnIdentical,
+    mend_from_buffer, mend_frontier, refresh_buffer, update_frontier, Frontier, FrontierUpdate,
+    OnIdentical,
 };
 use crate::history::History;
 use crate::stats::MonitorStats;
@@ -150,7 +151,7 @@ impl Base {
             let frontier = alive.replay_frontier(&interned.compiled, stats);
             let buffer = match buffer {
                 true => alive.replay_buffer(&interned.compiled, stats),
-                false => Frontier::new(&interned.compiled),
+                false => Frontier::default(),
             };
             (frontier, buffer)
         });
@@ -269,30 +270,22 @@ struct Expiry {
 /// frontier (Alg. 4 lines 2–5; Alg. 5 lines 2–8 at the cluster level):
 /// buffered objects it dominated may now be Pareto-optimal.
 fn expire_group(group: &mut Group, expired: &Object, stats: &mut MonitorStats) -> Expiry {
-    let mut expiry = Expiry {
-        was_pareto: group.frontier.remove(expired.id()),
-        promoted: Vec::new(),
+    let was_pareto = group.frontier.remove(expired.id());
+    let promoted = match was_pareto {
+        true => mend_from_buffer(
+            &group.compiled,
+            &mut group.frontier,
+            &group.buffer,
+            expired,
+            stats,
+        ),
+        false => Vec::new(),
     };
-    if expiry.was_pareto {
-        let prepared = group.compiled.prepare(expired);
-        // The buffer is in arrival order: oldest first, so that a promoted
-        // object is visible when its younger dominated peers are checked.
-        for (index, candidate) in group.buffer.objects().iter().enumerate() {
-            if candidate.id() == expired.id() {
-                continue;
-            }
-            stats.record_comparison();
-            if prepared.compare(group.buffer.codes(index)) != Dominance::Dominates {
-                continue;
-            }
-            let present = group.frontier.contains(candidate.id());
-            if mend_frontier(&group.compiled, &mut group.frontier, candidate, stats) {
-                expiry.promoted.push((candidate.clone(), !present));
-            }
-        }
-    }
     group.buffer.remove(expired.id());
-    expiry
+    Expiry {
+        was_pareto,
+        promoted,
+    }
 }
 
 /// The arrival of `object` at one group's frontier and, on a window, at its
@@ -304,12 +297,12 @@ fn arrive_group(
     expires: bool,
     stats: &mut MonitorStats,
 ) -> FrontierUpdate {
-    let prepared = group.compiled.prepare(object);
-    let update = update_frontier(&prepared, &mut group.frontier, object, on_identical, stats);
+    let compiled = &group.compiled;
+    let update = update_frontier(compiled, &mut group.frontier, object, on_identical, stats);
     // Alg. 4 / Alg. 5 line 15: the buffer is refreshed whether or not the
     // object is Pareto-optimal now.
     if expires {
-        refresh_buffer(&prepared, &mut group.buffer, object, stats);
+        refresh_buffer(compiled, &mut group.buffer, object, stats);
     }
     update
 }
@@ -414,8 +407,7 @@ fn verify_step(
     if verdict.update.is_pareto {
         // Verify against the member's own preference (Alg. 2, line 6).
         let object = admitted.object;
-        let prepared = compiled.prepare(object);
-        let verified = update_frontier(&prepared, own, object, OnIdentical::Stop, stats);
+        let verified = update_frontier(compiled, own, object, OnIdentical::Stop, stats);
         change.arrive(&verified, object.id());
     }
 }
@@ -425,7 +417,7 @@ fn verify_step(
 fn adopt_step(entry: &mut Group, object: &Object, update: &FrontierUpdate, change: &mut Change) {
     entry.frontier.remove_all(&update.evicted);
     if update.is_pareto {
-        entry.frontier.insert(object, entry.compiled.codes(object));
+        entry.frontier.insert(object, &entry.compiled);
     }
     change.arrive(update, object.id());
 }
@@ -1886,7 +1878,7 @@ mod tests {
     /// A REGISTER that joins a cluster replaces the cluster's relation
     /// while `P_U` is kept (append-only): when the new common relation
     /// loses a value — and with it shifts every dense index — the kept
-    /// members must be re-encoded, or their stale codes read as other
+    /// members must be re-indexed, or their stale postings read as other
     /// values and the filter rejects arrivals it must pass.
     #[test]
     fn register_that_shrinks_the_common_universe_re_encodes_the_cluster_frontier() {
@@ -1914,7 +1906,7 @@ mod tests {
         assert_eq!(ftv.cluster_members(0).len(), 3);
         assert!(!mentions(&ftv, 0));
 
-        // Read through stale codes, o1 = ⟨2, 1⟩ would pass for ⟨3, 1⟩ and
+        // Read through stale postings, o1 = ⟨2, 1⟩ would pass for ⟨3, 1⟩ and
         // dominate o4 = ⟨3, 0⟩, which every member must be told about.
         for object in [
             obj(4, &[3, 0]),

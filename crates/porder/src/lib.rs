@@ -42,7 +42,7 @@ pub mod relation;
 pub mod union;
 
 pub use compiled::{
-    CompiledPreference, CompiledRelation, Prepared, MAX_PREFERENCE_VALUE, MAX_RELATION_VALUES,
+    CompiledPreference, CompiledRelation, MAX_PREFERENCE_VALUE, MAX_RELATION_VALUES,
 };
 pub use fingerprint::{Fingerprint, Interned, PreferenceInterner};
 pub use frontier::naive_pareto_frontier;

@@ -8,7 +8,7 @@
 //! Def. 4.1) keeps the bits both hold. This is the *mutable, build-time*
 //! representation; hot paths compile it to a
 //! [`CompiledRelation`](crate::CompiledRelation), which adds a lookup table
-//! indexed by raw value id and the class matrix of the prepared kernel.
+//! indexed by raw value id and the transpose a frontier lookup reads.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -442,7 +442,7 @@ fn preference_values_above_the_bound_are_refused() {
 
 /// A closure holds one bit row per value of its relation, so a REGISTER
 /// line of 40,000 disjoint pairs (469 KB, far below the line limit) would
-/// ask for gigabytes, and the class matrix the next INGEST builds for more:
+/// ask for gigabytes, and the transpose the next INGEST builds for more:
 /// REGISTER and UPDATE refuse a row naming more than `MAX_RELATION_VALUES`
 /// distinct values before any closure is built, and a row at the bound
 /// registers.

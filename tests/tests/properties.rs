@@ -56,6 +56,36 @@ fn assert_common_is_intersection(
 const DOMAIN: u32 = 6;
 const ATTRS: usize = 3;
 
+/// The verdict of Def. 3.2 read off the closure rows and their transpose,
+/// as the frontier index reads them: per attribute, `b`'s value among the
+/// values `a`'s beats (a closure row) or among those beating it (a row of
+/// the transpose), or equal, or neither.
+fn verdict_from_rows(compiled: &CompiledPreference, a: &Object, b: &Object) -> Dominance {
+    let (mut beats, mut beaten) = (false, false);
+    for (attr, relation) in compiled.relations().iter().enumerate() {
+        let (x, y) = (a.values()[attr], b.values()[attr]);
+        if x == y {
+            continue;
+        }
+        let (Some(ix), Some(iy)) = (relation.dense_index(x), relation.dense_index(y)) else {
+            return Dominance::Incomparable;
+        };
+        let holds = |row: &[u64]| (row[iy / 64] >> (iy % 64)) & 1 == 1;
+        match (holds(relation.row(ix)), holds(relation.predecessors(ix))) {
+            (true, false) => beats = true,
+            (false, true) => beaten = true,
+            (false, false) => return Dominance::Incomparable,
+            (true, true) => unreachable!("a strict order is asymmetric"),
+        }
+    }
+    match (beats, beaten) {
+        (false, false) => Dominance::Identical,
+        (true, false) => Dominance::Dominates,
+        (false, true) => Dominance::DominatedBy,
+        (true, true) => Dominance::Incomparable,
+    }
+}
+
 /// Strategy: an arbitrary edge list over a small domain. Edges that would
 /// break the strict-partial-order laws are skipped at construction time,
 /// which mirrors how relations are built from real data.
@@ -590,8 +620,8 @@ proptest! {
     /// The in-place AND narrows a relation to exactly what `intersect` and
     /// a relation compiled from the build-time intersection hold — tuple set
     /// and `len()` — on one-word dense, two-word dense and sparse layouts
-    /// and mixes of them, and the prepared kernel afterwards answers as the
-    /// freshly compiled relation does: the class matrix `prepare` built
+    /// and mixes of them, and the transpose afterwards answers as the
+    /// freshly compiled relation's does: the transpose `predecessors` built
     /// before the AND must not survive it.
     #[test]
     fn in_place_intersection_matches_a_fresh_compile(
@@ -614,9 +644,9 @@ proptest! {
             .map(|(i, &value)| Object::new(ObjectId::from(i), vec![ValueId::new(value)]))
             .collect();
         let mut narrowed = as_preference(&ca);
-        // Build the class matrix of `a` before the AND.
-        for object in &objects {
-            let _ = narrowed.prepare(object);
+        // Build the transpose of `a` before the AND.
+        for index in 0..ca.num_values() {
+            let _ = narrowed.relations()[0].predecessors(index);
         }
         let mut rel = narrowed.relation(AttrId::new(0)).clone();
         rel.intersect_assign(&cb);
@@ -626,11 +656,16 @@ proptest! {
         prop_assert_eq!(rel.to_relation(), a.intersection(&b));
         narrowed = as_preference(&rel);
         let fresh = as_preference(&fresh);
+        for index in 0..ca.num_values() {
+            prop_assert_eq!(
+                narrowed.relations()[0].predecessors(index),
+                fresh.relations()[0].predecessors(index)
+            );
+        }
         for x in &objects {
-            let (ours, theirs) = (narrowed.prepare(x), fresh.prepare(x));
             for y in &objects {
-                let codes: Vec<u32> = fresh.codes(y).collect();
-                prop_assert_eq!(ours.compare(&codes), theirs.compare(&codes), "{} vs {}", x, y);
+                let ours = verdict_from_rows(&narrowed, x, y);
+                prop_assert_eq!(ours, verdict_from_rows(&fresh, x, y), "{} vs {}", x, y);
                 prop_assert_eq!(narrowed.compare(x, y), fresh.compare(x, y));
             }
         }
@@ -654,13 +689,14 @@ proptest! {
         }
     }
 
-    /// Kernel equivalence: the prepared form, the pairwise compiled form
-    /// and the uncompiled preference return the same verdict — and the
-    /// flipped one with the sides swapped — on every row layout (one-word
-    /// dense, two-word dense, sparse), with object values inside and
-    /// outside the relations' universes.
+    /// Kernel equivalence: the closure rows with their transpose (what the
+    /// frontier index reads), the pairwise compiled form and the uncompiled
+    /// preference return the same verdict — and the flipped one with the
+    /// sides swapped — on every row layout (one-word dense, two-word dense,
+    /// sparse), with object values inside and outside the relations'
+    /// universes.
     #[test]
-    fn prepared_kernel_agrees_with_both_pairwise_forms(
+    fn transposed_rows_agree_with_both_pairwise_forms(
         relations in proptest::collection::vec(layout_relation_strategy(), ATTRS),
         objects in proptest::collection::vec(
             proptest::collection::vec(kernel_value_strategy(), ATTRS), 2..10),
@@ -675,15 +711,12 @@ proptest! {
                 vals.into_iter().map(ValueId::new).collect(),
             ))
             .collect();
-        let codes: Vec<Vec<u32>> = objects.iter().map(|o| compiled.codes(o).collect()).collect();
-        for (a, codes_a) in objects.iter().zip(&codes) {
-            let prepared = compiled.prepare(a);
-            prop_assert_eq!(&prepared.codes().collect::<Vec<u32>>(), codes_a);
-            for (b, codes_b) in objects.iter().zip(&codes) {
-                let verdict = prepared.compare(codes_b);
+        for a in &objects {
+            for b in &objects {
+                let verdict = verdict_from_rows(&compiled, a, b);
                 prop_assert_eq!(verdict, compiled.compare(a, b), "{} vs {}", a, b);
                 prop_assert_eq!(verdict, pref.compare(a, b), "{} vs {}", a, b);
-                prop_assert_eq!(compiled.prepare(b).compare(codes_a), verdict.flip());
+                prop_assert_eq!(verdict_from_rows(&compiled, b, a), verdict.flip());
             }
         }
         // Values no layout ever mentions: two different ones are
@@ -700,13 +733,12 @@ proptest! {
             with_first(101, UNMENTIONED[1]),
             with_first(102, UNMENTIONED[0]),
         );
-        let codes_of = |o: &Object| compiled.codes(o).collect::<Vec<u32>>();
-        prop_assert_eq!(compiled.prepare(&x).compare(&codes_of(&y)), Dominance::Incomparable);
-        prop_assert_eq!(compiled.prepare(&x).compare(&codes_of(&x_twin)), Dominance::Identical);
+        prop_assert_eq!(verdict_from_rows(&compiled, &x, &y), Dominance::Incomparable);
+        prop_assert_eq!(verdict_from_rows(&compiled, &x, &x_twin), Dominance::Identical);
         for other in &objects {
-            let inside = compiled.prepare(other).compare(&codes_of(&x));
+            let inside = verdict_from_rows(&compiled, other, &x);
             prop_assert_eq!(inside, pref.compare(other, &x));
-            prop_assert_eq!(compiled.prepare(&x).compare(&codes_of(other)), inside.flip());
+            prop_assert_eq!(verdict_from_rows(&compiled, &x, other), inside.flip());
         }
     }
 
