@@ -16,6 +16,14 @@
 //! makes the delta list a pure function of the pre- and post-arrival
 //! frontier sets, so a sharded engine merging disjoint per-shard delta
 //! lists reports byte-identical deltas to a single-threaded monitor.
+//!
+//! The monitor produces that form without expanding per member first:
+//! Phase B folds each group's frontier edit to its net form once, in
+//! ascending object order, and the monitor's ordered pass over the changed
+//! groups' ascending member lists writes each member's copy of it in
+//! `(user, object)` order (see [`crate::monitor`]). `DeltaLog`, which
+//! canonicalises per-member events by sorting, survives as the test
+//! reference for that pass.
 
 use pm_model::{ObjectId, UserId};
 
@@ -62,11 +70,13 @@ impl FrontierDelta {
 /// that contract the transitions of one `(user, object)` pair alternate, so
 /// the net effect is `-1`, `0` or `+1` and [`DeltaLog::finish`] folds each
 /// pair to at most one delta.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub(crate) struct DeltaLog {
     events: Vec<FrontierDelta>,
 }
 
+#[cfg(test)]
 impl DeltaLog {
     /// Records that `object` was newly inserted into `user`'s frontier.
     pub(crate) fn enter(&mut self, user: UserId, object: ObjectId) {

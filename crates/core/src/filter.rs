@@ -42,7 +42,9 @@ use crate::monitor::Base;
 /// relations), so the group's frontier *is* each member's frontier.
 #[derive(Debug, Clone)]
 pub(crate) struct Group {
-    /// Member users, in joining order.
+    /// Member users: ascending in a layer's per-user groups, the order an
+    /// arrival's outcomes are expanded in; in joining order for a virtual
+    /// user.
     pub(crate) members: Vec<UserId>,
     /// Build-time form of the group's preference (introspection).
     pub(crate) preference: Arc<Preference>,
@@ -79,12 +81,27 @@ impl Group {
         self.buffer.recode(&self.compiled);
     }
 
+    /// Renames member `from` to `to` where it stands.
     pub(crate) fn rename(&mut self, from: UserId, to: UserId) {
         for member in &mut self.members {
             if *member == from {
                 *member = to;
             }
         }
+    }
+
+    /// Adds `user` to an ascending member list.
+    pub(crate) fn admit(&mut self, user: UserId) {
+        let at = self.members.partition_point(|&member| member < user);
+        self.members.insert(at, user);
+    }
+
+    /// Renames member `from` to `to` in an ascending member list, which
+    /// stays ascending: a swap-remove renumbers the highest id to a lower
+    /// one.
+    fn renumber(&mut self, from: UserId, to: UserId) {
+        self.members.retain(|&member| member != from);
+        self.admit(to);
     }
 }
 
@@ -463,6 +480,6 @@ impl Filter {
 /// and lists it there under its new id `user`.
 pub(crate) fn rekey(groups: &mut Groups, (from, to): (usize, usize), moved: UserId, user: UserId) {
     let mut group = groups.remove(&from).expect("every user is in its group");
-    group.rename(moved, user);
+    group.renumber(moved, user);
     groups.insert(to, group);
 }

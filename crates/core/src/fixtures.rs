@@ -126,3 +126,25 @@ pub(crate) fn singletons(users: &[Preference]) -> Vec<(Vec<UserId>, Preference)>
     let own_cluster = |(i, p): (usize, &Preference)| (vec![UserId::from(i)], p.clone());
     users.iter().enumerate().map(own_cluster).collect()
 }
+
+/// SplitMix64: a seeded, dependency-free generator for the random-script
+/// tests.
+pub(crate) struct Rng(pub(crate) u64);
+
+impl Rng {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub(crate) fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    pub(crate) fn chance(&mut self, percent: u64) -> bool {
+        self.next() % 100 < percent
+    }
+}

@@ -1047,27 +1047,7 @@ mod reference {
 
     use super::tests::assert_index;
     use super::*;
-
-    /// SplitMix64: a seeded, dependency-free generator.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        fn chance(&mut self, percent: u64) -> bool {
-            self.next() % 100 < percent
-        }
-    }
+    use crate::fixtures::Rng;
 
     /// A random strict partial order on `values` (ordered by a random
     /// rank, so it stays acyclic) with about `percent` % of the pairs.

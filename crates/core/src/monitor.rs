@@ -24,6 +24,12 @@
 //! users are independent work and no outcome, delta or comparison count
 //! depends on the batching or the thread count.
 //!
+//! A group reports each arrival's outcome once for all its members: whether
+//! the object is a target there, and the group's net frontier edit. One
+//! ordered pass over the changed groups' member lists, which stay
+//! ascending, then writes each arrival's target users and canonical deltas
+//! (see [`crate::delta`]); no per-member event is recorded or sorted.
+//!
 //! Fidelity note: with a filter layer on a window the monitor follows
 //! Alg. 5 literally — on expiry it only re-examines buffered objects that
 //! the expiring object dominated *with respect to the cluster's (virtual
@@ -32,13 +38,14 @@
 //! the source of the small accuracy loss the paper accepts for this
 //! algorithm family; without a filter layer there is no such loss.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use pm_model::{Object, ObjectId, UserId};
 use pm_porder::{Interned, Preference, PreferenceInterner};
 
 use crate::alive::{Alive, Lifetime};
-use crate::delta::{DeltaLog, FrontierDelta};
+use crate::delta::FrontierDelta;
 use crate::filter::{rekey, Filter, Group, Groups};
 use crate::frontier::{
     mend_from_buffer, mend_frontier, refresh_buffer, update_frontier, Frontier, FrontierUpdate,
@@ -137,12 +144,12 @@ impl Base {
         }
     }
 
-    /// Puts `user` into group `key` of `groups`, creating the group by
-    /// replay when it does not exist yet: its frontier, and with `buffer`
-    /// its Def. 7.4 buffer.
+    /// Puts `user` into group `key` of `groups` (member lists stay
+    /// ascending), creating the group by replay when it does not exist yet:
+    /// its frontier, and with `buffer` its Def. 7.4 buffer.
     pub(crate) fn join(&mut self, groups: &mut Groups, key: usize, user: UserId, buffer: bool) {
         if let Some(group) = groups.get_mut(&key) {
-            group.members.push(user);
+            group.admit(user);
             return;
         }
         let interned = &self.users[user.index()];
@@ -216,9 +223,10 @@ pub struct Monitor {
     layer: Layer,
 }
 
-/// What one arrival did to one group's frontier: the report every member
-/// the group stands for receives. Phase B reuses one per chunk, so that no
-/// step allocates.
+/// What one arrival did to one group's frontier, step by step: the objects
+/// that left, the objects that entered, and whether the arriving object is
+/// on the frontier now. Phase B reuses one per chunk, so that no step
+/// allocates.
 #[derive(Default)]
 struct Change {
     left: Vec<ObjectId>,
@@ -237,19 +245,29 @@ impl Change {
         self.target = update.is_pareto;
     }
 
-    /// Reports the change to every one of `members`, then clears it.
-    fn report(&mut self, members: &[UserId], deltas: &mut DeltaLog, targets: &mut Vec<UserId>) {
-        for &member in members {
-            for &object in &self.left {
-                deltas.leave(member, object);
+    /// Appends the group's net frontier edit to `edits` as `(object,
+    /// entered)` pairs in ascending object order and returns where it
+    /// landed. An object mending promoted and the arrival evicted again
+    /// entered and left: it nets to nothing (see [`crate::delta`]).
+    fn fold(&self, edits: &mut Vec<(ObjectId, bool)>) -> Range<usize> {
+        let start = edits.len();
+        edits.extend(self.left.iter().map(|&object| (object, false)));
+        edits.extend(self.entered.iter().map(|&object| (object, true)));
+        edits[start..].sort_unstable();
+        let (mut kept, mut at) = (start, start);
+        while at < edits.len() {
+            if at + 1 < edits.len() && edits[at].0 == edits[at + 1].0 {
+                at += 2;
+                continue;
             }
-            for &object in &self.entered {
-                deltas.enter(member, object);
-            }
-            if self.target {
-                targets.push(member);
-            }
+            edits[kept] = edits[at];
+            (kept, at) = (kept + 1, at + 1);
         }
+        edits.truncate(kept);
+        start..kept
+    }
+
+    fn clear(&mut self) {
         self.left.clear();
         self.entered.clear();
         self.target = false;
@@ -324,10 +342,30 @@ struct Verdict {
     update: FrontierUpdate,
 }
 
-/// Per arrival, one chunk's target users and canonical deltas (each
-/// ascending), plus the comparisons the chunk spent.
+/// One group's report of one arrival, made once for all its members. A
+/// part holds one per changed group and arrival, hence the narrow fields.
+struct Outcome {
+    /// The group's position in the part's unit list.
+    unit: u32,
+    /// Where the group's net frontier edit starts and ends in its
+    /// [`Reports::edits`].
+    edit: [u32; 2],
+    /// Whether the arriving object is on the group's frontier.
+    target: bool,
+}
+
+/// One Phase B chunk's reports of one arrival: the outcomes of its groups
+/// that changed, in unit order, and the net edits they point into.
+#[derive(Default)]
+struct Reports {
+    outcomes: Vec<Outcome>,
+    edits: Vec<(ObjectId, bool)>,
+}
+
+/// One Phase B chunk's reports of each arrival, and the comparisons the
+/// chunk spent.
 struct ChunkOut {
-    arrivals: Vec<(Vec<UserId>, Vec<FrontierDelta>)>,
+    arrivals: Vec<Reports>,
     comparisons: u64,
 }
 
@@ -423,13 +461,19 @@ fn adopt_step(entry: &mut Group, object: &Object, update: &FrontierUpdate, chang
 }
 
 /// Phase B over one chunk of units: each takes the whole batch in arrival
-/// order and reports every change to its members.
-fn phase_b(units: &mut [Unit], batch: &[Admitted], expires: bool) -> ChunkOut {
+/// order, and `report(arrival, unit, members, change)` hears what each
+/// arrival did to each unit (numbered within the chunk). Returns the
+/// comparisons spent.
+fn phase_b(
+    units: &mut [Unit],
+    batch: &[Admitted],
+    expires: bool,
+    mut report: impl FnMut(usize, usize, &[UserId], &Change),
+) -> u64 {
     let mut stats = MonitorStats::new();
-    let mut logs: Vec<(Vec<UserId>, DeltaLog)> = batch.iter().map(|_| Default::default()).collect();
     let mut change = Change::default();
-    for Unit { group, step } in units {
-        for (admitted, (targets, deltas)) in batch.iter().zip(&mut logs) {
+    for (index, Unit { group, step }) in units.iter_mut().enumerate() {
+        for (arrival, admitted) in batch.iter().enumerate() {
             match *step {
                 Step::Own => own_step(group, admitted, expires, &mut stats, &mut change),
                 Step::Verify(cluster) => {
@@ -441,24 +485,141 @@ fn phase_b(units: &mut [Unit], batch: &[Admitted], expires: bool) -> ChunkOut {
                     adopt_step(group, admitted.object, update, &mut change);
                 }
             }
-            change.report(&group.members, deltas, targets);
+            report(arrival, index, &group.members, &change);
+            change.clear();
         }
     }
-    let arrivals = logs
-        .into_iter()
-        .map(|(mut targets, deltas)| {
-            targets.sort_unstable();
-            (targets, deltas.finish())
-        })
-        .collect();
+    stats.comparisons
+}
+
+/// Phase B over the chunk of units that starts at `offset` of the part's
+/// unit list: each group's outcome of each arrival, reported once where it
+/// changed something.
+fn report_outcomes(
+    units: &mut [Unit],
+    offset: usize,
+    batch: &[Admitted],
+    expires: bool,
+) -> ChunkOut {
+    let mut arrivals: Vec<Reports> = batch.iter().map(|_| Reports::default()).collect();
+    let comparisons = phase_b(units, batch, expires, |arrival, unit, _, change| {
+        let Reports { outcomes, edits } = &mut arrivals[arrival];
+        let edit = change.fold(edits);
+        if change.target || !edit.is_empty() {
+            let narrow = |at: usize| u32::try_from(at).expect("a part indexes in u32");
+            outcomes.push(Outcome {
+                unit: narrow(offset + unit),
+                edit: [narrow(edit.start), narrow(edit.end)],
+                target: change.target,
+            });
+        }
+    });
     ChunkOut {
         arrivals,
-        comparisons: stats.comparisons,
+        comparisons,
     }
 }
 
-/// Runs `work` over `units` in contiguous chunks and returns the results in
-/// chunk order.
+/// One changed group as [`expand`] reads it: its members, whether the
+/// arrival is a target there, and its net edit.
+type Changed<'a> = (&'a [UserId], bool, &'a [(ObjectId, bool)]);
+
+/// Per-user scratch of [`expand`] for arrivals whose changed groups'
+/// member lists interleave: a bit per user, and which changed group each
+/// marked user is in. Every bit is clear between arrivals.
+#[derive(Default)]
+struct Marks {
+    bits: Vec<u64>,
+    group: Vec<u32>,
+}
+
+impl Marks {
+    /// Calls `emit` for every member of `changed` in ascending user order.
+    fn in_order<'a>(
+        &mut self,
+        users: usize,
+        changed: &[Changed<'a>],
+        mut emit: impl FnMut(UserId, &Changed<'a>),
+    ) {
+        if self.group.len() < users {
+            self.group.resize(users, 0);
+            self.bits.resize(users.div_ceil(64), 0);
+        }
+        let (mut low, mut high) = (usize::MAX, 0);
+        for (index, &(members, ..)) in changed.iter().enumerate() {
+            let index = u32::try_from(index).expect("fewer groups than user ids");
+            for member in members {
+                let user = member.index();
+                self.group[user] = index;
+                self.bits[user / 64] |= 1 << (user % 64);
+                (low, high) = (low.min(user / 64), high.max(user / 64));
+            }
+        }
+        for word in low..=high {
+            let mut bits = std::mem::take(&mut self.bits[word]);
+            while bits != 0 {
+                let user = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                emit(UserId::from(user), &changed[self.group[user] as usize]);
+            }
+        }
+    }
+}
+
+/// Builds one arrival's ascending target users and canonical deltas from
+/// the chunks' reports of it in one ordered pass over the changed groups'
+/// members: where each group's (ascending) member list starts after the
+/// previous one ends, the lists are concatenated; otherwise `marks` puts
+/// the members of `users` users in order.
+fn expand(
+    units: &[Unit],
+    reports: &[Reports],
+    users: usize,
+    marks: &mut Marks,
+) -> (Vec<UserId>, Vec<FrontierDelta>) {
+    let outcomes = reports.iter().map(|reports| reports.outcomes.len());
+    let mut changed: Vec<Changed> = Vec::with_capacity(outcomes.sum());
+    let (mut targets, mut deltas) = (0, 0);
+    let (mut ordered, mut last) = (true, None);
+    for Reports { outcomes, edits } in reports {
+        for outcome in outcomes {
+            let members = &units[outcome.unit as usize].group.members[..];
+            let [start, end] = outcome.edit.map(|at| at as usize);
+            let edit = &edits[start..end];
+            ordered &= last < members.first();
+            last = members.last();
+            targets += if outcome.target { members.len() } else { 0 };
+            deltas += members.len() * edit.len();
+            changed.push((members, outcome.target, edit));
+        }
+    }
+    let (mut targets, mut deltas) = (Vec::with_capacity(targets), Vec::with_capacity(deltas));
+    let mut emit = |user: UserId, &(_, target, edit): &Changed| {
+        if target {
+            targets.push(user);
+        }
+        let delta = |&(object, entered): &(ObjectId, bool)| FrontierDelta {
+            user,
+            object,
+            entered,
+        };
+        deltas.extend(edit.iter().map(delta));
+    };
+    match ordered {
+        true => {
+            for group in &changed {
+                for &user in group.0 {
+                    emit(user, group);
+                }
+            }
+        }
+        false => marks.in_order(users, &changed, emit),
+    }
+    (targets, deltas)
+}
+
+/// Runs `work(offset, chunk)` over `units` in contiguous chunks, each
+/// starting at `offset`, and returns the results in chunk order.
 ///
 /// With one worker, or fewer than two units, that is one inline call over
 /// all units. Otherwise one scoped thread per extra worker joins the calling
@@ -468,10 +629,10 @@ fn phase_b(units: &mut [Unit], batch: &[Admitted], expires: bool) -> ChunkOut {
 fn run_chunks<U: Send, R: Send>(
     units: &mut [U],
     workers: usize,
-    work: impl Fn(&mut [U]) -> R + Sync,
+    work: impl Fn(usize, &mut [U]) -> R + Sync,
 ) -> Vec<R> {
     if workers <= 1 || units.len() < 2 {
-        return vec![work(units)];
+        return vec![work(0, units)];
     }
     let size = units.len().div_ceil(workers * CHUNKS_PER_WORKER);
     let helpers = workers.min(units.len().div_ceil(size)) - 1;
@@ -486,7 +647,7 @@ fn run_chunks<U: Send, R: Send>(
             let Some((index, chunk)) = next else {
                 return done;
             };
-            done.push((index, work(chunk)));
+            done.push((index, work(index * size, chunk)));
         }
     };
     let mut done = std::thread::scope(|scope| {
@@ -504,32 +665,84 @@ fn run_chunks<U: Send, R: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Merges two ascending runs of distinct items; when `run` starts after
-/// `merged` ends it is a concatenation.
-fn merge<T: Ord + Copy>(mut merged: Vec<T>, run: Vec<T>) -> Vec<T> {
-    match (merged.last(), run.first()) {
-        (None, _) => run,
-        (Some(last), Some(first)) if last > first => {
-            let mut out = Vec::with_capacity(merged.len() + run.len());
-            let (mut i, mut j) = (0, 0);
-            while i < merged.len() && j < run.len() {
-                if merged[i] < run[j] {
-                    out.push(merged[i]);
-                    i += 1;
-                } else {
-                    out.push(run[j]);
-                    j += 1;
-                }
+/// Phase A of [`Monitor::process_batch`] over one part: admits every
+/// object to the alive store and, with a filter layer, takes each cluster
+/// through the cluster-level half of expiry and arrival, recording its
+/// verdicts. Returns the admitted arrivals and Phase B's units in
+/// ascending order of first member.
+fn phase_a<'a>(
+    base: &mut Base,
+    layer: &'a mut Layer,
+    objects: &'a [Object],
+) -> (Vec<Admitted<'a>>, Vec<Unit<'a>>) {
+    let expires = base.alive.expires();
+    // Expire before the arrival competes: the object it pushes out of
+    // the window is no longer alive.
+    let mut batch: Vec<Admitted> = objects
+        .iter()
+        .map(|object| {
+            let expired = base.alive.admit(object);
+            if expired.is_some() {
+                base.stats.record_expiration();
             }
-            out.extend_from_slice(&merged[i..]);
-            out.extend_from_slice(&run[j..]);
-            out
+            Admitted {
+                object,
+                expired,
+                verdicts: Vec::new(),
+            }
+        })
+        .collect();
+    let mut units: Vec<Unit> = match layer {
+        Layer::Unfiltered(groups) => (groups.values_mut())
+            .map(|group| Unit {
+                group,
+                step: Step::Own,
+            })
+            .collect(),
+        Layer::Filtered(filter) => {
+            let stats = &mut base.stats;
+            for admitted in &mut batch {
+                admitted.verdicts = (filter.clusters.iter_mut())
+                    .map(|cluster| {
+                        // A degenerate cluster's P_U is its members'
+                        // frontier, scanned as Alg. 1 scans it.
+                        let on_identical = match cluster.degenerate {
+                            true => OnIdentical::Stop,
+                            false => OnIdentical::Continue,
+                        };
+                        let group = &mut cluster.virtual_user;
+                        Verdict {
+                            expiry: match &admitted.expired {
+                                Some(expired) => expire_group(group, expired, stats),
+                                None => Expiry::default(),
+                            },
+                            update: arrive_group(
+                                group,
+                                admitted.object,
+                                on_identical,
+                                expires,
+                                stats,
+                            ),
+                        }
+                    })
+                    .collect();
+            }
+            let entries = filter.clusters.iter_mut().enumerate();
+            (entries.flat_map(|(k, cluster)| {
+                let step = match cluster.degenerate {
+                    true => Step::Adopt(k),
+                    false => Step::Verify(k),
+                };
+                (cluster.verify.values_mut()).map(move |group| Unit { group, step })
+            }))
+            .collect()
         }
-        _ => {
-            merged.extend(run);
-            merged
-        }
-    }
+    };
+    // In ascending order of first member, the changed groups' member
+    // lists follow one another wherever every group has one member, and
+    // `expand` concatenates them.
+    units.sort_unstable_by_key(|unit| unit.group.members[0]);
+    (batch, units)
 }
 
 impl Monitor {
@@ -591,10 +804,13 @@ impl Monitor {
     /// * **B, parallel.** With a filter layer the verify entries are split
     ///   into chunks, and each entry replays its cluster's recorded outcomes
     ///   against its own frontier (the verify step; exact by Lemma 4.6
-    ///   alone) — once per distinct preference where twins share an entry —
-    ///   and reports to every member. Without one the groups are split, each
-    ///   running its whole expiry and arrival. Each chunk canonicalises its
-    ///   own targets and deltas, and the chunks are merged as sorted runs.
+    ///   alone) — once per distinct preference where twins share an entry.
+    ///   Without one the groups are split, each running its whole expiry
+    ///   and arrival. Either way a group reports each arrival's outcome once
+    ///   — target or not, and its net frontier edit — and the chunks do not
+    ///   canonicalise anything: one ordered pass over the changed groups'
+    ///   ascending member lists builds each arrival's target users and
+    ///   canonical deltas.
     ///
     /// The comparison counter is a sum over independent units of work, so
     /// it does not depend on `workers` or on how the stream is batched.
@@ -611,89 +827,22 @@ impl Monitor {
 
     /// Both phases of [`Self::process_batch`] over one part.
     fn apply(&mut self, objects: &[Object], workers: usize) -> Vec<Arrival> {
+        let expires = self.base.alive.expires();
+        let (batch, mut units) = phase_a(&mut self.base, &mut self.layer, objects);
+        let mut chunks = run_chunks(&mut units, workers, |offset, chunk| {
+            report_outcomes(chunk, offset, &batch, expires)
+        });
         let base = &mut self.base;
-        let expires = base.alive.expires();
-        // Expire before the arrival competes: the object it pushes out of
-        // the window is no longer alive.
-        let mut batch: Vec<Admitted> = objects
-            .iter()
-            .map(|object| {
-                let expired = base.alive.admit(object);
-                if expired.is_some() {
-                    base.stats.record_expiration();
-                }
-                Admitted {
-                    object,
-                    expired,
-                    verdicts: Vec::new(),
-                }
-            })
-            .collect();
-        let mut units: Vec<Unit> = match &mut self.layer {
-            Layer::Unfiltered(groups) => (groups.values_mut())
-                .map(|group| Unit {
-                    group,
-                    step: Step::Own,
-                })
-                .collect(),
-            Layer::Filtered(filter) => {
-                let stats = &mut base.stats;
-                for admitted in &mut batch {
-                    admitted.verdicts = (filter.clusters.iter_mut())
-                        .map(|cluster| {
-                            // A degenerate cluster's P_U is its members'
-                            // frontier, scanned as Alg. 1 scans it.
-                            let on_identical = match cluster.degenerate {
-                                true => OnIdentical::Stop,
-                                false => OnIdentical::Continue,
-                            };
-                            let group = &mut cluster.virtual_user;
-                            Verdict {
-                                expiry: match &admitted.expired {
-                                    Some(expired) => expire_group(group, expired, stats),
-                                    None => Expiry::default(),
-                                },
-                                update: arrive_group(
-                                    group,
-                                    admitted.object,
-                                    on_identical,
-                                    expires,
-                                    stats,
-                                ),
-                            }
-                        })
-                        .collect();
-                }
-                let entries = filter.clusters.iter_mut().enumerate();
-                (entries.flat_map(|(k, cluster)| {
-                    let step = match cluster.degenerate {
-                        true => Step::Adopt(k),
-                        false => Step::Verify(k),
-                    };
-                    (cluster.verify.values_mut()).map(move |group| Unit { group, step })
-                }))
-                .collect()
-            }
-        };
-        // In ascending order of first member, each chunk reports its users
-        // nearly sorted, as the canonical order wants them (exactly so
-        // while every unit has one member).
-        units.sort_unstable_by_key(|unit| unit.group.members[0]);
-        let chunks = run_chunks(&mut units, workers, |chunk| phase_b(chunk, &batch, expires));
-        let mut columns = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
+        for chunk in &chunks {
             base.stats.record_comparisons(chunk.comparisons);
-            columns.push(chunk.arrivals.into_iter());
         }
-        objects
-            .iter()
-            .map(|object| {
-                let (mut target_users, mut deltas) = (Vec::new(), Vec::new());
-                for column in &mut columns {
-                    let (targets, more) = column.next().expect("a chunk reports every arrival");
-                    target_users = merge(target_users, targets);
-                    deltas = merge(deltas, more);
-                }
+        let mut marks = Marks::default();
+        (objects.iter().enumerate())
+            .map(|(arrival, object)| {
+                let take = |chunk: &mut ChunkOut| std::mem::take(&mut chunk.arrivals[arrival]);
+                let reports: Vec<Reports> = chunks.iter_mut().map(take).collect();
+                let users = base.users.len();
+                let (target_users, deltas) = expand(&units, &reports, users, &mut marks);
                 base.stats.record_arrival(target_users.len());
                 Arrival {
                     object: object.id(),
@@ -1052,6 +1201,307 @@ impl Monitor {
     /// The member users of a cluster.
     pub fn cluster_members(&self, cluster: usize) -> &[UserId] {
         &self.cluster(cluster).members
+    }
+}
+
+/// The per-member expansion the ordered pass replaced, kept as its test
+/// reference: every group reports its raw change to every member, each
+/// chunk canonicalises its own events by sorting (`DeltaLog`), and the
+/// chunks' columns are merged as sorted runs.
+#[cfg(test)]
+mod reference {
+    use pm_cluster::{Clustering, ExactMeasure};
+    use pm_model::{AttrId, ValueId};
+
+    use super::*;
+    use crate::delta::DeltaLog;
+    use crate::fixtures::{obj, one_cluster, Rng};
+    use crate::HistoryMode;
+
+    impl Change {
+        /// Reports the change to every one of `members`.
+        fn report(&self, members: &[UserId], deltas: &mut DeltaLog, targets: &mut Vec<UserId>) {
+            for &member in members {
+                for &object in &self.left {
+                    deltas.leave(member, object);
+                }
+                for &object in &self.entered {
+                    deltas.enter(member, object);
+                }
+                if self.target {
+                    targets.push(member);
+                }
+            }
+        }
+    }
+
+    /// Merges two ascending runs of distinct items; when `run` starts after
+    /// `merged` ends it is a concatenation.
+    fn merge<T: Ord + Copy>(mut merged: Vec<T>, run: Vec<T>) -> Vec<T> {
+        match (merged.last(), run.first()) {
+            (None, _) => run,
+            (Some(last), Some(first)) if last > first => {
+                let mut out = Vec::with_capacity(merged.len() + run.len());
+                let (mut i, mut j) = (0, 0);
+                while i < merged.len() && j < run.len() {
+                    if merged[i] < run[j] {
+                        out.push(merged[i]);
+                        i += 1;
+                    } else {
+                        out.push(run[j]);
+                        j += 1;
+                    }
+                }
+                out.extend_from_slice(&merged[i..]);
+                out.extend_from_slice(&run[j..]);
+                out
+            }
+            _ => {
+                merged.extend(run);
+                merged
+            }
+        }
+    }
+
+    /// What the reference saw besides the arrivals.
+    #[derive(Default)]
+    struct Seen {
+        /// (unit, arrival) pairs whose change nets to an edit or a target.
+        changed: usize,
+        /// Objects a unit's mending promoted and the same arrival evicted.
+        cancelled: usize,
+    }
+
+    impl Monitor {
+        /// [`Monitor::process_batch`] through the per-member expansion.
+        fn process_batch_reference(
+            &mut self,
+            objects: &[Object],
+            workers: usize,
+            seen: &mut Seen,
+        ) -> Vec<Arrival> {
+            let mut arrivals = Vec::new();
+            for part in objects.chunks(MAX_PART) {
+                arrivals.extend(self.apply_reference(part, workers, seen));
+            }
+            arrivals
+        }
+
+        fn apply_reference(
+            &mut self,
+            objects: &[Object],
+            workers: usize,
+            seen: &mut Seen,
+        ) -> Vec<Arrival> {
+            let expires = self.base.alive.expires();
+            let (batch, mut units) = phase_a(&mut self.base, &mut self.layer, objects);
+            let chunks = run_chunks(&mut units, workers, |_, chunk| {
+                let mut logs: Vec<(Vec<UserId>, DeltaLog)> =
+                    batch.iter().map(|_| Default::default()).collect();
+                let mut seen = Seen::default();
+                let comparisons = phase_b(chunk, &batch, expires, |arrival, _, members, change| {
+                    let (targets, deltas) = &mut logs[arrival];
+                    change.report(members, deltas, targets);
+                    let mut one = DeltaLog::default();
+                    change.report(&[UserId::new(0)], &mut one, &mut Vec::new());
+                    seen.changed += usize::from(change.target || !one.finish().is_empty());
+                    let evicted = |object: &&ObjectId| change.left.contains(object);
+                    seen.cancelled += change.entered.iter().filter(evicted).count();
+                });
+                let arrivals: Vec<_> = (logs.into_iter())
+                    .map(|(mut targets, deltas)| {
+                        targets.sort_unstable();
+                        (targets, deltas.finish())
+                    })
+                    .collect();
+                (arrivals, comparisons, seen)
+            });
+            let base = &mut self.base;
+            let mut columns = Vec::with_capacity(chunks.len());
+            for (arrivals, comparisons, chunk_seen) in chunks {
+                base.stats.record_comparisons(comparisons);
+                seen.changed += chunk_seen.changed;
+                seen.cancelled += chunk_seen.cancelled;
+                columns.push(arrivals.into_iter());
+            }
+            objects
+                .iter()
+                .map(|object| {
+                    let (mut target_users, mut deltas) = (Vec::new(), Vec::new());
+                    for column in &mut columns {
+                        let (targets, more) = column.next().expect("a chunk reports every arrival");
+                        target_users = merge(target_users, targets);
+                        deltas = merge(deltas, more);
+                    }
+                    base.stats.record_arrival(target_users.len());
+                    Arrival {
+                        object: object.id(),
+                        target_users,
+                        deltas,
+                    }
+                })
+                .collect()
+        }
+
+        /// How many group outcomes [`Monitor::process_batch`] reports for
+        /// `objects`, counted on a copy of the monitor.
+        fn outcomes(&self, objects: &[Object], workers: usize) -> usize {
+            let mut copy = self.clone();
+            let expires = copy.base.alive.expires();
+            let mut reported = 0;
+            for part in objects.chunks(MAX_PART) {
+                let (batch, mut units) = phase_a(&mut copy.base, &mut copy.layer, part);
+                let chunks = run_chunks(&mut units, workers, |offset, chunk| {
+                    report_outcomes(chunk, offset, &batch, expires)
+                });
+                reported += (chunks.iter().flat_map(|chunk| &chunk.arrivals))
+                    .map(|reports| reports.outcomes.len())
+                    .sum::<usize>();
+            }
+            reported
+        }
+    }
+
+    /// A random preference over `arity` attributes with values `0..4`,
+    /// each relation ordered by a random rank so that it stays acyclic.
+    fn random_preference(rng: &mut Rng, arity: usize) -> Preference {
+        let mut preference = Preference::new(arity);
+        for attr in 0..arity {
+            let mut rank: Vec<u32> = (0..4).collect();
+            for i in (1..rank.len()).rev() {
+                rank.swap(i, rng.below(i + 1));
+            }
+            for i in 0..rank.len() {
+                for j in i + 1..rank.len() {
+                    if rng.chance(40) {
+                        let (better, worse) = (ValueId::new(rank[i]), ValueId::new(rank[j]));
+                        preference.prefer(AttrId::new(attr as u32), better, worse);
+                    }
+                }
+            }
+        }
+        preference
+    }
+
+    /// Every configuration of the two axes the script runs on: groups of
+    /// twins and per-user groups, the `Own`, `Verify` and `Adopt` steps,
+    /// histories and windows.
+    fn configuration(rng: &mut Rng, kind: usize, users: &[Preference]) -> Monitor {
+        let window = Lifetime::Window(2 + rng.below(10));
+        let compact = Lifetime::History(HistoryMode::Compact { cap: None });
+        let maintained = |rng: &mut Rng| {
+            let branch_cut = [0.0, 0.4, 0.9][rng.below(3)];
+            Filter::maintained(Clustering::new(users, ExactMeasure::Jaccard, branch_cut))
+        };
+        match kind {
+            0 => Monitor::new(users, Lifetime::UNLIMITED, None),
+            1 => Monitor::new(users, window, None),
+            2 => Monitor::new(users, Lifetime::UNLIMITED, Some(maintained(rng))),
+            3 => Monitor::new(users, compact, Some(maintained(rng))),
+            4 => Monitor::new(users, window, Some(maintained(rng))),
+            _ => {
+                let filter = Filter::virtual_users(one_cluster(users));
+                Monitor::new(users, window, Some(filter))
+            }
+        }
+    }
+
+    /// Which steps a monitor's units take: `(verify, adopt)`.
+    fn steps(monitor: &Monitor) -> (bool, bool) {
+        match &monitor.layer {
+            Layer::Unfiltered(_) => (false, false),
+            Layer::Filtered(filter) => {
+                let clusters = filter.clusters.iter();
+                let degenerate = |cluster: &crate::filter::Cluster| cluster.degenerate;
+                (
+                    clusters.clone().any(|c| !degenerate(c)),
+                    clusters.clone().any(degenerate),
+                )
+            }
+        }
+    }
+
+    /// The ordered pass against the per-member expansion over seeded
+    /// random scripts of batches (1, 8 or 64 objects on 1, 2 or 8
+    /// workers), registrations, updates and swap-removes: equal arrivals,
+    /// frontiers and comparison counts, and one outcome per group that
+    /// changed.
+    #[test]
+    fn ordered_pass_equals_the_per_member_expansion_on_random_scripts() {
+        let (mut seen, mut verify, mut adopt, mut disorder) = (Seen::default(), 0, 0, 0);
+        for seed in 0..240u64 {
+            let mut rng = Rng(seed);
+            let arity = 2 + rng.below(2);
+            let pool: Vec<Preference> = (0..1 + rng.below(4))
+                .map(|_| random_preference(&mut rng, arity))
+                .collect();
+            let users: Vec<Preference> = (0..2 + rng.below(10))
+                .map(|_| pool[rng.below(pool.len())].clone())
+                .collect();
+            let mut ours = configuration(&mut rng, seed as usize % 6, &users);
+            let mut theirs = ours.clone();
+            let mut next_id = 0u64;
+            for step in 0..24 {
+                let context = format!("seed {seed}, step {step}");
+                let (verifies, adopts) = steps(&ours);
+                (verify, adopt) = (verify + usize::from(verifies), adopt + usize::from(adopts));
+                let users = ours.num_users();
+                match rng.below(10) {
+                    0 => {
+                        let preference = match rng.chance(70) {
+                            true => pool[rng.below(pool.len())].clone(),
+                            false => random_preference(&mut rng, arity),
+                        };
+                        assert_eq!(
+                            ours.add_user(preference.clone()),
+                            theirs.add_user(preference)
+                        );
+                    }
+                    1 if users > 1 => {
+                        let user = UserId::from(rng.below(users));
+                        let moved = UserId::from(users - 1);
+                        let twin =
+                            |m: usize| ours.preference(UserId::from(m)) == ours.preference(moved);
+                        disorder += usize::from((user.index() + 1..users - 1).any(twin));
+                        assert_eq!(
+                            ours.remove_user(user),
+                            theirs.remove_user(user),
+                            "{context}"
+                        );
+                    }
+                    2 if users > 0 => {
+                        let user = UserId::from(rng.below(users));
+                        let preference = pool[rng.below(pool.len())].clone();
+                        ours.update_user(user, preference.clone());
+                        theirs.update_user(user, preference);
+                    }
+                    _ => {
+                        let size = [1, 8, 64][rng.below(3)];
+                        let workers = [1, 2, 8][rng.below(3)];
+                        let objects: Vec<Object> = (0..size)
+                            .map(|_| {
+                                next_id += 1;
+                                let values: Vec<u32> =
+                                    (0..arity).map(|_| rng.below(4) as u32).collect();
+                                obj(next_id, &values)
+                            })
+                            .collect();
+                        let changed = seen.changed;
+                        let reported = ours.outcomes(&objects, workers);
+                        let expected = theirs.process_batch_reference(&objects, workers, &mut seen);
+                        let context = format!("{context}: {size} objects on {workers} workers");
+                        assert_eq!(ours.process_batch(&objects, workers), expected, "{context}");
+                        assert_eq!(reported, seen.changed - changed, "{context}: outcomes");
+                    }
+                }
+                assert_eq!(ours.all_frontiers(), theirs.all_frontiers(), "{context}");
+                assert_eq!(ours.stats(), theirs.stats(), "{context}");
+            }
+        }
+        // The scripts reach every case the ordered pass must get right.
+        assert!(verify > 0 && adopt > 0, "verify {verify}, adopt {adopt}");
+        assert!(seen.cancelled > 0, "no promotion was evicted again");
+        assert!(disorder > 0, "no renumbering moved a twin out of order");
     }
 }
 

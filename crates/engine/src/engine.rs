@@ -7,8 +7,9 @@ use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use std::vec;
 
-use pm_core::{Arrival, FrontierDelta, MonitorState, MonitorStats};
+use pm_core::{Arrival, MonitorState, MonitorStats};
 use pm_model::{Object, ObjectId, UserId};
 use pm_obs::WindowedRate;
 use pm_porder::{Interned, Preference, PreferenceInterner};
@@ -172,7 +173,7 @@ pub struct ShardedEngine {
     /// Engine-side view of which global users each shard owns. Mutated only
     /// while holding `senders` (after it, in lock order), so it never
     /// disagrees with the command stream the workers observe.
-    membership: Mutex<Vec<Vec<UserId>>>,
+    membership: Mutex<Membership>,
     num_users: AtomicUsize,
     ingested: AtomicU64,
     /// Lifetime counts of applied membership commands, for observability:
@@ -290,7 +291,7 @@ impl ShardedEngine {
             senders: Mutex::new(senders),
             handles,
             queue_depths,
-            membership: Mutex::new(shard_users),
+            membership: Mutex::new(Membership::new(shard_users)),
             num_users: AtomicUsize::new(num_users),
             ingested: AtomicU64::new(0),
             registrations: AtomicU64::new(0),
@@ -377,13 +378,12 @@ impl ShardedEngine {
     /// The global user ids currently owned by `shard` (in registration
     /// order, except that unregistration swap-removes).
     pub fn shard_users(&self, shard: usize) -> Vec<UserId> {
-        lock_recovering(&self.membership)[shard].clone()
+        lock_recovering(&self.membership).shards[shard].clone()
     }
 
     /// Whether `user` is currently registered.
     pub fn is_registered(&self, user: UserId) -> bool {
-        let shard = shard_of(user, self.num_shards());
-        lock_recovering(&self.membership)[shard].contains(&user)
+        lock_recovering(&self.membership).contains(user)
     }
 
     /// Sends `preference` to every shard except `owner` as a
@@ -428,7 +428,7 @@ impl ShardedEngine {
         {
             let senders = lock_recovering(&self.senders);
             let mut membership = lock_recovering(&self.membership);
-            if membership[shard].contains(&user) {
+            if membership.contains(user) {
                 return Err(format!("user {} is already registered", user.raw()));
             }
             self.log_mutation(|| encode_register(user, &preference));
@@ -450,16 +450,14 @@ impl ShardedEngine {
                 lock_recovering(&self.population).abort(slot);
                 return Err(format!("shard {shard} worker terminated"));
             }
-            membership[shard].push(user);
+            membership.push(shard, user);
             self.num_users.fetch_add(1, Ordering::AcqRel);
         }
         if reply_rx.recv().is_err() {
             // The worker died mid-registration: roll the engine-side view
             // back so `is_registered` does not report a user no shard holds
             // (a concurrent unregister may have raced us; tolerate that).
-            let mut membership = lock_recovering(&self.membership);
-            if let Some(pos) = membership[shard].iter().position(|&u| u == user) {
-                membership[shard].swap_remove(pos);
+            if lock_recovering(&self.membership).remove(shard, user) {
                 self.num_users.fetch_sub(1, Ordering::AcqRel);
             }
             lock_recovering(&self.population).abort(slot);
@@ -481,9 +479,9 @@ impl ShardedEngine {
         {
             let senders = lock_recovering(&self.senders);
             let mut membership = lock_recovering(&self.membership);
-            let Some(pos) = membership[shard].iter().position(|&u| u == user) else {
+            if !membership.contains(user) {
                 return Err(format!("user {} is not registered", user.raw()));
-            };
+            }
             self.log_mutation(|| encode_unregister(user));
             senders[shard]
                 .send(ShardCmd::RemoveUser {
@@ -491,7 +489,7 @@ impl ShardedEngine {
                     reply: reply_tx,
                 })
                 .map_err(|_| format!("shard {shard} worker terminated"))?;
-            membership[shard].swap_remove(pos);
+            membership.remove(shard, user);
             self.num_users.fetch_sub(1, Ordering::AcqRel);
         }
         let Ok(removed) = reply_rx.recv() else {
@@ -499,8 +497,8 @@ impl ShardedEngine {
             // the maps do not claim the user is gone while a (dead) shard
             // still held it (tolerate a racing re-register of the same id).
             let mut membership = lock_recovering(&self.membership);
-            if !membership[shard].contains(&user) {
-                membership[shard].push(user);
+            if !membership.contains(user) {
+                membership.push(shard, user);
                 self.num_users.fetch_add(1, Ordering::AcqRel);
             }
             return Err(format!("shard {shard} worker dropped its reply"));
@@ -530,8 +528,7 @@ impl ShardedEngine {
         let slot;
         {
             let senders = lock_recovering(&self.senders);
-            let membership = lock_recovering(&self.membership);
-            if !membership[shard].contains(&user) {
+            if !lock_recovering(&self.membership).contains(user) {
                 return Err(format!("user {} is not registered", user.raw()));
             }
             self.log_mutation(|| encode_update(user, &preference));
@@ -662,7 +659,7 @@ impl ShardedEngine {
     pub fn all_frontiers(&self) -> Vec<(UserId, Vec<ObjectId>)> {
         let mut users: Vec<UserId> = {
             let membership = lock_recovering(&self.membership);
-            membership.iter().flatten().copied().collect()
+            membership.shards.iter().flatten().copied().collect()
         };
         users.sort_unstable();
         users
@@ -756,7 +753,7 @@ impl ShardedEngine {
         let per_shard = self.shard_stats();
         let users_per_shard: Vec<usize> = {
             let membership = lock_recovering(&self.membership);
-            membership.iter().map(Vec::len).collect()
+            membership.shards.iter().map(Vec::len).collect()
         };
         let shards = per_shard
             .into_iter()
@@ -934,6 +931,51 @@ pub struct DurableEngineState {
     pub updates: u64,
 }
 
+/// Which global users each shard owns, in shard-local order — registration
+/// order, swap-removed on unregistration, exactly as each shard's own local
+/// → global map — with every user's position there, so that looking a user
+/// up or removing it takes O(1) instead of a scan of its shard.
+struct Membership {
+    shards: Vec<Vec<UserId>>,
+    /// Each registered user's index in its shard's list.
+    position: HashMap<UserId, usize>,
+}
+
+impl Membership {
+    fn new(shards: Vec<Vec<UserId>>) -> Self {
+        let position = (shards.iter())
+            .flat_map(|users| users.iter().enumerate().map(|(at, &user)| (user, at)))
+            .collect();
+        Self { shards, position }
+    }
+
+    fn contains(&self, user: UserId) -> bool {
+        self.position.contains_key(&user)
+    }
+
+    /// Appends `user` to `shard`'s list.
+    fn push(&mut self, shard: usize, user: UserId) {
+        let users = &mut self.shards[shard];
+        debug_assert!(!self.position.contains_key(&user), "user {user} is listed");
+        self.position.insert(user, users.len());
+        users.push(user);
+    }
+
+    /// Swap-removes `user` from `shard`'s list, as the shard renumbers its
+    /// local ids. Returns whether the user was listed.
+    fn remove(&mut self, shard: usize, user: UserId) -> bool {
+        let Some(at) = self.position.remove(&user) else {
+            return false;
+        };
+        let users = &mut self.shards[shard];
+        users.swap_remove(at);
+        if let Some(&moved) = users.get(at) {
+            self.position.insert(moved, at);
+        }
+        true
+    }
+}
+
 /// A batch that has been enqueued on every shard but whose results have
 /// not been collected yet. Obtained from [`ShardedEngine::submit_batch`];
 /// consumed by [`BatchTicket::wait`].
@@ -981,40 +1023,23 @@ impl BatchTicket<'_> {
         }
         let fan_in_start = Instant::now();
         let shards = self.engine.num_shards();
-        // Per-object target-user and frontier-delta columns, one per shard.
-        type ShardColumns = (Vec<Vec<UserId>>, Vec<Vec<FrontierDelta>>);
-        let mut per_shard: Vec<Option<ShardColumns>> = (0..shards).map(|_| None).collect();
+        // Per-object target-user and frontier-delta columns, one per shard,
+        // each in canonical order (see `ShardBatchReply`).
+        let mut targets: Vec<_> = (0..shards).map(|_| Vec::new().into_iter()).collect();
+        let mut deltas: Vec<_> = (0..shards).map(|_| Vec::new().into_iter()).collect();
         for _ in 0..shards {
             let reply = self
                 .reply_rx
                 .recv()
                 .expect("shard worker dropped its reply");
-            per_shard[reply.shard] = Some((reply.targets, reply.deltas));
+            targets[reply.shard] = reply.targets.into_iter();
+            deltas[reply.shard] = reply.deltas.into_iter();
         }
-
-        let arrivals = self
-            .batch
-            .iter()
-            .enumerate()
-            .map(|(i, object)| {
-                let mut target_users: Vec<UserId> = Vec::new();
-                let mut deltas: Vec<FrontierDelta> = Vec::new();
-                for (targets, shard_deltas) in per_shard.iter().flatten() {
-                    target_users.extend_from_slice(&targets[i]);
-                    deltas.extend_from_slice(&shard_deltas[i]);
-                }
-                // Per-shard sets are pairwise disjoint but not sorted: each
-                // shard's monitor reports ascending *local* ids, and the
-                // local → global map is unsorted after any swap-remove
-                // (see `shard.rs`). One sort restores the monitors'
-                // canonical ascending order.
-                target_users.sort_unstable();
-                deltas.sort_unstable();
-                Arrival {
-                    object: object.id(),
-                    target_users,
-                    deltas,
-                }
+        let arrivals = (self.batch.iter())
+            .map(|object| Arrival {
+                object: object.id(),
+                target_users: merge_next(&mut targets),
+                deltas: merge_next(&mut deltas),
             })
             .collect();
         self.engine
@@ -1032,6 +1057,29 @@ impl BatchTicket<'_> {
         }
         (arrivals, timing)
     }
+}
+
+/// Takes the next run of every shard's column, each ascending and pairwise
+/// disjoint, and merges them into one ascending list in one linear pass; a
+/// lone non-empty run moves through without a copy.
+fn merge_next<T: Ord + Copy>(columns: &mut [vec::IntoIter<Vec<T>>]) -> Vec<T> {
+    let runs = columns
+        .iter_mut()
+        .map(|column| column.next().expect("a shard replies for every object"));
+    let mut runs: Vec<Vec<T>> = runs.filter(|run| !run.is_empty()).collect();
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut heads = vec![0; runs.len()];
+    while let Some(run) = (0..runs.len())
+        .filter(|&run| heads[run] < runs[run].len())
+        .min_by_key(|&run| runs[run][heads[run]])
+    {
+        merged.push(runs[run][heads[run]]);
+        heads[run] += 1;
+    }
+    merged
 }
 
 impl Drop for ShardedEngine {
@@ -1419,5 +1467,92 @@ mod tests {
         let frontiers = engine.all_frontiers();
         let ids: Vec<u32> = frontiers.iter().map(|(u, _)| u.raw()).collect();
         assert_eq!(ids, vec![2, 9, 700]);
+    }
+
+    /// Register/unregister/update churn with swap-removes: the indexed
+    /// membership answers as a scan of each shard's list would, keeps the
+    /// shard-local order the shards' own maps hold, and the shards' columns
+    /// stay canonical while those maps are out of id order.
+    #[test]
+    fn membership_index_tracks_churn_with_swap_removes() {
+        let prefs = population(16);
+        let spec = BackendSpec::baseline();
+        let engine = ShardedEngine::new(prefs.clone(), &EngineConfig::new(3), &spec);
+        let mut model: Vec<Vec<UserId>> = (0..3).map(|shard| engine.shard_users(shard)).collect();
+        let mut held: HashMap<UserId, Preference> = (prefs.iter().enumerate())
+            .map(|(user, preference)| (UserId::from(user), preference.clone()))
+            .collect();
+        // A swap-remove that moves a user takes its shard's map out of id
+        // order at once.
+        let first = UserId::new(0);
+        engine.unregister(first).unwrap();
+        model[shard_of(first, 3)].swap_remove(0);
+        held.remove(&first);
+        let objects = stream(140);
+        let mut ingested = 0;
+        let mut seed = 0x5EED_u64;
+        for step in 0..300 {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let user = UserId::new((seed >> 33) as u32 % 40);
+            let preference = prefs[(seed >> 40) as usize % prefs.len()].clone();
+            let shard = shard_of(user, 3);
+            let at = model[shard].iter().position(|&listed| listed == user);
+            match step % 3 {
+                0 => {
+                    let registered = engine.register(user, preference.clone());
+                    assert_eq!(registered.is_ok(), at.is_none(), "step {step}");
+                    if at.is_none() {
+                        model[shard].push(user);
+                        held.insert(user, preference);
+                    }
+                }
+                1 => {
+                    let unregistered = engine.unregister(user);
+                    assert_eq!(unregistered.is_ok(), at.is_some(), "step {step}");
+                    if let Some(at) = at {
+                        model[shard].swap_remove(at);
+                        held.remove(&user);
+                    }
+                }
+                _ => {
+                    let updated = engine.update(user, preference.clone());
+                    assert_eq!(updated.is_ok(), at.is_some(), "step {step}");
+                    if at.is_some() {
+                        held.insert(user, preference);
+                    }
+                }
+            }
+            for (shard, users) in model.iter().enumerate() {
+                assert_eq!(&engine.shard_users(shard), users, "step {step}");
+            }
+            for id in 0..40 {
+                let listed = model.iter().flatten().any(|&u| u == UserId::new(id));
+                assert_eq!(engine.is_registered(UserId::new(id)), listed, "step {step}");
+            }
+            if step % 50 == 0 {
+                // The shards' own local → global maps list the same order.
+                let exported = engine.export_durable().members;
+                for (shard, members) in exported.iter().enumerate() {
+                    let users: Vec<UserId> = members.iter().map(|(user, _)| *user).collect();
+                    assert_eq!(users, model[shard], "step {step}");
+                }
+                // The next arrivals equal those of an engine whose maps are
+                // in id order and which saw the same stream.
+                let fresh = ShardedEngine::empty(&EngineConfig::new(3), &spec);
+                let mut users: Vec<&UserId> = held.keys().collect();
+                users.sort_unstable();
+                for &user in users {
+                    fresh.register(user, held[&user].clone()).unwrap();
+                }
+                fresh.process_batch(objects[..ingested].to_vec());
+                let next = objects[ingested..ingested + 20].to_vec();
+                ingested += 20;
+                assert_eq!(
+                    engine.process_batch(next.clone()),
+                    fresh.process_batch(next),
+                    "step {step}"
+                );
+            }
+        }
     }
 }

@@ -5,8 +5,10 @@
 //! Because the monitor only knows its local, densely re-indexed users, the
 //! worker translates between local indices and global [`UserId`]s at the
 //! boundary. With dynamic membership (REGISTER/UNREGISTER) the local→global
-//! map is append-plus-swap-remove maintained, so it is *not* sorted; a hash
-//! map resolves global ids on the query path.
+//! map is append-plus-swap-remove maintained, so it is not always sorted; a
+//! hash map resolves global ids on the query path. While the map is
+//! ascending, mapping the monitor's canonical columns keeps them canonical;
+//! only while it is not does the worker sort them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,13 +106,12 @@ pub(crate) struct ShardBatchReply {
     /// Which shard this reply came from.
     pub shard: usize,
     /// For each object of the batch, the target users owned by this shard,
-    /// as global ids. Per-shard sets are pairwise disjoint across shards;
-    /// the engine sorts the merged set, so no per-shard order is promised.
+    /// as ascending global ids. Per-shard sets are pairwise disjoint across
+    /// shards, so the engine merges them.
     pub targets: Vec<Vec<UserId>>,
     /// For each object of the batch, the frontier deltas of the users owned
-    /// by this shard, with global user ids. Disjoint across shards (a user
-    /// lives on exactly one shard); the engine sorts the merged list back
-    /// into canonical `(user, object)` order.
+    /// by this shard, with global user ids, in canonical `(user, object)`
+    /// order. Disjoint across shards (a user lives on exactly one shard).
     pub deltas: Vec<Vec<FrontierDelta>>,
 }
 
@@ -143,6 +144,10 @@ impl ShardWorker {
             .enumerate()
             .map(|(local, &user)| (user, local))
             .collect();
+        // Whether `global_users` is ascending: a swap-remove that moves a
+        // user, or a registration below the highest id, breaks it, and it
+        // is checked again after every swap-remove that moves a user.
+        let mut ascending = is_ascending(&self.global_users);
         while let Ok(cmd) = inbox.recv() {
             match cmd {
                 ShardCmd::Batch {
@@ -156,24 +161,16 @@ impl ShardWorker {
                     let apply_start = self.apply.as_ref().map(|_| Instant::now());
                     let mut targets = Vec::with_capacity(objects.len());
                     let mut deltas = Vec::with_capacity(objects.len());
-                    for arrival in self.monitor.process_batch(&objects, self.workers) {
-                        targets.push(
-                            arrival
-                                .target_users
-                                .iter()
-                                .map(|local| self.global_users[local.index()])
-                                .collect::<Vec<UserId>>(),
-                        );
-                        deltas.push(
-                            arrival
-                                .deltas
-                                .iter()
-                                .map(|d| FrontierDelta {
-                                    user: self.global_users[d.user.index()],
-                                    ..*d
-                                })
-                                .collect::<Vec<FrontierDelta>>(),
-                        );
+                    for mut arrival in self.monitor.process_batch(&objects, self.workers) {
+                        let global = |local: &mut UserId| *local = self.global_users[local.index()];
+                        arrival.target_users.iter_mut().for_each(global);
+                        arrival.deltas.iter_mut().for_each(|d| global(&mut d.user));
+                        if !ascending {
+                            arrival.target_users.sort_unstable();
+                            arrival.deltas.sort_unstable();
+                        }
+                        targets.push(arrival.target_users);
+                        deltas.push(arrival.deltas);
                     }
                     if let (Some(apply), Some(start)) = (&self.apply, apply_start) {
                         apply.record_duration(start.elapsed());
@@ -201,6 +198,7 @@ impl ShardWorker {
                     let local = self.monitor.add_user_interned(&preference);
                     debug_assert_eq!(local.index(), self.global_users.len());
                     local_of.insert(user, local.index());
+                    ascending &= self.global_users.last() < Some(&user);
                     self.global_users.push(user);
                     let _ = reply.send(());
                 }
@@ -228,6 +226,7 @@ impl ShardWorker {
                             self.global_users.swap_remove(local);
                             if local < self.global_users.len() {
                                 local_of.insert(self.global_users[local], local);
+                                ascending = is_ascending(&self.global_users);
                             }
                             true
                         }
@@ -266,4 +265,8 @@ impl ShardWorker {
             }
         }
     }
+}
+
+fn is_ascending(users: &[UserId]) -> bool {
+    users.windows(2).all(|pair| pair[0] < pair[1])
 }
